@@ -1,0 +1,186 @@
+"""Golden digests: fixed-seed outputs must stay byte-identical.
+
+Every engine change is held to the reports, sweep CSVs, attacker records
+and session records that the reference engine produced on a fixed grid.
+Each case is rendered to text and reduced to its SHA-256; the expected
+digests live in ``golden_digests.json`` beside this file.
+
+Regenerate that file only when a change of output is intended (a new
+variate layout, a new report field), and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qkdsim.bb84 import bb84_run
+from qkdsim.eavesdrop import InterceptResend, NoAttack, PassiveClassical, StuckFilter
+from qkdsim.harness import (
+    DEFAULT_FILTER_CHOICES,
+    SessionConfig,
+    attack_sweep,
+    attack_to_jsonable,
+    report_document,
+    run,
+    sweep_to_csv,
+    to_json,
+)
+from qkdsim.photons import Polarization, ResendPolicy
+from qkdsim.rng import RandomSource
+from qkdsim.three_state import three_state_run
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+SEED = 2026
+TRIALS = 3
+BB84_M = 6
+N_GRID = (1, 7, 54, 400, 5000)
+BB84_MIN_N = 60
+
+ATTACKS = (
+    NoAttack(),
+    PassiveClassical(),
+    StuckFilter(Polarization.Z0),
+    StuckFilter(Polarization.D45),
+    StuckFilter(Polarization.Z90),
+) + tuple(
+    InterceptResend(filter_choice=choice, resend=policy, fraction=fraction)
+    for choice in DEFAULT_FILTER_CHOICES
+    for policy in ResendPolicy
+    for fraction in (1.0, 0.5, 0.0)
+)
+
+
+def attack_label(attack) -> str:
+    return ":".join(str(v) for v in attack_to_jsonable(attack).values())
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def report_cases():
+    for protocol in ("three_state", "bb84"):
+        for attack in ATTACKS:
+            for n in N_GRID:
+                if protocol == "bb84" and n < BB84_MIN_N:
+                    continue
+                yield f"report/{protocol}/{attack_label(attack)}/n={n}", (protocol, attack, n, True)
+    # Without transcripts the certifier runs without recording its traffic.
+    for attack in (NoAttack(), StuckFilter(Polarization.Z0), InterceptResend(fraction=0.5)):
+        yield f"report/bb84/{attack_label(attack)}/n=5000/bare", ("bb84", attack, 5000, False)
+
+
+def render_report(protocol, attack, n, transcripts) -> str:
+    config = SessionConfig(
+        protocol=protocol,
+        n=n,
+        m=BB84_M if protocol == "bb84" else None,
+        attack=attack,
+        seed=SEED,
+        trials=TRIALS,
+        include_transcripts=transcripts,
+    )
+    return to_json(report_document(config, run(config)))
+
+
+def render_sweep() -> str:
+    base = SessionConfig(protocol="three_state", n=900, seed=11, trials=2)
+    rows = attack_sweep(base, fractions=(1.0, 0.5, 0.0))
+    return sweep_to_csv(rows) + to_json({"rows": [row.to_jsonable() for row in rows]})
+
+
+RECORD_ATTACKS = (
+    NoAttack(),
+    StuckFilter(Polarization.Z0),
+    InterceptResend(resend=ResendPolicy.UNIFORM_RANDOM, fraction=0.5),
+    InterceptResend(filter_choice=Polarization.D45, resend=ResendPolicy.SEND_NOTHING),
+)
+
+
+def render_session(protocol, attack, n, seed) -> str:
+    """Every per-photon record a direct session call exposes, plus its tap log."""
+    if protocol == "three_state":
+        r = three_state_run(n, RandomSource(seed), attack, record_eve=True)
+        fields = (
+            r.alice.sent,
+            r.bob.filters,
+            r.bob.outcomes,
+            r.confirmation.correct,
+            r.key_material.key_positions,
+            r.key_material.key_bits,
+            r.key_material.auth_positions,
+            r.alice_key_bits,
+            r.tamper,
+        )
+    else:
+        r = bb84_run(n, RandomSource(seed), attack, record_eve=True)
+        fields = (
+            r.alice.sent,
+            r.alice.bits,
+            r.bob.filters,
+            r.bob.outcomes,
+            r.bob.inferred,
+            r.sift.kept_indices,
+            r.sift.alice_key,
+            r.sift.bob_key,
+        )
+    lines = [repr(f) for f in fields]
+    lines.append(json.dumps(r.transcript.to_jsonable(), sort_keys=True))
+    lines.append(str(r.photons_intercepted))
+    lines.extend(repr(record) for record in r.eve_records)
+    return "\n".join(lines) + "\n"
+
+
+def session_cases():
+    for protocol in ("three_state", "bb84"):
+        for attack in RECORD_ATTACKS:
+            for n in (1, 7, 400, 5000):
+                yield f"session/{protocol}/{attack_label(attack)}/n={n}", (protocol, attack, n, SEED + n)
+
+
+def all_digests() -> dict[str, str]:
+    out = {key: digest(render_report(*args)) for key, args in report_cases()}
+    out["sweep/three_state/n=900"] = digest(render_sweep())
+    out.update({key: digest(render_session(*args)) for key, args in session_cases()})
+    return out
+
+
+def _expected() -> dict[str, str]:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("protocol", ["three_state", "bb84"])
+def test_report_digests(protocol):
+    expected = _expected()
+    cases = [(k, a) for k, a in report_cases() if a[0] == protocol]
+    changed = [k for k, args in cases if digest(render_report(*args)) != expected[k]]
+    assert not changed, f"{len(changed)} of {len(cases)} reports changed, first: {changed[:3]}"
+
+
+def test_sweep_digest():
+    assert digest(render_sweep()) == _expected()["sweep/three_state/n=900"]
+
+
+def test_session_record_digests():
+    expected = _expected()
+    cases = list(session_cases())
+    changed = [k for k, args in cases if digest(render_session(*args)) != expected[k]]
+    assert not changed, f"{len(changed)} of {len(cases)} sessions changed, first: {changed[:3]}"
+
+
+def test_golden_file_covers_the_grid():
+    keys = {k for k, _ in report_cases()} | {k for k, _ in session_cases()}
+    keys.add("sweep/three_state/n=900")
+    assert set(_expected()) == keys
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(all_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
