@@ -12,18 +12,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .eavesdrop import Attack, ChannelTap, EveRecord, NoAttack
 from .photons import (
     BB84_ALPHABET,
     BB84_FILTERS,
+    BITS,
     MeasurementOutcome,
     Polarization,
-    bit_map,
+    as_outcomes,
+    as_polarizations,
     has_deterministic_outcome,
-    infer_polarization,
-    measure_arrival,
+    inferred_index,
+    transmit,
 )
 from .rng import RandomSource
 from .transcript import Transcript
@@ -37,43 +42,80 @@ class NonPositiveKey(ValueError):
     """Raised when the expected usable key length is not positive."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BB84AliceState:
     """The sender's record: her polarization choices and their bit values."""
 
-    sent: list[Polarization]
+    sent_index: np.ndarray  # indices into POLARIZATIONS
+
+    @cached_property
+    def sent(self) -> list[Polarization]:
+        return as_polarizations(self.sent_index)
 
     @property
     def bits(self) -> list[int]:
-        return [bit_map(p) for p in self.sent]
+        return BITS[self.sent_index].tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BB84BobState:
     """The receiver's record: filter settings, raw readings, inferences."""
 
-    filters: list[Polarization]
-    outcomes: list[MeasurementOutcome]
-    inferred: list[Polarization]
+    filter_index: np.ndarray
+    detected: np.ndarray
+
+    @cached_property
+    def filters(self) -> list[Polarization]:
+        return as_polarizations(self.filter_index)
+
+    @cached_property
+    def outcomes(self) -> list[MeasurementOutcome]:
+        return as_outcomes(self.filter_index, self.detected)
+
+    @cached_property
+    def inferred(self) -> list[Polarization]:
+        return as_polarizations(inferred_index(self.filter_index, self.detected))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiftResult:
-    kept_indices: list[int]
-    alice_key: list[int]
-    bob_key: list[int]
+    kept_index: np.ndarray
+    alice_bits: np.ndarray
+    bob_bits: np.ndarray
+
+    @cached_property
+    def kept_indices(self) -> list[int]:
+        return self.kept_index.tolist()
+
+    @cached_property
+    def alice_key(self) -> list[int]:
+        return self.alice_bits.tolist()
+
+    @cached_property
+    def bob_key(self) -> list[int]:
+        return self.bob_bits.tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BB84Run:
-    """Everything produced by one transmission + sifting pass."""
+    """Everything produced by one transmission + sifting pass.
+
+    Per-photon lists (``alice.sent``, ``bob.outcomes``, ...) and the
+    transcript are built from the session's arrays on first read.
+    """
 
     alice: BB84AliceState
     bob: BB84BobState
     sift: SiftResult
-    transcript: Transcript
     photons_intercepted: int = 0
     eve_records: list[EveRecord] = field(default_factory=list)
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        transcript = Transcript()
+        transcript.announce_filters(self.bob.filters)
+        transcript.announce_kept(self.sift.kept_indices)
+        return transcript
 
 
 def sift_keeps(sent: Polarization, filter_angle: Polarization) -> bool:
@@ -90,7 +132,7 @@ def bb84_run(
     attack: Attack = NoAttack(),
     record_eve: bool = False,
 ) -> BB84Run:
-    """Simulate one session photon by photon: transmit, measure, sift.
+    """Simulate one session: transmit, measure, sift.
 
     The session source ``rng`` is never drawn from directly; the sender,
     receiver and attacker each own a derived child stream (indices 0, 1, 2;
@@ -101,33 +143,21 @@ def bb84_run(
         raise ValueError("need at least one photon")
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
     tap = ChannelTap(attack, BB84_FILTERS, BB84_ALPHABET, eve_rng, record=record_eve)
-
-    sent = [alice_rng.choice(BB84_ALPHABET) for _ in range(n)]
-    filters = [bob_rng.choice(BB84_FILTERS) for _ in range(n)]
-    outcomes = [measure_arrival(tap(sent[i]), filters[i], bob_rng) for i in range(n)]
-    inferred = [infer_polarization(f, o) for f, o in zip(filters, outcomes)]
-
-    transcript = Transcript()
-    transcript.announce_filters(filters)
-    kept = [i for i in range(n) if sift_keeps(sent[i], filters[i])]
-    transcript.announce_kept(kept)
-
-    sift = SiftResult(
-        kept_indices=kept,
-        alice_key=[bit_map(sent[i]) for i in kept],
-        bob_key=[bit_map(inferred[i]) for i in kept],
+    tx = transmit(
+        BB84_ALPHABET, BB84_FILTERS, n, alice_rng, bob_rng, tap if tap.active else None
     )
+    kept = np.flatnonzero(tx.deterministic)
+    inferred = inferred_index(tx.filters[kept], tx.detected[kept])
     return BB84Run(
-        alice=BB84AliceState(sent),
-        bob=BB84BobState(filters, outcomes, inferred),
-        sift=sift,
-        transcript=transcript,
+        alice=BB84AliceState(tx.sent),
+        bob=BB84BobState(tx.filters, tx.detected),
+        sift=SiftResult(kept, BITS[tx.sent[kept]], BITS[inferred]),
         photons_intercepted=tap.photons_intercepted,
         eve_records=tap.records,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificationResult:
     """Outcome of the m parity rounds over a sifted key."""
 
@@ -136,7 +166,11 @@ class CertificationResult:
     bits_discarded: int
     final_key_length: int
     detection_round: Optional[int]
-    surviving_positions: list[int]
+    survivors: np.ndarray  # surviving key positions, ascending
+
+    @cached_property
+    def surviving_positions(self) -> list[int]:
+        return self.survivors.tolist()
 
     def surviving_bits(self, key: Sequence[int]) -> list[int]:
         """The key bits left after the per-round discards."""
@@ -160,6 +194,9 @@ def parity_certify(
     parity bit.  Any single disagreeing bit makes each round's comparison
     fail with probability exactly 1/2, which is what gives m rounds their
     1 - 2^-m detection power.
+
+    A subset draw spends one variate per survivor, in position order, as
+    one bulk draw; an empty subset is redrawn the same way.
     """
     if m < 0:
         raise ValueError("round count must be non-negative")
@@ -169,30 +206,31 @@ def parity_certify(
         raise KeyTooShort(
             f"key of {len(alice_key)} bits cannot pay for {m} parity rounds"
         )
-    survivors = list(range(len(alice_key)))
+    alice = np.asarray(alice_key, dtype=np.int64)
+    bob = np.asarray(bob_key, dtype=np.int64)
+    survivors = np.arange(len(alice))
     detection_round: Optional[int] = None
     for round_number in range(1, m + 1):
-        subset = [i for i in survivors if rng.below(0.5)]
-        while not subset:
-            subset = [i for i in survivors if rng.below(0.5)]
-        parity_a = 0
-        parity_b = 0
-        for i in subset:
-            parity_a ^= alice_key[i]
-            parity_b ^= bob_key[i]
+        chosen = rng.uniform_array(len(survivors)) < 0.5
+        while not chosen.any():
+            chosen = rng.uniform_array(len(survivors)) < 0.5
+        subset = survivors[chosen]
+        parity_a = int(alice[subset].sum()) & 1
+        parity_b = int(bob[subset].sum()) & 1
         if transcript is not None:
-            transcript.parity_query(round_number, subset)
+            transcript.parity_query(round_number, subset.tolist())
             transcript.parity_response(round_number, parity_b)
         if parity_a != parity_b and detection_round is None:
             detection_round = round_number
-        survivors.remove(subset[0])  # subset is ascending; [0] is the lowest index
+        # survivors ascend, so the first chosen one is the lowest index
+        survivors = np.delete(survivors, int(np.argmax(chosen)))
     return CertificationResult(
         rounds=m,
         mismatch_detected=detection_round is not None,
         bits_discarded=m,
         final_key_length=len(survivors),
         detection_round=detection_round,
-        surviving_positions=survivors,
+        survivors=survivors,
     )
 
 

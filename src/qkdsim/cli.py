@@ -35,7 +35,7 @@ from .analysis import (
     three_state_certification_probability,
     three_state_key_fraction,
 )
-from .bb84 import KeyTooShort, NonPositiveKey
+from .bb84 import NonPositiveKey
 from .eavesdrop import (
     Attack,
     InterceptResend,
@@ -405,7 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_CLIError, InvalidConfig, KeyTooShort, NonPositiveKey) as exc:
+    except (_CLIError, InvalidConfig, NonPositiveKey) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

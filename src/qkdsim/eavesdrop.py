@@ -169,12 +169,12 @@ class ChannelTap:
         self.records: list[EveRecord] = []
         self.photons_seen = 0
         self.photons_intercepted = 0
-        self._active = isinstance(self.attack, InterceptResend)
+        self.active = isinstance(self.attack, InterceptResend)
 
     def __call__(self, photon: Optional[Polarization]) -> Optional[Polarization]:
         index = self.photons_seen
         self.photons_seen += 1
-        if not self._active:
+        if not self.active:
             return photon
         if self.record:
             resent, rec = intercept_resend(

@@ -14,12 +14,14 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from .analysis import (
     auth_failure_probability,
     key_error_probability,
     model_auth_failure_rate,
 )
-from .bb84 import bb84_run, parity_certify
+from .bb84 import CertificationResult, KeyTooShort, bb84_run, parity_certify
 from .eavesdrop import (
     Attack,
     InterceptResend,
@@ -27,7 +29,14 @@ from .eavesdrop import (
     PassiveClassical,
     StuckFilter,
 )
-from .photons import MeasurementOutcome, Polarization, ResendPolicy
+from .photons import (
+    OUTCOME_CLASSES,
+    POLARIZATIONS,
+    MeasurementOutcome,
+    Polarization,
+    ResendPolicy,
+    outcome_class,
+)
 from .rng import RandomSource, derive_child_seed
 from .three_state import three_state_run
 
@@ -35,6 +44,7 @@ SCHEMA_VERSION = 1
 PROTOCOL_THREE_STATE = "three_state"
 PROTOCOL_BB84 = "bb84"
 _PROTOCOLS = (PROTOCOL_THREE_STATE, PROTOCOL_BB84)
+STATUS_KEY_TOO_SHORT = "key_too_short"
 
 
 class InvalidConfig(ValueError):
@@ -127,6 +137,9 @@ class SessionReport:
     aborted: bool
     key_agreement: Optional[dict[str, Any]]
     transcript: Optional[list[dict[str, Any]]] = None
+    # Set only for a trial that could not run to the end, e.g. a BB84 sifted
+    # key too short to pay for its parity rounds (STATUS_KEY_TOO_SHORT).
+    status: Optional[str] = None
 
     def to_jsonable(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -142,24 +155,39 @@ class SessionReport:
         }
         if self.transcript is not None:
             doc["transcript"] = self.transcript
+        if self.status is not None:
+            doc["status"] = self.status
         return doc
 
 
+_OUTCOME_LABELS = tuple(outcome_label(o) for o in OUTCOME_CLASSES)
+
+
 def _tally(
-    sent: Sequence[Polarization], outcomes: Sequence[MeasurementOutcome]
+    sent: np.ndarray, filters: np.ndarray, detected: np.ndarray
 ) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+    """Count readings per outcome class and per (sent state, outcome class).
+
+    Takes a session's index arrays (see :class:`qkdsim.photons.Transmission`);
+    only non-zero cells appear.
+    """
+    classes = len(OUTCOME_CLASSES)
+    cells = np.bincount(
+        sent * classes + outcome_class(filters, detected),
+        minlength=len(POLARIZATIONS) * classes,
+    )
     outcome_counts: dict[str, int] = {}
     joint: dict[str, dict[str, int]] = {}
-    for s, o in zip(sent, outcomes):
-        label = outcome_label(o)
-        outcome_counts[label] = outcome_counts.get(label, 0) + 1
-        row = joint.setdefault(s.name, {})
-        row[label] = row.get(label, 0) + 1
+    for s, row in zip(POLARIZATIONS, cells.reshape(-1, classes).tolist()):
+        for label, count in zip(_OUTCOME_LABELS, row):
+            if count:
+                outcome_counts[label] = outcome_counts.get(label, 0) + count
+                joint.setdefault(s.name, {})[label] = count
     return outcome_counts, joint
 
 
-def _key_agreement(alice_key: Sequence[int], bob_key: Sequence[int]) -> dict[str, Any]:
-    differing = sum(1 for a, b in zip(alice_key, bob_key) if a != b)
+def _key_agreement(alice_key: np.ndarray, bob_key: np.ndarray) -> dict[str, Any]:
+    differing = int(np.count_nonzero(alice_key != bob_key))
     length = len(alice_key)
     return {
         "length": length,
@@ -170,17 +198,34 @@ def _key_agreement(alice_key: Sequence[int], bob_key: Sequence[int]) -> dict[str
     }
 
 
+# Stands in for the parity rounds of a trial whose key cannot pay for them.
+_NOT_CERTIFIED = CertificationResult(
+    rounds=0,
+    mismatch_detected=False,
+    bits_discarded=0,
+    final_key_length=0,
+    detection_round=None,
+    survivors=np.empty(0, dtype=np.intp),
+)
+
+
 def run_trial(config: SessionConfig, trial: int) -> SessionReport:
-    """Execute one session with the trial's derived seed."""
+    """Execute one session with the trial's derived seed.
+
+    A BB84 trial whose sifted key is too short for ``m`` parity rounds runs
+    no rounds and is reported with ``status`` set and no key agreement, so
+    one short key does not lose the rest of a batch.
+    """
     trial_seed = derive_child_seed(config.seed, trial)
     rng = RandomSource(trial_seed)
+    status: Optional[str] = None
     if config.protocol == PROTOCOL_THREE_STATE:
         result = three_state_run(config.n, rng, config.attack)
         counts = {
             "sent": config.n,
             "confirmed": result.confirmation.count,
-            "key": len(result.key_material.key_positions),
-            "auth": len(result.key_material.auth_positions),
+            "key": len(result.key_material.key_index),
+            "auth": len(result.key_material.auth_index),
         }
         tamper: dict[str, Any] = {
             "method": "auth_positions",
@@ -190,25 +235,28 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
             "model_certification": result.tamper.model_certification,
         }
         tampered = result.tamper.tamper_detected
-        alice_key: Sequence[int] = result.alice_key_bits
-        bob_key: Sequence[int] = result.key_material.key_bits
-        sent, outcomes = result.alice.sent, result.bob.outcomes
-        transcript = result.transcript
+        alice_key = result.alice_bits
+        bob_key = result.key_material.bits
     else:
-        run_result = bb84_run(config.n, rng, config.attack)
+        result = bb84_run(config.n, rng, config.attack)
         assert config.m is not None  # validate() guarantees it
-        cert = parity_certify(
-            run_result.sift.alice_key,
-            run_result.sift.bob_key,
-            config.m,
-            rng.child(3),
-            transcript=run_result.transcript,
-        )
+        sift = result.sift
+        try:
+            cert = parity_certify(
+                sift.alice_bits,
+                sift.bob_bits,
+                config.m,
+                rng.child(3),
+                transcript=result.transcript if config.include_transcripts else None,
+            )
+        except KeyTooShort:
+            cert = _NOT_CERTIFIED
+            status = STATUS_KEY_TOO_SHORT
         counts = {
             "sent": config.n,
-            "confirmed": len(run_result.sift.kept_indices),
+            "confirmed": len(sift.kept_index),
             "key": cert.final_key_length,
-            "auth": config.m,
+            "auth": cert.rounds,
         }
         tamper = {
             "method": "parity_rounds",
@@ -218,12 +266,12 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
             "tamper_detected": cert.mismatch_detected,
         }
         tampered = cert.mismatch_detected
-        alice_key = cert.surviving_bits(run_result.sift.alice_key)
-        bob_key = cert.surviving_bits(run_result.sift.bob_key)
-        sent, outcomes = run_result.alice.sent, run_result.bob.outcomes
-        transcript = run_result.transcript
+        alice_key = sift.alice_bits[cert.survivors]
+        bob_key = sift.bob_bits[cert.survivors]
 
-    outcome_counts, joint_counts = _tally(sent, outcomes)
+    outcome_counts, joint_counts = _tally(
+        result.alice.sent_index, result.bob.filter_index, result.bob.detected
+    )
     aborted = tampered and config.abort_on_tamper
     return SessionReport(
         protocol=config.protocol,
@@ -234,8 +282,11 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
         joint_counts=joint_counts,
         tamper=tamper,
         aborted=aborted,
-        key_agreement=None if aborted else _key_agreement(alice_key, bob_key),
-        transcript=transcript.to_jsonable() if config.include_transcripts else None,
+        key_agreement=(
+            None if aborted or status is not None else _key_agreement(alice_key, bob_key)
+        ),
+        transcript=result.transcript.to_jsonable() if config.include_transcripts else None,
+        status=status,
     )
 
 
@@ -264,6 +315,7 @@ def aggregate(reports: Sequence[SessionReport]) -> dict[str, Any]:
     key_errors = sum(r.key_agreement["differing"] for r in reports if r.key_agreement)
     auth_checked = sum(r.tamper.get("auth_checked", 0) for r in reports)
     auth_failures = sum(r.tamper.get("auth_failures", 0) for r in reports)
+    too_short = sum(1 for r in reports if r.status == STATUS_KEY_TOO_SHORT)
     out: dict[str, Any] = {
         "trials": trials,
         "totals": totals,
@@ -278,6 +330,8 @@ def aggregate(reports: Sequence[SessionReport]) -> dict[str, Any]:
     }
     if auth_checked:
         out["auth_failure_rate"] = auth_failures / auth_checked
+    if too_short:
+        out["key_too_short_trials"] = too_short
     return out
 
 

@@ -10,6 +10,11 @@ For the 45-degree-spaced alphabet the pass probabilities are exactly 0, 1/2
 or 1, so the whole channel is enumerable with exact rationals.
 :func:`transition_distribution` returns those rationals and serves as the
 enumeration oracle against which every Monte Carlo statistic is checked.
+
+Whole sessions are transmitted by :func:`transmit`, which draws every
+variate of a party as one array and reads the outcomes off small index
+tables built from :func:`detection_probability`.  Its draws are exactly
+those of calling :func:`measure` photon by photon.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .rng import RandomSource
 
@@ -253,3 +260,99 @@ def consistent_inputs(
     if outcome.is_detected:
         return tuple(p for p in alphabet if detection_probability(p, filter_angle) > 0)
     return tuple(p for p in alphabet if detection_probability(p, filter_angle) < 1)
+
+
+# ---------------------------------------------------------------------------
+# Whole-session transmission on index arrays
+# ---------------------------------------------------------------------------
+
+# Array position of each polarization: index i is the angle 45*i degrees.
+POLARIZATIONS = tuple(Polarization)
+_INDEX = {p: i for i, p in enumerate(POLARIZATIONS)}
+_ARRIVAL_INDEX = {**_INDEX, None: -1}
+
+# Tables over (photon index, filter index), read off the exact law.
+_PASS_PROBABILITY = np.array(
+    [[float(detection_probability(p, f)) for f in POLARIZATIONS] for p in POLARIZATIONS]
+)
+_DETERMINISTIC = np.array(
+    [[has_deterministic_outcome(p, f) for f in POLARIZATIONS] for p in POLARIZATIONS]
+)
+BITS = np.array([bit_map(p) for p in POLARIZATIONS], dtype=np.int8)
+_ORTHOGONAL = np.array([_INDEX[p.orthogonal] for p in POLARIZATIONS])
+
+# Outcome class c: 0 is an erasure, 1 + i a detection at POLARIZATIONS[i].
+OUTCOME_CLASSES = (ERASURE,) + tuple(detected(p) for p in POLARIZATIONS)
+_POLARIZATION_OBJECTS = np.array(POLARIZATIONS, dtype=object)
+_OUTCOME_OBJECTS = np.array(OUTCOME_CLASSES, dtype=object)
+
+
+def as_polarizations(index: np.ndarray) -> list[Polarization]:
+    """The polarization at each position of an index array, as a list."""
+    return _POLARIZATION_OBJECTS[index].tolist()
+
+
+def outcome_class(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray:
+    """Outcome class per tick: 0 for an erasure, 1 + filter index for a detection."""
+    return np.where(detected_mask, filters + 1, 0)
+
+
+def as_outcomes(filters: np.ndarray, detected_mask: np.ndarray) -> list[MeasurementOutcome]:
+    """The receiver's reading at each tick, as interned outcome objects."""
+    return _OUTCOME_OBJECTS[outcome_class(filters, detected_mask)].tolist()
+
+
+def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray:
+    """Array form of :func:`infer_polarization`: the filter angle, or its orthogonal."""
+    return np.where(detected_mask, filters, _ORTHOGONAL[filters])
+
+
+def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.ndarray:
+    """n draws of ``rng.choice(options)``, as polarization indices."""
+    table = np.array([_INDEX[p] for p in options])
+    return table[(rng.uniform_array(n) * len(options)).astype(np.intp)]
+
+
+@dataclass(frozen=True, eq=False)
+class Transmission:
+    """A clocked transmission: polarization indices and readings per tick."""
+
+    sent: np.ndarray
+    filters: np.ndarray
+    detected: np.ndarray  # bool: the receiver's detector fired
+
+    @property
+    def deterministic(self) -> np.ndarray:
+        """Ticks whose (sent, filter) pair fixes the reading: the keep rule."""
+        return _DETERMINISTIC[self.sent, self.filters]
+
+
+def transmit(
+    alphabet: Sequence[Polarization],
+    filter_set: Sequence[Polarization],
+    n: int,
+    sender_rng: RandomSource,
+    receiver_rng: RandomSource,
+    tap: Optional[Callable[[Polarization], Optional[Polarization]]] = None,
+) -> Transmission:
+    """Send n photons from a uniform source to a uniformly filtering receiver.
+
+    Draw for draw the same as the per-photon loop: the sender spends one
+    variate per photon on its state; the receiver spends n on filters,
+    then one per arriving photon on its measurement, in tick order.  A
+    ``tap`` (an active attacker) is called once per photon in transmission
+    order and returns what arrives; an empty tick is an erasure and spends
+    no receiver variate.
+    """
+    sent = _choose(alphabet, sender_rng, n)
+    filters = _choose(filter_set, receiver_rng, n)
+    if tap is None:
+        detected_mask = receiver_rng.uniform_array(n) < _PASS_PROBABILITY[sent, filters]
+    else:
+        photons = map(tap, as_polarizations(sent))
+        arrival = np.fromiter(map(_ARRIVAL_INDEX.__getitem__, photons), np.intp, count=n)
+        arrived = arrival >= 0
+        detected_mask = np.zeros(n, dtype=bool)
+        u = receiver_rng.uniform_array(int(np.count_nonzero(arrived)))
+        detected_mask[arrived] = u < _PASS_PROBABILITY[arrival[arrived], filters[arrived]]
+    return Transmission(sent, filters, detected_mask)

@@ -5,6 +5,13 @@ Every stochastic operation in this package draws from an explicit
 identical variate sequence on every platform (the underlying generator is
 PCG64 keyed directly by the seed).  Independent sub-streams for concurrent
 workers or per-trial sessions are derived with :meth:`RandomSource.child`.
+
+Bulk-draw contract: :meth:`RandomSource.uniform_array` returns the next k
+variates of the stream as a float64 array, exactly the values and the order
+that k calls of :meth:`RandomSource.uniform` would return.  Scalar and bulk
+draws may be interleaved freely; a session that draws its variates in
+whole arrays is therefore bit-for-bit identical to one that draws them one
+at a time.  A bulk draw of 0 consumes nothing.
 """
 
 from __future__ import annotations
@@ -64,10 +71,25 @@ class RandomSource:
         self._pos += 1
         return u
 
+    def uniform_array(self, k: int) -> np.ndarray:
+        """Next ``k`` variates as a float64 array, in :meth:`uniform` order.
+
+        Takes what is left of the current block first, then draws the rest
+        straight from the generator; PCG64 yields the same doubles whether
+        they are drawn in one call or in several.
+        """
+        if k < 0:
+            raise ValueError(f"variate count must be >= 0, got {k}")
+        rest = self._buf[self._pos : self._pos + k]
+        self._pos += len(rest)
+        if len(rest) == k:
+            return np.array(rest, dtype=np.float64)
+        fresh = self._gen.random(k - len(rest))
+        return np.concatenate((rest, fresh)) if rest else fresh
+
     def uniforms(self, k: int) -> list[float]:
-        """Next ``k`` variates, consumed from the same stream as :meth:`uniform`."""
-        u = self.uniform
-        return [u() for _ in range(k)]
+        """Next ``k`` variates as a list, consumed from the same stream as :meth:`uniform`."""
+        return self.uniform_array(k).tolist()
 
     def below(self, p: float) -> bool:
         """True with probability ``p``; consumes exactly one variate."""

@@ -23,49 +23,78 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .eavesdrop import Attack, ChannelTap, EveRecord, NoAttack
 from .photons import (
+    BITS,
     MeasurementOutcome,
     Polarization,
+    POLARIZATIONS,
     THREE_STATE_ALPHABET,
     THREE_STATE_FILTERS,
-    bit_map,
+    as_outcomes,
+    as_polarizations,
     has_deterministic_outcome,
     infer_polarization,
-    measure_arrival,
+    inferred_index,
+    transmit,
 )
 from .rng import RandomSource
 from .transcript import Transcript
 
+_D45 = POLARIZATIONS.index(Polarization.D45)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ThreeStateAliceState:
     """The sender's record; never contains the 135-degree state."""
 
-    sent: list[Polarization]
+    sent_index: np.ndarray  # indices into POLARIZATIONS
+
+    @cached_property
+    def sent(self) -> list[Polarization]:
+        return as_polarizations(self.sent_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThreeStateBobState:
-    filters: list[Polarization]
-    outcomes: list[MeasurementOutcome]
+    filter_index: np.ndarray
+    detected: np.ndarray
+
+    @cached_property
+    def filters(self) -> list[Polarization]:
+        return as_polarizations(self.filter_index)
+
+    @cached_property
+    def outcomes(self) -> list[MeasurementOutcome]:
+        return as_outcomes(self.filter_index, self.detected)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Confirmation:
     """The sender's public per-position correct/incorrect verdicts."""
 
-    correct: list[bool]
+    mask: np.ndarray
 
-    @property
+    @cached_property
+    def correct(self) -> list[bool]:
+        return self.mask.tolist()
+
+    @cached_property
+    def confirmed_index(self) -> np.ndarray:
+        return np.flatnonzero(self.mask)
+
+    @cached_property
     def confirmed_indices(self) -> list[int]:
-        return [i for i, ok in enumerate(self.correct) if ok]
+        return self.confirmed_index.tolist()
 
     @property
     def count(self) -> int:
-        return sum(self.correct)
+        return len(self.confirmed_index)
 
 
 def confirm(
@@ -83,7 +112,9 @@ def confirm(
     if len(sent) != len(filters):
         raise ValueError("sent and filter sequences must have equal length")
     return Confirmation(
-        [has_deterministic_outcome(s, f) for s, f in zip(sent, filters)]
+        np.array(
+            [has_deterministic_outcome(s, f) for s, f in zip(sent, filters)], dtype=bool
+        )
     )
 
 
@@ -100,13 +131,25 @@ def infer_key_state(
     return infer_polarization(filter_angle, outcome)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeyMaterial:
     """The receiver's confirmed positions, split into key and authentication."""
 
-    key_positions: list[int]
-    key_bits: list[int]
-    auth_positions: list[int]
+    key_index: np.ndarray
+    bits: np.ndarray  # the receiver's key bits, one per key position
+    auth_index: np.ndarray
+
+    @cached_property
+    def key_positions(self) -> list[int]:
+        return self.key_index.tolist()
+
+    @cached_property
+    def key_bits(self) -> list[int]:
+        return self.bits.tolist()
+
+    @cached_property
+    def auth_positions(self) -> list[int]:
+        return self.auth_index.tolist()
 
 
 @dataclass(frozen=True)
@@ -126,6 +169,15 @@ class TamperReport:
     model_certification: float
 
 
+def _tamper_report(checked: int, failures: int) -> TamperReport:
+    return TamperReport(
+        auth_checked=checked,
+        auth_failures=failures,
+        tamper_detected=failures > 0,
+        model_certification=1.0 - 3.0 ** (-checked),
+    )
+
+
 def authenticate(outcomes: Sequence[MeasurementOutcome]) -> TamperReport:
     """Check the readings at confirmed diagonal-filter positions.
 
@@ -133,14 +185,7 @@ def authenticate(outcomes: Sequence[MeasurementOutcome]) -> TamperReport:
     erasure among them is unambiguous tamper evidence.  The receiver can
     run this check alone, with no extra public traffic.
     """
-    failures = sum(1 for o in outcomes if o.is_erasure)
-    count = len(outcomes)
-    return TamperReport(
-        auth_checked=count,
-        auth_failures=failures,
-        tamper_detected=failures > 0,
-        model_certification=1.0 - 3.0 ** (-count),
-    )
+    return _tamper_report(len(outcomes), sum(1 for o in outcomes if o.is_erasure))
 
 
 def three_state_key_count(n: int) -> Fraction:
@@ -150,19 +195,33 @@ def three_state_key_count(n: int) -> Fraction:
     return Fraction(4 * n, 9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThreeStateRun:
-    """Everything produced by one full session."""
+    """Everything produced by one full session.
+
+    Per-photon lists (``alice.sent``, ``bob.outcomes``, ...) and the
+    transcript are built from the session's arrays on first read.
+    """
 
     alice: ThreeStateAliceState
     bob: ThreeStateBobState
     confirmation: Confirmation
     key_material: KeyMaterial
-    alice_key_bits: list[int]
+    alice_bits: np.ndarray
     tamper: TamperReport
-    transcript: Transcript
     photons_intercepted: int = 0
     eve_records: list[EveRecord] = field(default_factory=list)
+
+    @cached_property
+    def alice_key_bits(self) -> list[int]:
+        return self.alice_bits.tolist()
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        transcript = Transcript()
+        transcript.announce_filters(self.bob.filters)
+        transcript.announce_kept(self.confirmation.confirmed_indices)
+        return transcript
 
 
 def three_state_run(
@@ -184,37 +243,32 @@ def three_state_run(
     tap = ChannelTap(
         attack, THREE_STATE_FILTERS, THREE_STATE_ALPHABET, eve_rng, record=record_eve
     )
-
-    sent = [alice_rng.choice(THREE_STATE_ALPHABET) for _ in range(n)]
-    filters = [bob_rng.choice(THREE_STATE_FILTERS) for _ in range(n)]
-    outcomes = [measure_arrival(tap(sent[i]), filters[i], bob_rng) for i in range(n)]
-
-    transcript = Transcript()
-    transcript.announce_filters(filters)
-    confirmation = confirm(sent, filters)
-    confirmed = confirmation.confirmed_indices
-    transcript.announce_kept(confirmed)
-
-    key_positions = [i for i in confirmed if filters[i] is not Polarization.D45]
-    auth_positions = [i for i in confirmed if filters[i] is Polarization.D45]
-    key_material = KeyMaterial(
-        key_positions=key_positions,
-        key_bits=[
-            bit_map(infer_key_state(filters[i], outcomes[i])) for i in key_positions
-        ],
-        auth_positions=auth_positions,
+    tx = transmit(
+        THREE_STATE_ALPHABET,
+        THREE_STATE_FILTERS,
+        n,
+        alice_rng,
+        bob_rng,
+        tap if tap.active else None,
     )
-    alice_key_bits = [bit_map(sent[i]) for i in key_positions]
-    tamper = authenticate([outcomes[i] for i in auth_positions])
+
+    confirmation = Confirmation(tx.deterministic)
+    confirmed = confirmation.confirmed_index
+    diagonal = tx.filters[confirmed] == _D45
+    key_index = confirmed[~diagonal]
+    auth_index = confirmed[diagonal]
+    # Key positions have rectilinear filters, where the inference is the
+    # sent state (infer_key_state); auth positions must all be detections.
+    key_bits = BITS[inferred_index(tx.filters[key_index], tx.detected[key_index])]
+    failures = len(auth_index) - int(np.count_nonzero(tx.detected[auth_index]))
 
     return ThreeStateRun(
-        alice=ThreeStateAliceState(sent),
-        bob=ThreeStateBobState(filters, outcomes),
+        alice=ThreeStateAliceState(tx.sent),
+        bob=ThreeStateBobState(tx.filters, tx.detected),
         confirmation=confirmation,
-        key_material=key_material,
-        alice_key_bits=alice_key_bits,
-        tamper=tamper,
-        transcript=transcript,
+        key_material=KeyMaterial(key_index, key_bits, auth_index),
+        alice_bits=BITS[tx.sent[key_index]],
+        tamper=_tamper_report(len(auth_index), failures),
         photons_intercepted=tap.photons_intercepted,
         eve_records=tap.records,
     )

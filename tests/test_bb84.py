@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,13 +27,20 @@ from qkdsim.rng import RandomSource
 
 
 class ScriptedRng:
-    """Duck-typed stand-in whose below() answers come from a fixed script."""
+    """Duck-typed stand-in whose variates come from a fixed script of flags.
+
+    Each flag stands for one variate: True for one below 1/2 (the position
+    joins the subset), False for one above it.  Bulk draws consume the
+    script in order, one flag per variate, and the script must be used up.
+    """
 
     def __init__(self, flags):
         self.flags = list(flags)
 
-    def below(self, p):
-        return self.flags.pop(0)
+    def uniform_array(self, k):
+        taken, self.flags = self.flags[:k], self.flags[k:]
+        assert len(taken) == k, "script exhausted"
+        return np.array([0.25 if flag else 0.75 for flag in taken])
 
 
 def test_sift_keeps_is_the_deterministic_outcome_rule():
@@ -128,7 +136,9 @@ def test_scripted_round_discards_lowest_queried_index():
     # Subset = positions 1 and 3; parities differ there; position 1 goes.
     alice = [0, 0, 0, 0]
     bob = [0, 1, 0, 0]
-    result = parity_certify(alice, bob, 1, ScriptedRng([False, True, False, True]))
+    rng = ScriptedRng([False, True, False, True])
+    result = parity_certify(alice, bob, 1, rng)
+    assert rng.flags == []
     assert result.mismatch_detected
     assert result.detection_round == 1
     assert result.surviving_positions == [0, 2, 3]
@@ -140,7 +150,9 @@ def test_scripted_empty_subset_is_resampled():
     bob = [1, 1]
     # First pass over the 2 survivors selects nobody; second pass picks
     # position 0.  The round then proceeds normally.
-    result = parity_certify(alice, bob, 1, ScriptedRng([False, False, True, False]))
+    rng = ScriptedRng([False, False, True, False])
+    result = parity_certify(alice, bob, 1, rng)
+    assert rng.flags == []
     assert result.surviving_positions == [1]
     assert not result.mismatch_detected
 

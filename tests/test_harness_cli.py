@@ -143,6 +143,26 @@ def test_aggregate_requires_reports():
         aggregate([])
 
 
+def test_short_bb84_key_is_a_trial_status_not_a_batch_failure():
+    # At n=20 a sifted key of 6 bits or fewer, too short for 6 rounds,
+    # turns up in a few of 200 trials.
+    reports = run(SessionConfig(protocol="bb84", n=20, m=6, trials=200, seed=0))
+    assert len(reports) == 200
+    short = [r for r in reports if r.status == "key_too_short"]
+    assert short
+    for r in short:
+        assert r.counts["confirmed"] <= 6
+        assert r.counts["key"] == 0 and r.counts["auth"] == 0
+        assert r.key_agreement is None and not r.aborted
+        assert r.to_jsonable()["status"] == "key_too_short"
+    full = [r for r in reports if r.status is None]
+    for r in full:
+        assert "status" not in r.to_jsonable()
+        assert r.key_agreement is not None
+    assert aggregate(reports)["key_too_short_trials"] == len(short)
+    assert "key_too_short_trials" not in aggregate(full)
+
+
 # -- attack sweep ----------------------------------------------------------------
 
 
@@ -288,6 +308,32 @@ def test_cli_output_files_byte_identical(tmp_path, capsys):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_cli_bb84_batch_with_short_keys_succeeds(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        "--protocol",
+        "bb84",
+        "--n",
+        "20",
+        "--m",
+        "6",
+        "--trials",
+        "200",
+        "--seed",
+        "0",
+        "--output",
+        str(path),
+    )
+    assert code == 0, err
+    doc = json.loads(path.read_text())
+    assert len(doc["trials"]) == 200
+    assert doc["aggregate"]["key_too_short_trials"] == sum(
+        1 for t in doc["trials"] if t.get("status") == "key_too_short"
+    ) > 0
 
 
 def test_cli_env_seed_and_flag_precedence(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Determinism and stream-independence checks for the random source."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,3 +90,42 @@ def test_derive_child_seed_deterministic(seed, index):
 def test_sibling_seeds_distinct():
     seeds = {derive_child_seed(123, i) for i in range(10_000)}
     assert len(seeds) == 10_000
+
+
+def test_bulk_draw_is_a_float64_array_of_the_scalar_stream():
+    a = RandomSource(8)
+    b = RandomSource(8)
+    block = a.uniform_array(300)
+    assert block.dtype == np.float64
+    assert block.tolist() == [b.uniform() for _ in range(300)]
+
+
+def test_scalar_and_bulk_draws_interleave_across_block_boundaries():
+    # Sizes chosen so bulk draws start inside a block, end exactly on a
+    # boundary, straddle one and span several whole blocks.
+    sizes = [1, 4090, 5, 1, 4096, 3, 9000, 2, 0, 4097, 1]
+    a = RandomSource(2024)
+    b = RandomSource(2024)
+    mixed = []
+    for i, k in enumerate(sizes):
+        if i % 2:
+            mixed.extend(a.uniform_array(k).tolist())
+        else:
+            mixed.extend(a.uniform() for _ in range(k))
+    assert mixed == [b.uniform() for _ in range(sum(sizes))]
+
+
+def test_bulk_draw_of_zero_consumes_nothing():
+    a = RandomSource(31)
+    b = RandomSource(31)
+    assert a.uniform_array(0).size == 0  # before any block is drawn
+    a.uniform()
+    b.uniform()
+    assert a.uniform_array(0).size == 0  # inside a block
+    assert a.uniforms(0) == []
+    assert a.uniforms(5000) == b.uniforms(5000)
+
+
+def test_bulk_draw_rejects_negative_count():
+    with pytest.raises(ValueError):
+        RandomSource(0).uniform_array(-1)
