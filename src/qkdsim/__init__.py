@@ -39,7 +39,6 @@ from .bb84 import (
 )
 from .eavesdrop import (
     Attack,
-    ChannelTap,
     EveRecord,
     InterceptResend,
     NoAttack,
@@ -47,7 +46,7 @@ from .eavesdrop import (
     StuckFilter,
     intercept_resend,
     passive_infer,
-    stuck_filter_stats,
+    intercept_session,
 )
 from .harness import (
     InvalidConfig,
@@ -88,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Attack",
     "CertificationResult",
-    "ChannelTap",
     "ERASURE",
     "EntropyReport",
     "EveRecord",
@@ -133,6 +131,7 @@ __all__ = [
     "infer_polarization",
     "information_rate_chain",
     "intercept_resend",
+    "intercept_session",
     "joint_distribution",
     "key_error_probability",
     "measure",
@@ -143,7 +142,6 @@ __all__ = [
     "report_document",
     "run",
     "session_detection_probability",
-    "stuck_filter_stats",
     "sweep_to_csv",
     "three_state_certification_probability",
     "three_state_key_count",

@@ -10,14 +10,14 @@ parities of random key subsets, paying one discarded bit per round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .eavesdrop import Attack, ChannelTap, EveRecord, NoAttack
+from .eavesdrop import Attack, Intercepted, Interception, NoAttack, intercept_session
 from .photons import (
     BB84_ALPHABET,
     BB84_FILTERS,
@@ -97,7 +97,7 @@ class SiftResult:
 
 
 @dataclass(frozen=True, eq=False)
-class BB84Run:
+class BB84Run(Intercepted):
     """Everything produced by one transmission + sifting pass.
 
     Per-photon lists (``alice.sent``, ``bob.outcomes``, ...) and the
@@ -107,8 +107,7 @@ class BB84Run:
     alice: BB84AliceState
     bob: BB84BobState
     sift: SiftResult
-    photons_intercepted: int = 0
-    eve_records: list[EveRecord] = field(default_factory=list)
+    interception: Optional[Interception] = None
 
     @cached_property
     def transcript(self) -> Transcript:
@@ -130,7 +129,6 @@ def bb84_run(
     n: int,
     rng: RandomSource,
     attack: Attack = NoAttack(),
-    record_eve: bool = False,
 ) -> BB84Run:
     """Simulate one session: transmit, measure, sift.
 
@@ -142,18 +140,15 @@ def bb84_run(
     if n < 1:
         raise ValueError("need at least one photon")
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
-    tap = ChannelTap(attack, BB84_FILTERS, BB84_ALPHABET, eve_rng, record=record_eve)
-    tx = transmit(
-        BB84_ALPHABET, BB84_FILTERS, n, alice_rng, bob_rng, tap if tap.active else None
-    )
+    tap = partial(intercept_session, attack, BB84_FILTERS, BB84_ALPHABET, eve_rng)
+    tx = transmit(BB84_ALPHABET, BB84_FILTERS, n, alice_rng, bob_rng, tap)
     kept = np.flatnonzero(tx.deterministic)
     inferred = inferred_index(tx.filters[kept], tx.detected[kept])
     return BB84Run(
         alice=BB84AliceState(tx.sent),
         bob=BB84BobState(tx.filters, tx.detected),
         sift=SiftResult(kept, BITS[tx.sent[kept]], BITS[inferred]),
-        photons_intercepted=tap.photons_intercepted,
-        eve_records=tap.records,
+        interception=tx.interception,
     )
 
 

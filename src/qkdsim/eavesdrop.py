@@ -7,9 +7,13 @@ attacker reads only the public discussion (:class:`PassiveClassical`);
 :func:`passive_infer` computes everything such an attacker can claim about
 the key material, position by position.
 
-Active attacks run through a :class:`ChannelTap`, which receives each
-photon exactly once, in transmission order — the attacker cannot clone,
-reorder or delay.  All attacker randomness comes from her own stream, so an
+An active attacker meets each photon exactly once, in transmission order —
+she cannot clone, reorder or delay.  Per photon she spends one gate
+variate; if she intercepts it, one filter variate unless her filter is
+fixed, one measurement variate, and one resend variate if she reads an
+erasure under ``UNIFORM_RANDOM``.  :func:`intercept_resend` is that rule
+for one photon, :func:`intercept_session` for a whole session on arrays.
+All attacker randomness comes from her own stream, so an
 ``InterceptResend`` with ``fraction=0`` leaves the honest parties' variate
 streams, and hence the whole session, bit-for-bit unchanged.
 """
@@ -18,9 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .photons import (
+    ORTHOGONAL,
+    OUTCOME_CLASSES,
+    PASS_PROBABILITY,
+    POLARIZATIONS,
     MeasurementOutcome,
     Polarization,
     ResendPolicy,
@@ -29,8 +40,8 @@ from .photons import (
     collapse_and_resend,
     consistent_inputs,
     has_deterministic_outcome,
-    measure,
     measure_arrival,
+    outcome_class,
 )
 from .rng import RandomSource
 
@@ -142,59 +153,136 @@ def intercept_resend(
     return resent, EveRecord(index, EveSource.PHOTON, filter_angle, outcome, known)
 
 
-class ChannelTap:
-    """The attacker's seat on the line between sender and receiver.
+# Photons per chunk of intercept_session: bounds her variate buffer.
+_CHUNK = 32768
 
-    Calling the tap with the photon currently in flight returns whatever
-    continues towards the receiver (``None`` when nothing does).  All
-    randomness comes from ``rng``, which must be the attacker's private
-    stream.  Set ``record=True`` to accumulate per-photon
-    :class:`EveRecord` entries (off by default: large sweeps do not need
-    them).
+
+@dataclass(frozen=True, eq=False)
+class Interception:
+    """The attacker's side of one session, one entry per tick.
+
+    ``arrival`` is the polarization index that travels on to the receiver
+    (-1 for an empty tick).  Where ``intercepted``, ``filters`` holds her
+    filter index and ``detected`` her reading; elsewhere -1 and False.
     """
 
-    def __init__(
-        self,
-        attack: Attack,
-        filter_set: Sequence[Polarization],
-        alphabet: Sequence[Polarization],
-        rng: RandomSource,
-        record: bool = False,
-    ) -> None:
-        self.attack = normalize_attack(attack)
-        self.filter_set = tuple(filter_set)
-        self.alphabet = tuple(alphabet)
-        self.rng = rng
-        self.record = record
-        self.records: list[EveRecord] = []
-        self.photons_seen = 0
-        self.photons_intercepted = 0
-        self.active = isinstance(self.attack, InterceptResend)
+    arrival: np.ndarray
+    intercepted: np.ndarray
+    filters: np.ndarray
+    detected: np.ndarray
+    alphabet: tuple[Polarization, ...]
 
-    def __call__(self, photon: Optional[Polarization]) -> Optional[Polarization]:
-        index = self.photons_seen
-        self.photons_seen += 1
-        if not self.active:
-            return photon
-        if self.record:
-            resent, rec = intercept_resend(
-                photon, self.attack, self.rng, self.filter_set, self.alphabet, index
-            )
-            self.records.append(rec)
-            if rec.filter_used is not None:
-                self.photons_intercepted += 1
-            return resent
-        # Hot path: same draws as intercept_resend, no record object.
-        attack: InterceptResend = self.attack
-        rng = self.rng
-        if not rng.below(attack.fraction):
-            return photon
-        self.photons_intercepted += 1
-        filter_angle = attack.filter_choice
-        if filter_angle is None:
-            filter_angle = rng.choice(self.filter_set)
-        outcome = measure_arrival(photon, filter_angle, rng)
-        return collapse_and_resend(outcome, filter_angle, attack.resend, rng, self.alphabet)
+    def records(self) -> list[EveRecord]:
+        """Her log, one :class:`EveRecord` per photon, as :func:`intercept_resend` writes it."""
+        logged = {(-1, 0): (None, None, None)}
+        for f, angle in enumerate(POLARIZATIONS):
+            for c in (0, f + 1):
+                outcome = OUTCOME_CLASSES[c]
+                candidates = consistent_inputs(angle, outcome, self.alphabet)
+                logged[f, c] = (angle, outcome, candidates[0] if len(candidates) == 1 else None)
+        keys = zip(self.filters.tolist(), outcome_class(self.filters, self.detected).tolist())
+        return [EveRecord(i, EveSource.PHOTON, *logged[key]) for i, key in enumerate(keys)]
+
+
+class Intercepted:
+    """What a session record shows of the attacker, read off its ``interception``."""
+
+    interception: Optional[Interception]
+
+    @property
+    def photons_intercepted(self) -> int:
+        return 0 if self.interception is None else int(self.interception.intercepted.sum())
+
+    @cached_property
+    def eve_records(self) -> list[EveRecord]:
+        """Her per-photon log; empty when she touched no photon."""
+        return [] if self.interception is None else self.interception.records()
+
+
+def _walk(u, gate, photon_filter, measure_at: int, random_resend: bool, sent: np.ndarray):
+    """Each photon's first variate in ``u``, and the end of the last photon's draws.
+
+    Steps come from one ``bytes`` table per sent state, since whether an
+    erasure is resent at random depends on it.  Entries too near the end
+    to hold an interception go unread: the chunk draws enough for all.
+    """
+    steps = np.where(gate, np.uint8(measure_at + 1), np.uint8(1))
+    tables = [steps.tobytes()] * len(POLARIZATIONS)
+    if random_resend:
+        k = len(u) - measure_at
+        for s in range(len(POLARIZATIONS)):
+            table = steps.copy()
+            table[:k] += gate[:k] & (u[measure_at:] >= PASS_PROBABILITY[s, photon_filter[:k]])
+            tables[s] = table.tobytes()
+    starts = []
+    record = starts.append
+    pos = 0
+    for s in sent.tolist():
+        record(pos)
+        pos += tables[s][pos]
+    return np.array(starts, dtype=np.intp), pos
+
+
+def intercept_session(
+    attack: Attack,
+    filter_set: Sequence[Polarization],
+    alphabet: Sequence[Polarization],
+    rng: RandomSource,
+    sent_index: np.ndarray,
+) -> Optional[Interception]:
+    """Every photon of a session through :func:`intercept_resend`, on arrays.
+
+    ``sent_index`` holds each photon's polarization index in transmission
+    order; ``None`` comes back when the attack touches no photon.  Draw for
+    draw the same as calling :func:`intercept_resend` photon by photon on
+    ``rng``: each chunk of photons draws the most it could spend, walks to
+    each photon's first variate, and carries the unused tail into the next
+    chunk.  ``rng`` is left past what was used.
+    """
+    attack = normalize_attack(attack)
+    if not isinstance(attack, InterceptResend):
+        return None
+    choose = attack.filter_choice is None
+    random_resend = attack.resend is ResendPolicy.UNIFORM_RANDOM
+    options = filter_set if choose else (attack.filter_choice,)
+    filter_table = np.array([POLARIZATIONS.index(f) for f in options], dtype=np.int8)
+    alphabet_table = np.array([POLARIZATIONS.index(p) for p in alphabet], dtype=np.int8)
+    measure_at = 1 + choose  # offset of the measurement variate; a resend one follows
+    # Every photon spends the same count when none or all are intercepted
+    # and no erasure is resent at random; otherwise the starts are walked.
+    stride = 1 if attack.fraction == 0 else 0
+    if attack.fraction == 1 and not random_resend:
+        stride = measure_at + 1
+    most = stride or measure_at + 1 + random_resend
+
+    arrival, filters = sent_index.astype(np.int8), np.full(len(sent_index), -1, dtype=np.int8)
+    detected = np.zeros(len(sent_index), dtype=bool)
+    u = np.empty(0)
+    for lo in range(0, len(sent_index), _CHUNK):
+        sent = sent_index[lo : lo + _CHUNK]
+        u = np.concatenate((u, rng.uniform_array(max(0, len(sent) * most - len(u)))))
+        # Each position read as a gate and as a filter choice (rng.choice);
+        # a photon starting at q reads its filter at q + choose.
+        gate = u < attack.fraction
+        filter_at = filter_table[(u * len(filter_table)).astype(np.int8)]
+        if stride:
+            starts, end = np.arange(0, len(sent) * stride, stride), len(sent) * stride
+        else:
+            starts, end = _walk(u, gate, filter_at[choose:], measure_at, random_resend, sent)
+        hit = gate[starts]
+        at = starts[hit]
+        eve_filter = filter_at[at + choose]
+        det = u[at + measure_at] < PASS_PROBABILITY[sent[hit], eve_filter]
+        resent = np.where(det, eve_filter, ORTHOGONAL[eve_filter])
+        if attack.resend is ResendPolicy.SEND_NOTHING:
+            resent[~det] = -1
+        elif random_resend:
+            u_resend = u[at[~det] + measure_at + 1]
+            resent[~det] = alphabet_table[(u_resend * len(alphabet_table)).astype(np.int8)]
+        photon = lo + np.flatnonzero(hit)
+        arrival[photon], filters[photon], detected[photon] = resent, eve_filter, det
+        u = u[end:]
+    return Interception(arrival, filters >= 0, filters, detected, tuple(alphabet))
 
 
 def consistent_sent_states(
@@ -242,51 +330,3 @@ def passive_infer(
                 known = candidates[0]
         records.append(EveRecord(i, EveSource.TRANSCRIPT, f, None, known))
     return records
-
-
-@dataclass(frozen=True)
-class StuckFilterStats:
-    """Outcome tally for an attacker measuring everything at one fixed angle."""
-
-    n: int
-    angle: Polarization
-    detected: int
-    erasures: int
-    determined: int
-
-    @property
-    def detected_frequency(self) -> Optional[float]:
-        return self.detected / self.n if self.n else None
-
-    @property
-    def erasure_frequency(self) -> Optional[float]:
-        return self.erasures / self.n if self.n else None
-
-    @property
-    def determined_fraction(self) -> Optional[float]:
-        return self.determined / self.n if self.n else None
-
-
-def stuck_filter_stats(
-    n: int, angle: Polarization, rng: RandomSource
-) -> StuckFilterStats:
-    """Measure a three-state transmission entirely at one rectilinear angle.
-
-    Simulates the sender's uniform three-state source and tallies what a
-    filter stuck at ``angle`` records: the detected/erasure split and how
-    many positions her outcome alone pins to a unique sent state (none, for
-    this alphabet — each outcome stays consistent with two states).
-    """
-    if angle not in (Polarization.Z0, Polarization.Z90):
-        raise ValueError("a stuck filter is fixed at 0 or 90 degrees")
-    detected = 0
-    determined = 0
-    alphabet = THREE_STATE_ALPHABET
-    for _ in range(n):
-        sent = rng.choice(alphabet)
-        outcome = measure(sent, angle, rng)
-        if outcome.is_detected:
-            detected += 1
-        if len(consistent_inputs(angle, outcome, alphabet)) == 1:
-            determined += 1
-    return StuckFilterStats(n, angle, detected, n - detected, determined)

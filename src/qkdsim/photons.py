@@ -22,11 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .rng import RandomSource
+
+if TYPE_CHECKING:
+    from .eavesdrop import Interception
 
 
 class Polarization(Enum):
@@ -167,14 +170,6 @@ def transition_distribution(
     return {detected(filter_angle): p, ERASURE: 1 - p}
 
 
-# Float view of detection_probability, for the hot measurement path.
-_P_DETECT = {
-    (p, f): float(_COS2[abs(p.value - f.value) % 180])
-    for p in Polarization
-    for f in Polarization
-}
-
-
 def measure(
     photon: Polarization, filter_angle: FilterSetting, rng: RandomSource
 ) -> MeasurementOutcome:
@@ -184,7 +179,7 @@ def measure(
     consumed per call, even when the outcome is deterministic, so replaying a
     RandomSource reproduces the identical outcome sequence.
     """
-    if rng.uniform() < _P_DETECT[(photon, filter_angle)]:
+    if rng.uniform() < PASS_PROBABILITY[_INDEX[photon], _INDEX[filter_angle]]:
         return _DETECTED[filter_angle]
     return ERASURE
 
@@ -269,17 +264,16 @@ def consistent_inputs(
 # Array position of each polarization: index i is the angle 45*i degrees.
 POLARIZATIONS = tuple(Polarization)
 _INDEX = {p: i for i, p in enumerate(POLARIZATIONS)}
-_ARRIVAL_INDEX = {**_INDEX, None: -1}
 
 # Tables over (photon index, filter index), read off the exact law.
-_PASS_PROBABILITY = np.array(
+PASS_PROBABILITY = np.array(
     [[float(detection_probability(p, f)) for f in POLARIZATIONS] for p in POLARIZATIONS]
 )
 _DETERMINISTIC = np.array(
     [[has_deterministic_outcome(p, f) for f in POLARIZATIONS] for p in POLARIZATIONS]
 )
 BITS = np.array([bit_map(p) for p in POLARIZATIONS], dtype=np.int8)
-_ORTHOGONAL = np.array([_INDEX[p.orthogonal] for p in POLARIZATIONS])
+ORTHOGONAL = np.array([_INDEX[p.orthogonal] for p in POLARIZATIONS])
 
 # Outcome class c: 0 is an erasure, 1 + i a detection at POLARIZATIONS[i].
 OUTCOME_CLASSES = (ERASURE,) + tuple(detected(p) for p in POLARIZATIONS)
@@ -304,7 +298,7 @@ def as_outcomes(filters: np.ndarray, detected_mask: np.ndarray) -> list[Measurem
 
 def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray:
     """Array form of :func:`infer_polarization`: the filter angle, or its orthogonal."""
-    return np.where(detected_mask, filters, _ORTHOGONAL[filters])
+    return np.where(detected_mask, filters, ORTHOGONAL[filters])
 
 
 def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.ndarray:
@@ -320,6 +314,7 @@ class Transmission:
     sent: np.ndarray
     filters: np.ndarray
     detected: np.ndarray  # bool: the receiver's detector fired
+    interception: Optional["Interception"] = None  # the attacker's side, if active
 
     @property
     def deterministic(self) -> np.ndarray:
@@ -333,26 +328,25 @@ def transmit(
     n: int,
     sender_rng: RandomSource,
     receiver_rng: RandomSource,
-    tap: Optional[Callable[[Polarization], Optional[Polarization]]] = None,
+    intercept: Callable[[np.ndarray], Optional["Interception"]],
 ) -> Transmission:
     """Send n photons from a uniform source to a uniformly filtering receiver.
 
     Draw for draw the same as the per-photon loop: the sender spends one
     variate per photon on its state; the receiver spends n on filters,
-    then one per arriving photon on its measurement, in tick order.  A
-    ``tap`` (an active attacker) is called once per photon in transmission
-    order and returns what arrives; an empty tick is an erasure and spends
-    no receiver variate.
+    then one per arriving photon on its measurement, in tick order.
+    ``intercept`` (see :func:`qkdsim.eavesdrop.intercept_session`) maps the
+    sent index array to the attacker's :class:`Interception`, or ``None``
+    if she touches no photon; an empty tick spends no receiver variate.
     """
     sent = _choose(alphabet, sender_rng, n)
     filters = _choose(filter_set, receiver_rng, n)
-    if tap is None:
-        detected_mask = receiver_rng.uniform_array(n) < _PASS_PROBABILITY[sent, filters]
-    else:
-        photons = map(tap, as_polarizations(sent))
-        arrival = np.fromiter(map(_ARRIVAL_INDEX.__getitem__, photons), np.intp, count=n)
-        arrived = arrival >= 0
-        detected_mask = np.zeros(n, dtype=bool)
-        u = receiver_rng.uniform_array(int(np.count_nonzero(arrived)))
-        detected_mask[arrived] = u < _PASS_PROBABILITY[arrival[arrived], filters[arrived]]
-    return Transmission(sent, filters, detected_mask)
+    interception = intercept(sent)
+    if interception is None:
+        detected_mask = receiver_rng.uniform_array(n) < PASS_PROBABILITY[sent, filters]
+        return Transmission(sent, filters, detected_mask)
+    arrived = interception.arrival >= 0
+    detected_mask = np.zeros(n, dtype=bool)
+    u = receiver_rng.uniform_array(int(np.count_nonzero(arrived)))
+    detected_mask[arrived] = u < PASS_PROBABILITY[interception.arrival[arrived], filters[arrived]]
+    return Transmission(sent, filters, detected_mask, interception)

@@ -43,49 +43,33 @@ def derive_child_seed(seed: int, index: int) -> int:
 class RandomSource:
     """A seeded stream of uniform variates in [0, 1).
 
-    Variates are drawn from PCG64 in blocks and handed out one at a time, so
-    scalar and bulk draws interleave in a single well-defined order; replaying
-    a seed reproduces the identical sequence bit for bit.  Instances are not
+    Scalar and bulk draws interleave in one well-defined order; replaying a
+    seed reproduces the identical sequence bit for bit.  Instances are not
     thread-safe; give each concurrent worker its own ``child``.
     """
 
-    __slots__ = ("seed", "_gen", "_buf", "_pos")
-
-    _BLOCK = 4096
+    __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self._buf: list[float] = []
-        self._pos = 0
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
 
     def uniform(self) -> float:
         """Next uniform variate in [0, 1)."""
-        if self._pos >= len(self._buf):
-            self._buf = self._gen.random(self._BLOCK).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+        return self._gen.random()
 
     def uniform_array(self, k: int) -> np.ndarray:
         """Next ``k`` variates as a float64 array, in :meth:`uniform` order.
 
-        Takes what is left of the current block first, then draws the rest
-        straight from the generator; PCG64 yields the same doubles whether
-        they are drawn in one call or in several.
+        PCG64 yields the same doubles whether they are drawn in one call or
+        in several.
         """
         if k < 0:
             raise ValueError(f"variate count must be >= 0, got {k}")
-        rest = self._buf[self._pos : self._pos + k]
-        self._pos += len(rest)
-        if len(rest) == k:
-            return np.array(rest, dtype=np.float64)
-        fresh = self._gen.random(k - len(rest))
-        return np.concatenate((rest, fresh)) if rest else fresh
+        return self._gen.random(k)
 
     def uniforms(self, k: int) -> list[float]:
         """Next ``k`` variates as a list, consumed from the same stream as :meth:`uniform`."""

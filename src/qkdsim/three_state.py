@@ -21,14 +21,14 @@ the design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .eavesdrop import Attack, ChannelTap, EveRecord, NoAttack
+from .eavesdrop import Attack, Intercepted, Interception, NoAttack, intercept_session
 from .photons import (
     BITS,
     MeasurementOutcome,
@@ -196,7 +196,7 @@ def three_state_key_count(n: int) -> Fraction:
 
 
 @dataclass(frozen=True, eq=False)
-class ThreeStateRun:
+class ThreeStateRun(Intercepted):
     """Everything produced by one full session.
 
     Per-photon lists (``alice.sent``, ``bob.outcomes``, ...) and the
@@ -209,8 +209,7 @@ class ThreeStateRun:
     key_material: KeyMaterial
     alice_bits: np.ndarray
     tamper: TamperReport
-    photons_intercepted: int = 0
-    eve_records: list[EveRecord] = field(default_factory=list)
+    interception: Optional[Interception] = None
 
     @cached_property
     def alice_key_bits(self) -> list[int]:
@@ -228,7 +227,6 @@ def three_state_run(
     n: int,
     rng: RandomSource,
     attack: Attack = NoAttack(),
-    record_eve: bool = False,
 ) -> ThreeStateRun:
     """Simulate one session: transmit, announce, confirm, split, check.
 
@@ -240,17 +238,8 @@ def three_state_run(
     if n < 1:
         raise ValueError("need at least one photon")
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
-    tap = ChannelTap(
-        attack, THREE_STATE_FILTERS, THREE_STATE_ALPHABET, eve_rng, record=record_eve
-    )
-    tx = transmit(
-        THREE_STATE_ALPHABET,
-        THREE_STATE_FILTERS,
-        n,
-        alice_rng,
-        bob_rng,
-        tap if tap.active else None,
-    )
+    tap = partial(intercept_session, attack, THREE_STATE_FILTERS, THREE_STATE_ALPHABET, eve_rng)
+    tx = transmit(THREE_STATE_ALPHABET, THREE_STATE_FILTERS, n, alice_rng, bob_rng, tap)
 
     confirmation = Confirmation(tx.deterministic)
     confirmed = confirmation.confirmed_index
@@ -269,6 +258,5 @@ def three_state_run(
         key_material=KeyMaterial(key_index, key_bits, auth_index),
         alice_bits=BITS[tx.sent[key_index]],
         tamper=_tamper_report(len(auth_index), failures),
-        photons_intercepted=tap.photons_intercepted,
-        eve_records=tap.records,
+        interception=tx.interception,
     )

@@ -4,7 +4,6 @@ import pytest
 
 from qkdsim.bb84 import bb84_run
 from qkdsim.eavesdrop import (
-    ChannelTap,
     EveSource,
     InterceptResend,
     NoAttack,
@@ -13,14 +12,8 @@ from qkdsim.eavesdrop import (
     intercept_resend,
     normalize_attack,
     passive_infer,
-    stuck_filter_stats,
 )
-from qkdsim.photons import (
-    THREE_STATE_ALPHABET,
-    THREE_STATE_FILTERS,
-    Polarization,
-    ResendPolicy,
-)
+from qkdsim.photons import THREE_STATE_ALPHABET, Polarization, ResendPolicy
 from qkdsim.rng import RandomSource
 from qkdsim.three_state import three_state_run
 
@@ -66,25 +59,10 @@ def test_stuck_filter_equals_normalized_intercept_bit_for_bit():
     assert a.photons_intercepted == b.photons_intercepted == 500
 
 
-def test_tap_record_path_draws_identically_to_fast_path():
-    attack = InterceptResend(fraction=0.7)
-    photons = [RandomSource(1).child(0).choice(THREE_STATE_ALPHABET) for _ in range(400)]
-    fast = ChannelTap(attack, THREE_STATE_FILTERS, THREE_STATE_ALPHABET, RandomSource(2))
-    slow = ChannelTap(
-        attack, THREE_STATE_FILTERS, THREE_STATE_ALPHABET, RandomSource(2), record=True
-    )
-    assert [fast(p) for p in photons] == [slow(p) for p in photons]
-    assert fast.photons_intercepted == slow.photons_intercepted
-    assert len(slow.records) == 400
-    assert fast.records == []
-
-
-def test_tap_counts():
-    tap = ChannelTap(NoAttack(), THREE_STATE_FILTERS, THREE_STATE_ALPHABET, RandomSource(0))
-    for _ in range(10):
-        assert tap(D45) is D45
-    assert tap.photons_seen == 10
-    assert tap.photons_intercepted == 0
+def test_no_attack_session_intercepts_nothing():
+    for run in (three_state_run(50, RandomSource(0)), bb84_run(50, RandomSource(0))):
+        assert run.photons_intercepted == 0
+        assert run.eve_records == []
 
 
 def test_intercept_resend_gate_always_draws_once():
@@ -145,22 +123,9 @@ def test_passive_infer_never_claims_key_positions():
         assert records[i].known_bit is None
 
 
-def test_stuck_filter_stats_split():
-    stats = stuck_filter_stats(100_000, Z0, RandomSource(12))
-    assert abs(stats.detected_frequency - 0.5) < 0.01
-    assert abs(stats.erasure_frequency - 0.5) < 0.01
-    assert stats.detected + stats.erasures == stats.n
-    assert stats.determined == 0
-    assert stats.determined_fraction == 0.0
-
-
-def test_stuck_filter_stats_empty():
-    stats = stuck_filter_stats(0, Z90, RandomSource(0))
-    assert stats.detected_frequency is None
-    assert stats.erasure_frequency is None
-    assert stats.determined_fraction is None
-
-
-def test_stuck_filter_stats_rejects_diagonal():
-    with pytest.raises(ValueError):
-        stuck_filter_stats(10, D45, RandomSource(0))
+def test_stuck_filter_detects_half_and_pins_no_state():
+    records = three_state_run(100_000, RandomSource(12), StuckFilter(Z0)).eve_records
+    assert len(records) == 100_000
+    detected = sum(1 for r in records if r.outcome.is_detected)
+    assert abs(detected / 100_000 - 0.5) < 0.01
+    assert all(r.filter_used is Z0 and r.known_bit is None for r in records)

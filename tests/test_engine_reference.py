@@ -1,22 +1,30 @@
 """The array engine against photon-by-photon reference loops.
 
 The loops below spend variates one at a time, in the order the protocol
-describes: every sender choice, then every receiver filter, then one
-measurement per arriving photon; and per parity round, one draw per
-surviving position.  The engine draws the same variates in whole arrays,
-so for any photon count, seed and attack both must agree exactly.
+describes: every sender choice, then every receiver filter, then per photon
+the attacker's draws (:func:`intercept_resend`) and one measurement if
+anything arrives; and per parity round, one draw per surviving position.
+The engine draws the same variates in whole arrays, so for any photon
+count, seed and attack both must agree exactly.
 """
 
+import itertools
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import eavesdrop
 from qkdsim.bb84 import bb84_run, parity_certify
 from qkdsim.eavesdrop import (
-    ChannelTap,
     InterceptResend,
     NoAttack,
     PassiveClassical,
     StuckFilter,
+    intercept_resend,
+    intercept_session,
+    normalize_attack,
 )
 from qkdsim.harness import DEFAULT_FILTER_CHOICES
 from qkdsim.photons import (
@@ -25,6 +33,7 @@ from qkdsim.photons import (
     THREE_STATE_ALPHABET,
     THREE_STATE_FILTERS,
     Polarization,
+    POLARIZATIONS,
     ResendPolicy,
     measure_arrival,
 )
@@ -40,46 +49,91 @@ attacks = st.one_of(
         InterceptResend,
         st.sampled_from(DEFAULT_FILTER_CHOICES),
         st.sampled_from(list(ResendPolicy)),
-        st.sampled_from([0.0, 0.3, 1.0]),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
     ),
 )
 
 
 def reference_transmission(alphabet, filter_set, n, rng, attack):
+    """Sent states, filters and readings, the attacker's log and her interception count."""
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
-    tap = ChannelTap(attack, filter_set, alphabet, eve_rng, record=True)
+    attack = normalize_attack(attack)
     sent = [alice_rng.choice(alphabet) for _ in range(n)]
     filters = [bob_rng.choice(filter_set) for _ in range(n)]
-    outcomes = [measure_arrival(tap(sent[i]), filters[i], bob_rng) for i in range(n)]
-    return sent, filters, outcomes, tap
+    outcomes, records = [], []
+    for i in range(n):
+        photon = sent[i]
+        if isinstance(attack, InterceptResend):
+            photon, record = intercept_resend(photon, attack, eve_rng, filter_set, alphabet, i)
+            records.append(record)
+        outcomes.append(measure_arrival(photon, filters[i], bob_rng))
+    intercepted = sum(1 for r in records if r.filter_used is not None)
+    return sent, filters, outcomes, records, intercepted
+
+
+def check_against_reference(session, alphabet, filter_set, n, seed, attack):
+    sent, filters, outcomes, records, intercepted = reference_transmission(
+        alphabet, filter_set, n, RandomSource(seed), attack
+    )
+    run = session(n, RandomSource(seed), attack)
+    assert run.alice.sent == sent
+    assert run.bob.filters == filters
+    assert run.bob.outcomes == outcomes
+    assert run.photons_intercepted == intercepted
+    assert run.eve_records == records
 
 
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1), attack=attacks)
 @settings(max_examples=60, deadline=None)
 def test_three_state_run_matches_reference_loop(n, seed, attack):
-    sent, filters, outcomes, tap = reference_transmission(
-        THREE_STATE_ALPHABET, THREE_STATE_FILTERS, n, RandomSource(seed), attack
+    check_against_reference(
+        three_state_run, THREE_STATE_ALPHABET, THREE_STATE_FILTERS, n, seed, attack
     )
-    run = three_state_run(n, RandomSource(seed), attack, record_eve=True)
-    assert run.alice.sent == sent
-    assert run.bob.filters == filters
-    assert run.bob.outcomes == outcomes
-    assert run.photons_intercepted == tap.photons_intercepted
-    assert run.eve_records == tap.records
 
 
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1), attack=attacks)
 @settings(max_examples=60, deadline=None)
 def test_bb84_run_matches_reference_loop(n, seed, attack):
-    sent, filters, outcomes, tap = reference_transmission(
-        BB84_ALPHABET, BB84_FILTERS, n, RandomSource(seed), attack
+    check_against_reference(bb84_run, BB84_ALPHABET, BB84_FILTERS, n, seed, attack)
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [
+        InterceptResend(None, ResendPolicy.UNIFORM_RANDOM, 0.5),
+        InterceptResend(Polarization.D45, ResendPolicy.ORTHOGONAL_INFERENCE, 0.5),
+    ],
+)
+def test_session_spanning_walker_chunks_matches_reference_loop(attack):
+    # Three chunks: the unused tail of each chunk's draw is carried twice.
+    n = 2 * eavesdrop._CHUNK + 123
+    check_against_reference(
+        three_state_run, THREE_STATE_ALPHABET, THREE_STATE_FILTERS, n, 8, attack
     )
-    run = bb84_run(n, RandomSource(seed), attack, record_eve=True)
-    assert run.alice.sent == sent
-    assert run.bob.filters == filters
-    assert run.bob.outcomes == outcomes
-    assert run.photons_intercepted == tap.photons_intercepted
-    assert run.eve_records == tap.records
+
+
+def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
+    monkeypatch.setattr(eavesdrop, "_CHUNK", 37)
+    grid = itertools.product(
+        [(THREE_STATE_ALPHABET, THREE_STATE_FILTERS), (BB84_ALPHABET, BB84_FILTERS)],
+        [None, Polarization.Z0, Polarization.D45],
+        list(ResendPolicy),
+        [0.0, 0.3, 1.0],
+    )
+    for (alphabet, filter_set), choice, policy, fraction in grid:
+        attack = InterceptResend(choice, policy, fraction)
+        sender = RandomSource(5)
+        sent = [sender.choice(alphabet) for _ in range(400)]
+        eve_rng = RandomSource(3)
+        expected = [
+            intercept_resend(p, attack, eve_rng, filter_set, alphabet, i)
+            for i, p in enumerate(sent)
+        ]
+        sent_index = np.array([POLARIZATIONS.index(p) for p in sent])
+        got = intercept_session(attack, filter_set, alphabet, RandomSource(3), sent_index)
+        arrivals = [None if a < 0 else POLARIZATIONS[a] for a in got.arrival.tolist()]
+        assert arrivals == [photon for photon, _ in expected]
+        assert got.records() == [record for _, record in expected]
 
 
 def reference_parity_rounds(alice, bob, m, rng):

@@ -105,9 +105,9 @@ RECORD_ATTACKS = (
 
 
 def render_session(protocol, attack, n, seed) -> str:
-    """Every per-photon record a direct session call exposes, plus its tap log."""
+    """Every per-photon record a direct session call exposes, plus Eve's log."""
     if protocol == "three_state":
-        r = three_state_run(n, RandomSource(seed), attack, record_eve=True)
+        r = three_state_run(n, RandomSource(seed), attack)
         fields = (
             r.alice.sent,
             r.bob.filters,
@@ -120,7 +120,7 @@ def render_session(protocol, attack, n, seed) -> str:
             r.tamper,
         )
     else:
-        r = bb84_run(n, RandomSource(seed), attack, record_eve=True)
+        r = bb84_run(n, RandomSource(seed), attack)
         fields = (
             r.alice.sent,
             r.alice.bits,
