@@ -8,14 +8,10 @@ standard errors for scale.
 
 import argparse
 
-from qkdsim.analysis import (
-    kept_fraction,
-    standard_error,
-    three_state_auth_fraction,
-    three_state_key_fraction,
-)
+from qkdsim.analysis import auth_fraction, kept_fraction, key_fraction, standard_error
+from qkdsim.photons import THREE_STATE
 from qkdsim.rng import RandomSource, derive_child_seed
-from qkdsim.three_state import three_state_run
+from qkdsim.session import run_session
 
 
 def main(argv=None) -> int:
@@ -26,9 +22,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     exact = {
-        "confirmed": float(kept_fraction()),
-        "key": float(three_state_key_fraction()),
-        "auth": float(three_state_auth_fraction()),
+        "confirmed": float(kept_fraction(THREE_STATE)),
+        "key": float(key_fraction(THREE_STATE)),
+        "auth": float(auth_fraction(THREE_STATE)),
     }
     print(f"exact rates: confirmed {exact['confirmed']:.6f}  "
           f"key {exact['key']:.6f}  auth {exact['auth']:.6f}")
@@ -36,10 +32,10 @@ def main(argv=None) -> int:
 
     n = args.start
     for step in range(args.steps):
-        result = three_state_run(n, RandomSource(derive_child_seed(args.seed, step)))
-        confirmed = result.confirmation.count / n
-        key = len(result.key_material.key_positions) / n
-        auth = len(result.key_material.auth_positions) / n
+        session = run_session(THREE_STATE, n, RandomSource(derive_child_seed(args.seed, step)))
+        confirmed = len(session.kept_index) / n
+        key = len(session.key_index) / n
+        auth = len(session.auth_index) / n
         worst = max(
             abs(confirmed - exact["confirmed"]) / standard_error(exact["confirmed"], n),
             abs(key - exact["key"]) / standard_error(exact["key"], n),

@@ -17,7 +17,6 @@ from .analysis import (
     RateComparison,
     auth_failure_probability,
     bb84_certification_probability,
-    bb84_sift_error_probability,
     compare,
     empirical_statistics,
     entropy_report,
@@ -33,7 +32,6 @@ from .bb84 import (
     CertificationResult,
     KeyTooShort,
     NonPositiveKey,
-    bb84_run,
     bb84_usable_key,
     parity_certify,
 )
@@ -60,9 +58,12 @@ from .harness import (
     to_json,
 )
 from .photons import (
+    BB84,
     ERASURE,
+    THREE_STATE,
     MeasurementOutcome,
     Polarization,
+    Protocol,
     ResendPolicy,
     bit_map,
     detected,
@@ -73,12 +74,12 @@ from .photons import (
     measure_arrival,
 )
 from .rng import RandomSource, derive_child_seed
+from .session import Session, run_session
 from .three_state import (
     TamperReport,
     authenticate,
-    confirm,
+    tamper_report,
     three_state_key_count,
-    three_state_run,
 )
 from .transcript import Transcript, TranscriptEntry
 
@@ -86,6 +87,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Attack",
+    "BB84",
     "CertificationResult",
     "ERASURE",
     "EntropyReport",
@@ -101,12 +103,15 @@ __all__ = [
     "NonPositiveKey",
     "PassiveClassical",
     "Polarization",
+    "Protocol",
     "RandomSource",
     "RateComparison",
     "ResendPolicy",
+    "Session",
     "SessionConfig",
     "SessionReport",
     "StuckFilter",
+    "THREE_STATE",
     "TamperReport",
     "Transcript",
     "TranscriptEntry",
@@ -115,12 +120,9 @@ __all__ = [
     "auth_failure_probability",
     "authenticate",
     "bb84_certification_probability",
-    "bb84_run",
-    "bb84_sift_error_probability",
     "bb84_usable_key",
     "bit_map",
     "compare",
-    "confirm",
     "derive_child_seed",
     "detected",
     "detection_probability",
@@ -141,10 +143,11 @@ __all__ = [
     "passive_infer",
     "report_document",
     "run",
+    "run_session",
     "session_detection_probability",
     "sweep_to_csv",
+    "tamper_report",
     "three_state_certification_probability",
     "three_state_key_count",
-    "three_state_run",
     "to_json",
 ]

@@ -9,9 +9,9 @@ rational combination ``q + r·log2(3)`` (:class:`ExactBits`).
 The same enumeration machinery doubles as the oracle for the Monte Carlo
 suite: :func:`receiver_outcome_distribution` predicts what the receiver
 sees under any intercept-resend configuration, and the per-position attack
-statistics (:func:`auth_failure_probability`, :func:`key_error_probability`,
-:func:`bb84_sift_error_probability`) are what empirical sweeps are checked
-against.
+statistics (:func:`auth_failure_probability`, :func:`key_error_probability`)
+are what empirical sweeps are checked against.  Every oracle reads the same
+:class:`~qkdsim.photons.Protocol` spec as the session engine.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .eavesdrop import Attack, InterceptResend, NoAttack, normalize_attack
 from .photons import (
-    BB84_ALPHABET,
-    BB84_FILTERS,
     ERASURE,
+    THREE_STATE,
     MeasurementOutcome,
     Polarization,
+    Protocol,
     ResendPolicy,
-    THREE_STATE_ALPHABET,
-    THREE_STATE_FILTERS,
     bit_map,
     detected,
     detection_probability,
@@ -40,15 +38,6 @@ from .photons import (
 )
 
 LOG2_3 = math.log2(3)
-
-# Receiver outcome classes, in display order.
-THREE_STATE_OUTCOMES = (
-    detected(Polarization.Z0),
-    detected(Polarization.D45),
-    detected(Polarization.Z90),
-    ERASURE,
-)
-BB84_OUTCOMES = (detected(Polarization.Z0), detected(Polarization.D45), ERASURE)
 
 
 class EmptyInput(ValueError):
@@ -175,17 +164,14 @@ class JointDistribution:
         return out
 
 
-def joint_distribution(
-    alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET,
-    filter_set: Sequence[Polarization] = THREE_STATE_FILTERS,
-) -> JointDistribution:
+def joint_distribution(protocol: Protocol = THREE_STATE) -> JointDistribution:
     """Exact composition: uniform sender x uniform filter x channel physics.
 
     The receiver outcome classes are one detection class per filter angle
     plus the erasure class (the filter identity is public, the reading is
     not, so "detected at 45°" and "erasure" are the receiver's datum).
     """
-    senders = tuple(alphabet)
+    senders, filter_set = protocol.alphabet, protocol.filters
     outcomes = tuple(detected(f) for f in filter_set) + (ERASURE,)
     cells: dict[tuple[Polarization, MeasurementOutcome], Fraction] = {
         (s, o): Fraction(0) for s in senders for o in outcomes
@@ -244,30 +230,34 @@ def entropy_report(
 # ---------------------------------------------------------------------------
 
 
-def kept_fraction(
-    alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET,
-    filter_set: Sequence[Polarization] = THREE_STATE_FILTERS,
-) -> Fraction:
+def _cells(protocol: Protocol) -> list[tuple[Polarization, Polarization]]:
+    """Every (sent, filter) pair; each is equally likely."""
+    return [(s, f) for s in protocol.alphabet for f in protocol.filters]
+
+
+def _key_cells(protocol: Protocol) -> list[tuple[Polarization, Polarization]]:
+    """Kept cells not read through the authentication filter."""
+    return [
+        (s, f)
+        for s, f in _cells(protocol)
+        if has_deterministic_outcome(s, f) and f is not protocol.auth_filter
+    ]
+
+
+def kept_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Probability a uniform (sent, filter) position survives keep/discard."""
-    cells = [(s, f) for s in alphabet for f in filter_set]
-    keepers = sum(1 for s, f in cells if has_deterministic_outcome(s, f))
-    return Fraction(keepers, len(cells))
+    cells = _cells(protocol)
+    return Fraction(sum(1 for s, f in cells if has_deterministic_outcome(s, f)), len(cells))
 
 
-def three_state_key_fraction() -> Fraction:
-    """Kept positions under a rectilinear filter: the secret-bit rate."""
-    cells = [(s, f) for s in THREE_STATE_ALPHABET for f in THREE_STATE_FILTERS]
-    hits = sum(
-        1
-        for s, f in cells
-        if has_deterministic_outcome(s, f) and f is not Polarization.D45
-    )
-    return Fraction(hits, len(cells))
+def key_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
+    """Kept positions off the authentication filter: the secret-bit rate."""
+    return Fraction(len(_key_cells(protocol)), len(_cells(protocol)))
 
 
-def three_state_auth_fraction() -> Fraction:
-    """Kept positions under the diagonal filter: the tamper-evidence rate."""
-    return kept_fraction() - three_state_key_fraction()
+def auth_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
+    """Kept positions under the authentication filter: the tamper-evidence rate."""
+    return kept_fraction(protocol) - key_fraction(protocol)
 
 
 @dataclass(frozen=True)
@@ -302,7 +292,7 @@ def information_rate_chain() -> InformationRateChain:
     start = equivocation.constant
     after_exclusion = start * Fraction(2, 3)
     final = after_exclusion * Fraction(1, 2)
-    if final != three_state_key_fraction():
+    if final != key_fraction(THREE_STATE):
         raise AssertionError("rate chain must land on the counting-based key rate")
     return InformationRateChain(start, after_exclusion, final)
 
@@ -395,10 +385,7 @@ def compare(n: int, m: int) -> RateComparison:
 
 
 def arrival_distribution(
-    sent: Polarization,
-    attack: Attack,
-    filter_set: Sequence[Polarization] = THREE_STATE_FILTERS,
-    alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET,
+    sent: Polarization, attack: Attack, protocol: Protocol = THREE_STATE
 ) -> dict[Optional[Polarization], Fraction]:
     """Exact law of what leaves the attacked channel (None = nothing).
 
@@ -422,7 +409,7 @@ def arrival_distribution(
     if attack.filter_choice is not None:
         filter_weights = {attack.filter_choice: Fraction(1)}
     else:
-        filter_weights = {f: Fraction(1, len(filter_set)) for f in filter_set}
+        filter_weights = {f: Fraction(1, len(protocol.filters)) for f in protocol.filters}
     for eve_filter, w_filter in filter_weights.items():
         w_branch = fraction * w_filter
         p_detect = detection_probability(sent, eve_filter)
@@ -433,8 +420,8 @@ def arrival_distribution(
         elif attack.resend is ResendPolicy.SEND_NOTHING:
             add(None, w_erase)
         else:
-            for a in alphabet:
-                add(a, w_erase / len(alphabet))
+            for a in protocol.alphabet:
+                add(a, w_erase / len(protocol.alphabet))
     return out
 
 
@@ -442,12 +429,11 @@ def receiver_outcome_distribution(
     sent: Polarization,
     receiver_filter: Polarization,
     attack: Attack = NoAttack(),
-    filter_set: Sequence[Polarization] = THREE_STATE_FILTERS,
-    alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET,
+    protocol: Protocol = THREE_STATE,
 ) -> dict[MeasurementOutcome, Fraction]:
     """Exact law of the receiver's reading at one position under attack."""
     out: dict[MeasurementOutcome, Fraction] = {}
-    for arriving, w in arrival_distribution(sent, attack, filter_set, alphabet).items():
+    for arriving, w in arrival_distribution(sent, attack, protocol).items():
         if arriving is None:
             out[ERASURE] = out.get(ERASURE, Fraction(0)) + w
             continue
@@ -465,35 +451,19 @@ def auth_failure_probability(attack: Attack) -> Fraction:
     return dist.get(ERASURE, Fraction(0))
 
 
-def key_error_probability(attack: Attack) -> Fraction:
-    """Chance a confirmed key position silently yields disagreeing bits.
+def key_error_probability(attack: Attack, protocol: Protocol = THREE_STATE) -> Fraction:
+    """Chance a kept key position silently yields disagreeing bits.
 
-    Averaged over the four equally likely (rectilinear sent, rectilinear
-    filter) cells.  These errors raise no alarm at the position itself —
-    which is exactly why the diagonal positions carry the tamper check.
+    Averaged over the equally likely key cells: kept (sent, filter) pairs
+    whose filter is not the authentication filter, which for the
+    three-state spec are the four rectilinear x rectilinear cells.  These
+    errors raise no alarm at the position itself — which is exactly why
+    the three-state diagonal positions carry the tamper check.
     """
-    rect = (Polarization.Z0, Polarization.Z90)
-    cells = [(s, f) for s in rect for f in rect]
+    cells = _key_cells(protocol)
     err = Fraction(0)
     for s, f in cells:
-        dist = receiver_outcome_distribution(s, f, attack)
-        for outcome, p in dist.items():
-            if bit_map(infer_polarization(f, outcome)) != bit_map(s):
-                err += p
-    return err / len(cells)
-
-
-def bb84_sift_error_probability(attack: Attack) -> Fraction:
-    """Chance a sifted baseline-protocol position carries disagreeing bits."""
-    cells = [
-        (s, f)
-        for s in BB84_ALPHABET
-        for f in BB84_FILTERS
-        if has_deterministic_outcome(s, f)
-    ]
-    err = Fraction(0)
-    for s, f in cells:
-        dist = receiver_outcome_distribution(s, f, attack, BB84_FILTERS, BB84_ALPHABET)
+        dist = receiver_outcome_distribution(s, f, attack, protocol)
         for outcome, p in dist.items():
             if bit_map(infer_polarization(f, outcome)) != bit_map(s):
                 err += p

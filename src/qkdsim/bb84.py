@@ -5,31 +5,19 @@ polarizations, the receiver filters at 0 or 45 degrees, and sifting keeps
 the positions where the sent state's basis matches the filter's — exactly
 the positions whose reading is deterministic, so the receiver's inference
 is guaranteed there.  Tampering is caught afterwards by comparing odd
-parities of random key subsets, paying one discarded bit per round.
+parities of random key subsets, paying one discarded bit per round.  The
+session itself runs on the shared engine (:func:`qkdsim.session.run_session`
+with :data:`qkdsim.photons.BB84`); this module holds the parity rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .eavesdrop import Attack, Intercepted, Interception, NoAttack, intercept_session
-from .photons import (
-    BB84_ALPHABET,
-    BB84_FILTERS,
-    BITS,
-    MeasurementOutcome,
-    Polarization,
-    as_outcomes,
-    as_polarizations,
-    has_deterministic_outcome,
-    inferred_index,
-    transmit,
-)
 from .rng import RandomSource
 from .transcript import Transcript
 
@@ -43,116 +31,6 @@ class NonPositiveKey(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class BB84AliceState:
-    """The sender's record: her polarization choices and their bit values."""
-
-    sent_index: np.ndarray  # indices into POLARIZATIONS
-
-    @cached_property
-    def sent(self) -> list[Polarization]:
-        return as_polarizations(self.sent_index)
-
-    @property
-    def bits(self) -> list[int]:
-        return BITS[self.sent_index].tolist()
-
-
-@dataclass(frozen=True, eq=False)
-class BB84BobState:
-    """The receiver's record: filter settings, raw readings, inferences."""
-
-    filter_index: np.ndarray
-    detected: np.ndarray
-
-    @cached_property
-    def filters(self) -> list[Polarization]:
-        return as_polarizations(self.filter_index)
-
-    @cached_property
-    def outcomes(self) -> list[MeasurementOutcome]:
-        return as_outcomes(self.filter_index, self.detected)
-
-    @cached_property
-    def inferred(self) -> list[Polarization]:
-        return as_polarizations(inferred_index(self.filter_index, self.detected))
-
-
-@dataclass(frozen=True, eq=False)
-class SiftResult:
-    kept_index: np.ndarray
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
-
-    @cached_property
-    def kept_indices(self) -> list[int]:
-        return self.kept_index.tolist()
-
-    @cached_property
-    def alice_key(self) -> list[int]:
-        return self.alice_bits.tolist()
-
-    @cached_property
-    def bob_key(self) -> list[int]:
-        return self.bob_bits.tolist()
-
-
-@dataclass(frozen=True, eq=False)
-class BB84Run(Intercepted):
-    """Everything produced by one transmission + sifting pass.
-
-    Per-photon lists (``alice.sent``, ``bob.outcomes``, ...) and the
-    transcript are built from the session's arrays on first read.
-    """
-
-    alice: BB84AliceState
-    bob: BB84BobState
-    sift: SiftResult
-    interception: Optional[Interception] = None
-
-    @cached_property
-    def transcript(self) -> Transcript:
-        transcript = Transcript()
-        transcript.announce_filters(self.bob.filters)
-        transcript.announce_kept(self.sift.kept_indices)
-        return transcript
-
-
-def sift_keeps(sent: Polarization, filter_angle: Polarization) -> bool:
-    """The public keep rule: keep iff the reading is deterministic.
-
-    Equivalent to "the filter's basis matches the sent state's basis".
-    """
-    return has_deterministic_outcome(sent, filter_angle)
-
-
-def bb84_run(
-    n: int,
-    rng: RandomSource,
-    attack: Attack = NoAttack(),
-) -> BB84Run:
-    """Simulate one session: transmit, measure, sift.
-
-    The session source ``rng`` is never drawn from directly; the sender,
-    receiver and attacker each own a derived child stream (indices 0, 1, 2;
-    index 3 is reserved for the later certification rounds), so an attack
-    cannot perturb the honest parties' choices.
-    """
-    if n < 1:
-        raise ValueError("need at least one photon")
-    alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
-    tap = partial(intercept_session, attack, BB84_FILTERS, BB84_ALPHABET, eve_rng)
-    tx = transmit(BB84_ALPHABET, BB84_FILTERS, n, alice_rng, bob_rng, tap)
-    kept = np.flatnonzero(tx.deterministic)
-    inferred = inferred_index(tx.filters[kept], tx.detected[kept])
-    return BB84Run(
-        alice=BB84AliceState(tx.sent),
-        bob=BB84BobState(tx.filters, tx.detected),
-        sift=SiftResult(kept, BITS[tx.sent[kept]], BITS[inferred]),
-        interception=tx.interception,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class CertificationResult:
     """Outcome of the m parity rounds over a sifted key."""
 
@@ -162,14 +40,6 @@ class CertificationResult:
     final_key_length: int
     detection_round: Optional[int]
     survivors: np.ndarray  # surviving key positions, ascending
-
-    @cached_property
-    def surviving_positions(self) -> list[int]:
-        return self.survivors.tolist()
-
-    def surviving_bits(self, key: Sequence[int]) -> list[int]:
-        """The key bits left after the per-round discards."""
-        return [key[i] for i in self.surviving_positions]
 
 
 def parity_certify(

@@ -24,6 +24,7 @@ from typing import Any, Optional, Sequence
 
 from .analysis import (
     LOG2_3,
+    auth_fraction,
     bb84_certification_probability,
     compare,
     entropy_report,
@@ -31,11 +32,9 @@ from .analysis import (
     information_rate_chain,
     joint_distribution,
     kept_fraction,
-    three_state_auth_fraction,
+    key_fraction,
     three_state_certification_probability,
-    three_state_key_fraction,
 )
-from .bb84 import NonPositiveKey
 from .eavesdrop import (
     Attack,
     InterceptResend,
@@ -44,8 +43,9 @@ from .eavesdrop import (
     StuckFilter,
 )
 from .harness import (
+    DEFAULT_FILTER_CHOICES,
+    DEFAULT_RESEND_POLICIES,
     SCHEMA_VERSION,
-    InvalidConfig,
     SessionConfig,
     attack_sweep,
     outcome_label,
@@ -282,8 +282,8 @@ def _analyze_document() -> dict[str, Any]:
         },
         "rates": {
             "confirmed": str(kept_fraction()),
-            "key": str(three_state_key_fraction()),
-            "auth": str(three_state_auth_fraction()),
+            "key": str(key_fraction()),
+            "auth": str(auth_fraction()),
         },
         "equal_confidence_rounds_per_photon": LOG2_3 / 9.0,
     }
@@ -347,7 +347,7 @@ def _cmd_attack_sweep(args: argparse.Namespace) -> int:
 
     filters_spec = opts.pick("eve_filters")
     if filters_spec is None:
-        filter_choices = [None, Polarization.Z0, Polarization.D45, Polarization.Z90]
+        filter_choices = DEFAULT_FILTER_CHOICES
     else:
         filter_choices = []
         for name in _split_csv(filters_spec):
@@ -357,7 +357,7 @@ def _cmd_attack_sweep(args: argparse.Namespace) -> int:
 
     policies_spec = opts.pick("resend_policies")
     if policies_spec is None:
-        policies = list(ResendPolicy)
+        policies = DEFAULT_RESEND_POLICIES
     else:
         try:
             policies = [ResendPolicy(name) for name in _split_csv(policies_spec)]
@@ -405,13 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_CLIError, InvalidConfig, NonPositiveKey) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_CLIError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -182,21 +181,6 @@ class Interception:
                 logged[f, c] = (angle, outcome, candidates[0] if len(candidates) == 1 else None)
         keys = zip(self.filters.tolist(), outcome_class(self.filters, self.detected).tolist())
         return [EveRecord(i, EveSource.PHOTON, *logged[key]) for i, key in enumerate(keys)]
-
-
-class Intercepted:
-    """What a session record shows of the attacker, read off its ``interception``."""
-
-    interception: Optional[Interception]
-
-    @property
-    def photons_intercepted(self) -> int:
-        return 0 if self.interception is None else int(self.interception.intercepted.sum())
-
-    @cached_property
-    def eve_records(self) -> list[EveRecord]:
-        """Her per-photon log; empty when she touched no photon."""
-        return [] if self.interception is None else self.interception.records()
 
 
 def _walk(u, gate, photon_filter, measure_at: int, random_resend: bool, sent: np.ndarray):

@@ -11,7 +11,7 @@ document per invocation, schema-versioned, keys sorted, no timestamps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .analysis import (
     key_error_probability,
     model_auth_failure_rate,
 )
-from .bb84 import CertificationResult, KeyTooShort, bb84_run, parity_certify
+from .bb84 import CertificationResult, KeyTooShort, parity_certify
 from .eavesdrop import (
     Attack,
     InterceptResend,
@@ -30,20 +30,21 @@ from .eavesdrop import (
     StuckFilter,
 )
 from .photons import (
+    BB84,
     OUTCOME_CLASSES,
     POLARIZATIONS,
+    THREE_STATE,
     MeasurementOutcome,
     Polarization,
     ResendPolicy,
     outcome_class,
 )
 from .rng import RandomSource, derive_child_seed
-from .three_state import three_state_run
+from .session import run_session
+from .three_state import tamper_report
 
 SCHEMA_VERSION = 1
-PROTOCOL_THREE_STATE = "three_state"
-PROTOCOL_BB84 = "bb84"
-_PROTOCOLS = (PROTOCOL_THREE_STATE, PROTOCOL_BB84)
+PROTOCOLS = {p.name: p for p in (THREE_STATE, BB84)}
 STATUS_KEY_TOO_SHORT = "key_too_short"
 
 
@@ -65,15 +66,15 @@ class SessionConfig:
     include_transcripts: bool = False
 
     def validate(self) -> "SessionConfig":
-        if self.protocol not in _PROTOCOLS:
+        if self.protocol not in PROTOCOLS:
             raise InvalidConfig(
-                f"protocol: expected one of {_PROTOCOLS}, got {self.protocol!r}"
+                f"protocol: expected one of {tuple(PROTOCOLS)}, got {self.protocol!r}"
             )
         if self.n < 1:
             raise InvalidConfig(f"n: need at least one photon, got {self.n}")
         if self.trials < 1:
             raise InvalidConfig(f"trials: need at least one trial, got {self.trials}")
-        if self.protocol == PROTOCOL_BB84:
+        if PROTOCOLS[self.protocol].auth_filter is None:
             if self.m is None:
                 raise InvalidConfig("m: parity round count is required for bb84")
             if self.m < 0:
@@ -168,7 +169,7 @@ def _tally(
 ) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
     """Count readings per outcome class and per (sent state, outcome class).
 
-    Takes a session's index arrays (see :class:`qkdsim.photons.Transmission`);
+    Takes a session's index arrays (see :class:`qkdsim.session.Session`);
     only non-zero cells appear.
     """
     classes = len(OUTCOME_CLASSES)
@@ -218,46 +219,29 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
     """
     trial_seed = derive_child_seed(config.seed, trial)
     rng = RandomSource(trial_seed)
+    session = run_session(PROTOCOLS[config.protocol], config.n, rng, config.attack)
+    alice_key, bob_key = session.alice_bits, session.bob_bits
+    counts = {"sent": config.n, "confirmed": len(session.kept_index)}
     status: Optional[str] = None
-    if config.protocol == PROTOCOL_THREE_STATE:
-        result = three_state_run(config.n, rng, config.attack)
-        counts = {
-            "sent": config.n,
-            "confirmed": result.confirmation.count,
-            "key": len(result.key_material.key_index),
-            "auth": len(result.key_material.auth_index),
-        }
-        tamper: dict[str, Any] = {
-            "method": "auth_positions",
-            "auth_checked": result.tamper.auth_checked,
-            "auth_failures": result.tamper.auth_failures,
-            "tamper_detected": result.tamper.tamper_detected,
-            "model_certification": result.tamper.model_certification,
-        }
-        tampered = result.tamper.tamper_detected
-        alice_key = result.alice_bits
-        bob_key = result.key_material.bits
+    if session.protocol.auth_filter is not None:
+        report = tamper_report(len(session.auth_index), session.auth_failures)
+        counts.update(key=len(session.key_index), auth=len(session.auth_index))
+        tamper: dict[str, Any] = {"method": "auth_positions", **asdict(report)}
+        tampered = report.tamper_detected
     else:
-        result = bb84_run(config.n, rng, config.attack)
         assert config.m is not None  # validate() guarantees it
-        sift = result.sift
         try:
             cert = parity_certify(
-                sift.alice_bits,
-                sift.bob_bits,
+                alice_key,
+                bob_key,
                 config.m,
                 rng.child(3),
-                transcript=result.transcript if config.include_transcripts else None,
+                transcript=session.transcript if config.include_transcripts else None,
             )
         except KeyTooShort:
             cert = _NOT_CERTIFIED
             status = STATUS_KEY_TOO_SHORT
-        counts = {
-            "sent": config.n,
-            "confirmed": len(sift.kept_index),
-            "key": cert.final_key_length,
-            "auth": cert.rounds,
-        }
+        counts.update(key=cert.final_key_length, auth=cert.rounds)
         tamper = {
             "method": "parity_rounds",
             "rounds": cert.rounds,
@@ -266,11 +250,10 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
             "tamper_detected": cert.mismatch_detected,
         }
         tampered = cert.mismatch_detected
-        alice_key = sift.alice_bits[cert.survivors]
-        bob_key = sift.bob_bits[cert.survivors]
+        alice_key, bob_key = alice_key[cert.survivors], bob_key[cert.survivors]
 
     outcome_counts, joint_counts = _tally(
-        result.alice.sent_index, result.bob.filter_index, result.bob.detected
+        session.sent_index, session.filter_index, session.detected
     )
     aborted = tampered and config.abort_on_tamper
     return SessionReport(
@@ -285,7 +268,7 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
         key_agreement=(
             None if aborted or status is not None else _key_agreement(alice_key, bob_key)
         ),
-        transcript=result.transcript.to_jsonable() if config.include_transcripts else None,
+        transcript=session.transcript.to_jsonable() if config.include_transcripts else None,
         status=status,
     )
 
@@ -428,7 +411,7 @@ def attack_sweep(
     does to the key material.
     """
     base.validate()
-    if base.protocol != PROTOCOL_THREE_STATE:
+    if base.protocol != THREE_STATE.name:
         raise InvalidConfig("protocol: attack sweeps target the three_state protocol")
     rows = []
     for choice in filter_choices:

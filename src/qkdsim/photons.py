@@ -11,10 +11,12 @@ or 1, so the whole channel is enumerable with exact rationals.
 :func:`transition_distribution` returns those rationals and serves as the
 enumeration oracle against which every Monte Carlo statistic is checked.
 
-Whole sessions are transmitted by :func:`transmit`, which draws every
-variate of a party as one array and reads the outcomes off small index
-tables built from :func:`detection_probability`.  Its draws are exactly
-those of calling :func:`measure` photon by photon.
+The two protocols differ at this layer only in their :class:`Protocol`
+spec: sender alphabet, receiver filters and authentication filter.  Whole
+sessions are transmitted by :func:`transmit`, which draws every variate of
+a party as one array and reads the outcomes off small index tables built
+from :func:`detection_probability`.  Its draws are exactly those of calling
+:func:`measure` photon by photon.
 """
 
 from __future__ import annotations
@@ -68,13 +70,32 @@ class Polarization(Enum):
         return self.value % 90
 
 
-# A filter setting is fully characterized by its orientation angle.
-FilterSetting = Polarization
-
 BB84_ALPHABET = (Polarization.Z0, Polarization.D45, Polarization.Z90, Polarization.D135)
 THREE_STATE_ALPHABET = (Polarization.Z0, Polarization.D45, Polarization.Z90)
 BB84_FILTERS = (Polarization.Z0, Polarization.D45)
 THREE_STATE_FILTERS = (Polarization.Z0, Polarization.D45, Polarization.Z90)
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """What sets the two protocols apart up to the keep rule.
+
+    The sender draws uniformly from ``alphabet`` and the receiver filters
+    uniformly over ``filters``; both protocols keep exactly the positions
+    with a deterministic reading (:func:`has_deterministic_outcome`).  Kept
+    positions read through ``auth_filter`` carry no secret and serve as
+    tamper evidence; all other kept positions are key.  ``None`` means
+    every kept position is key, certified afterwards by parity rounds.
+    """
+
+    name: str
+    alphabet: tuple[Polarization, ...]
+    filters: tuple[Polarization, ...]
+    auth_filter: Optional[Polarization]
+
+
+THREE_STATE = Protocol("three_state", THREE_STATE_ALPHABET, THREE_STATE_FILTERS, Polarization.D45)
+BB84 = Protocol("bb84", BB84_ALPHABET, BB84_FILTERS, None)
 
 
 @dataclass(frozen=True)
@@ -114,7 +135,7 @@ def detected(angle: Polarization) -> MeasurementOutcome:
 _COS2 = {0: Fraction(1), 45: Fraction(1, 2), 90: Fraction(0), 135: Fraction(1, 2)}
 
 
-def detection_probability(photon: Polarization, filter_angle: FilterSetting) -> Fraction:
+def detection_probability(photon: Polarization, filter_angle: Polarization) -> Fraction:
     """Exact probability that ``photon`` passes a filter at ``filter_angle``.
 
     Always one of 0, 1/2 or 1 for the discrete angle set.
@@ -122,7 +143,7 @@ def detection_probability(photon: Polarization, filter_angle: FilterSetting) -> 
     return _COS2[abs(photon.value - filter_angle.value) % 180]
 
 
-def has_deterministic_outcome(photon: Polarization, filter_angle: FilterSetting) -> bool:
+def has_deterministic_outcome(photon: Polarization, filter_angle: Polarization) -> bool:
     """True when the detector reading is fully determined by (photon, filter).
 
     Holds exactly when the pass probability is 0 or 1, i.e. the photon is
@@ -144,7 +165,7 @@ def bit_map(polarization: Polarization) -> int:
 
 
 def infer_polarization(
-    filter_angle: FilterSetting, outcome: MeasurementOutcome
+    filter_angle: Polarization, outcome: MeasurementOutcome
 ) -> Polarization:
     """The receiver's estimate of the sent state from one clocked reading.
 
@@ -159,7 +180,7 @@ def infer_polarization(
 
 
 def transition_distribution(
-    photon: Polarization, filter_angle: FilterSetting
+    photon: Polarization, filter_angle: Polarization
 ) -> dict[MeasurementOutcome, Fraction]:
     """Exact outcome distribution for one photon-filter encounter.
 
@@ -171,7 +192,7 @@ def transition_distribution(
 
 
 def measure(
-    photon: Polarization, filter_angle: FilterSetting, rng: RandomSource
+    photon: Polarization, filter_angle: Polarization, rng: RandomSource
 ) -> MeasurementOutcome:
     """Send one photon through a filter and read the detector.
 
@@ -185,7 +206,7 @@ def measure(
 
 
 def measure_arrival(
-    photon: Optional[Polarization], filter_angle: FilterSetting, rng: RandomSource
+    photon: Optional[Polarization], filter_angle: Polarization, rng: RandomSource
 ) -> MeasurementOutcome:
     """Like :func:`measure`, but the clock tick may carry no photon at all.
 
@@ -219,7 +240,7 @@ class ResendPolicy(Enum):
 
 def collapse_and_resend(
     outcome: MeasurementOutcome,
-    filter_angle: FilterSetting,
+    filter_angle: Polarization,
     policy: ResendPolicy,
     rng: RandomSource,
     alphabet: tuple[Polarization, ...] = THREE_STATE_ALPHABET,
@@ -241,7 +262,7 @@ def collapse_and_resend(
 
 
 def consistent_inputs(
-    filter_angle: FilterSetting,
+    filter_angle: Polarization,
     outcome: MeasurementOutcome,
     alphabet: tuple[Polarization, ...],
 ) -> tuple[Polarization, ...]:
@@ -269,7 +290,8 @@ _INDEX = {p: i for i, p in enumerate(POLARIZATIONS)}
 PASS_PROBABILITY = np.array(
     [[float(detection_probability(p, f)) for f in POLARIZATIONS] for p in POLARIZATIONS]
 )
-_DETERMINISTIC = np.array(
+# The keep rule of both protocols, per (photon index, filter index).
+DETERMINISTIC = np.array(
     [[has_deterministic_outcome(p, f) for f in POLARIZATIONS] for p in POLARIZATIONS]
 )
 BITS = np.array([bit_map(p) for p in POLARIZATIONS], dtype=np.int8)
@@ -307,29 +329,13 @@ def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.nd
     return table[(rng.uniform_array(n) * len(options)).astype(np.intp)]
 
 
-@dataclass(frozen=True, eq=False)
-class Transmission:
-    """A clocked transmission: polarization indices and readings per tick."""
-
-    sent: np.ndarray
-    filters: np.ndarray
-    detected: np.ndarray  # bool: the receiver's detector fired
-    interception: Optional["Interception"] = None  # the attacker's side, if active
-
-    @property
-    def deterministic(self) -> np.ndarray:
-        """Ticks whose (sent, filter) pair fixes the reading: the keep rule."""
-        return _DETERMINISTIC[self.sent, self.filters]
-
-
 def transmit(
-    alphabet: Sequence[Polarization],
-    filter_set: Sequence[Polarization],
+    protocol: Protocol,
     n: int,
     sender_rng: RandomSource,
     receiver_rng: RandomSource,
     intercept: Callable[[np.ndarray], Optional["Interception"]],
-) -> Transmission:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional["Interception"]]:
     """Send n photons from a uniform source to a uniformly filtering receiver.
 
     Draw for draw the same as the per-photon loop: the sender spends one
@@ -338,15 +344,16 @@ def transmit(
     ``intercept`` (see :func:`qkdsim.eavesdrop.intercept_session`) maps the
     sent index array to the attacker's :class:`Interception`, or ``None``
     if she touches no photon; an empty tick spends no receiver variate.
+    Returns the sent and filter index arrays, the receiver's detections
+    (bool per tick) and the interception.
     """
-    sent = _choose(alphabet, sender_rng, n)
-    filters = _choose(filter_set, receiver_rng, n)
+    sent = _choose(protocol.alphabet, sender_rng, n)
+    filters = _choose(protocol.filters, receiver_rng, n)
     interception = intercept(sent)
     if interception is None:
-        detected_mask = receiver_rng.uniform_array(n) < PASS_PROBABILITY[sent, filters]
-        return Transmission(sent, filters, detected_mask)
+        return sent, filters, receiver_rng.uniform_array(n) < PASS_PROBABILITY[sent, filters], None
     arrived = interception.arrival >= 0
     detected_mask = np.zeros(n, dtype=bool)
     u = receiver_rng.uniform_array(int(np.count_nonzero(arrived)))
     detected_mask[arrived] = u < PASS_PROBABILITY[interception.arrival[arrived], filters[arrived]]
-    return Transmission(sent, filters, detected_mask, interception)
+    return sent, filters, detected_mask, interception

@@ -16,13 +16,13 @@ from qkdsim.analysis import (
     compare,
     joint_distribution,
 )
-from qkdsim.bb84 import bb84_run, parity_certify
+from qkdsim.bb84 import parity_certify
 from qkdsim.cli import main
 from qkdsim.eavesdrop import InterceptResend, passive_infer
 from qkdsim.harness import SessionConfig, attack_sweep, run
-from qkdsim.photons import ERASURE, Polarization, ResendPolicy, detected
+from qkdsim.photons import BB84, ERASURE, THREE_STATE, Polarization, ResendPolicy, detected
 from qkdsim.rng import RandomSource, derive_child_seed
-from qkdsim.three_state import three_state_run
+from qkdsim.session import run_session
 
 mpmath.mp.dps = 50
 _MP_LOG2_3 = mpmath.log(3) / mpmath.log(2)
@@ -71,10 +71,10 @@ def test_criterion_2_receiver_marginal():
 def test_criterion_3_rate_convergence():
     t0 = time.perf_counter()
     n = 90_000
-    result = three_state_run(n, RandomSource(2026))
-    confirmed = result.confirmation.count / n
-    key = len(result.key_material.key_positions) / n
-    auth = len(result.key_material.auth_positions) / n
+    session = run_session(THREE_STATE, n, RandomSource(2026))
+    confirmed = len(session.kept_index) / n
+    key = len(session.key_index) / n
+    auth = len(session.auth_index) / n
     elapsed = time.perf_counter() - t0
     ok = (
         abs(confirmed - 5 / 9) < 0.01
@@ -97,10 +97,7 @@ def test_criterion_4_worked_example():
 
     trials = 1000
     three_counts = [
-        len(
-            three_state_run(54, RandomSource(derive_child_seed(1, t)))
-            .key_material.key_positions
-        )
+        len(run_session(THREE_STATE, 54, RandomSource(derive_child_seed(1, t))).key_index)
         for t in range(trials)
     ]
     three_mean = sum(three_counts) / trials
@@ -108,10 +105,8 @@ def test_criterion_4_worked_example():
     bb84_mean = 0.0
     for t in range(trials):
         rng = RandomSource(derive_child_seed(2, t))
-        session = bb84_run(54, rng)
-        cert = parity_certify(
-            session.sift.alice_key, session.sift.bob_key, 6, rng.child(3)
-        )
+        session = run_session(BB84, 54, rng)
+        cert = parity_certify(session.alice_bits, session.bob_bits, 6, rng.child(3))
         bb84_mean += cert.final_key_length / trials
 
     ok = exact_ok and abs(three_mean - 24) < 0.5 and abs(bb84_mean - 21) < 0.5
@@ -188,18 +183,18 @@ def test_criterion_8_passive_eavesdropper_bound():
     known_total = 0
     ok = True
     for seed in range(sessions):
-        result = three_state_run(n, RandomSource(derive_child_seed(500, seed)))
+        session = run_session(THREE_STATE, n, RandomSource(derive_child_seed(500, seed)))
         confirmed_k = {
             i
-            for i in result.confirmation.confirmed_indices
-            if result.bob.filters[i] is Polarization.D45
+            for i in session.kept_index.tolist()
+            if session.filters[i] is Polarization.D45
         }
-        for record in passive_infer(result.transcript):
+        for record in passive_infer(session.transcript):
             if record.known_bit is not None:
                 known_total += 1
                 ok = (
                     ok
-                    and record.known_bit is result.alice.sent[record.index]
+                    and record.known_bit is session.sent[record.index]
                     and record.index in confirmed_k
                 )
     fraction = known_total / (sessions * n)

@@ -19,8 +19,8 @@ from qkdsim.analysis import (
     ExactBits,
     arrival_distribution,
     auth_failure_probability,
+    auth_fraction,
     bb84_certification_probability,
-    bb84_sift_error_probability,
     compare,
     empirical_statistics,
     entropy_bits,
@@ -31,16 +31,15 @@ from qkdsim.analysis import (
     joint_distribution,
     kept_fraction,
     key_error_probability,
+    key_fraction,
     model_auth_failure_rate,
     session_detection_probability,
     standard_error,
-    three_state_auth_fraction,
     three_state_certification_probability,
-    three_state_key_fraction,
 )
 from qkdsim.eavesdrop import InterceptResend, NoAttack, StuckFilter
 from qkdsim.harness import SessionConfig, run
-from qkdsim.photons import ERASURE, Polarization, ResendPolicy, detected
+from qkdsim.photons import BB84, ERASURE, THREE_STATE, Polarization, ResendPolicy, detected
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 ORTH = ResendPolicy.ORTHOGONAL_INFERENCE
@@ -159,8 +158,10 @@ def test_entropy_decimals():
 
 def test_protocol_fractions():
     assert kept_fraction() == Fraction(5, 9)
-    assert three_state_key_fraction() == Fraction(4, 9)
-    assert three_state_auth_fraction() == Fraction(1, 9)
+    assert key_fraction(THREE_STATE) == Fraction(4, 9)
+    assert auth_fraction(THREE_STATE) == Fraction(1, 9)
+    assert kept_fraction(BB84) == key_fraction(BB84) == Fraction(1, 2)
+    assert auth_fraction(BB84) == 0
 
 
 def test_information_rate_chain_stages():
@@ -279,7 +280,7 @@ BB84_SIFT_CASES = [
 @pytest.mark.parametrize("policy,expected", BB84_SIFT_CASES)
 def test_bb84_sift_error_oracle(policy, expected):
     attack = InterceptResend(resend=policy, fraction=1.0)
-    assert bb84_sift_error_probability(attack) == expected
+    assert key_error_probability(attack, BB84) == expected
 
 
 def test_failure_scales_linearly_with_fraction():
@@ -292,7 +293,7 @@ def test_failure_scales_linearly_with_fraction():
 def test_no_attack_oracles_are_zero():
     assert auth_failure_probability(NoAttack()) == 0
     assert key_error_probability(NoAttack()) == 0
-    assert bb84_sift_error_probability(NoAttack()) == 0
+    assert key_error_probability(NoAttack(), BB84) == 0
 
 
 def test_model_auth_failure_rate():

@@ -10,20 +10,13 @@ from hypothesis import strategies as st
 from qkdsim.bb84 import (
     KeyTooShort,
     NonPositiveKey,
-    bb84_run,
     bb84_usable_key,
     parity_certify,
-    sift_keeps,
 )
 from qkdsim.eavesdrop import InterceptResend
-from qkdsim.photons import (
-    BB84_ALPHABET,
-    BB84_FILTERS,
-    Polarization,
-    ResendPolicy,
-    has_deterministic_outcome,
-)
+from qkdsim.photons import BB84, Polarization, ResendPolicy
 from qkdsim.rng import RandomSource
+from qkdsim.session import run_session
 
 
 class ScriptedRng:
@@ -43,62 +36,52 @@ class ScriptedRng:
         return np.array([0.25 if flag else 0.75 for flag in taken])
 
 
-def test_sift_keeps_is_the_deterministic_outcome_rule():
-    for s in BB84_ALPHABET:
-        for f in BB84_FILTERS:
-            assert sift_keeps(s, f) == has_deterministic_outcome(s, f)
-
-
 def test_honest_run_keys_agree():
-    run = bb84_run(2000, RandomSource(17))
-    assert run.sift.alice_key == run.sift.bob_key
-    assert run.photons_intercepted == 0
+    session = run_session(BB84, 2000, RandomSource(17))
+    assert session.alice_bits.tolist() == session.bob_bits.tolist()
+    assert session.photons_intercepted == 0
 
 
 def test_honest_sift_fraction_near_half():
-    run = bb84_run(100_000, RandomSource(101))
-    assert abs(len(run.sift.kept_indices) / 100_000 - 0.5) < 0.01
+    session = run_session(BB84, 100_000, RandomSource(101))
+    assert abs(len(session.kept_index) / 100_000 - 0.5) < 0.01
 
 
 def test_kept_positions_are_the_matching_bases():
-    run = bb84_run(500, RandomSource(3))
-    expected = [
-        i
-        for i in range(500)
-        if run.alice.sent[i].basis == run.bob.filters[i].basis
-    ]
-    assert run.sift.kept_indices == expected
+    session = run_session(BB84, 500, RandomSource(3))
+    expected = [i for i in range(500) if session.sent[i].basis == session.filters[i].basis]
+    assert session.kept_index.tolist() == expected
+    assert session.key_index.tolist() == expected
 
 
 def test_inferred_matches_sent_at_kept_positions():
-    run = bb84_run(500, RandomSource(3))
-    for i in run.sift.kept_indices:
-        assert run.bob.inferred[i] is run.alice.sent[i]
+    session = run_session(BB84, 500, RandomSource(3))
+    for i in session.kept_index.tolist():
+        assert session.inferred[i] is session.sent[i]
 
 
 def test_transcript_structure():
-    run = bb84_run(100, RandomSource(9))
-    run.transcript.check_wire_order()
-    assert run.transcript.announced_filters() == run.bob.filters
-    assert run.transcript.kept_positions() == run.sift.kept_indices
+    session = run_session(BB84, 100, RandomSource(9))
+    session.transcript.check_wire_order()
+    assert session.transcript.announced_filters() == session.filters
+    assert session.transcript.kept_positions() == session.kept_index.tolist()
 
 
 def test_run_reproducible():
-    a = bb84_run(300, RandomSource(77))
-    b = bb84_run(300, RandomSource(77))
-    assert a.alice.sent == b.alice.sent
-    assert a.sift.bob_key == b.sift.bob_key
+    a = run_session(BB84, 300, RandomSource(77))
+    b = run_session(BB84, 300, RandomSource(77))
+    assert a.sent == b.sent
+    assert a.bob_bits.tolist() == b.bob_bits.tolist()
 
 
 def test_intercepted_sift_disagreement_quarter():
     # Uniform BB84-filter interception with inference resending flips a
     # sifted bit with probability exactly 1/4.
     attack = InterceptResend(resend=ResendPolicy.ORTHOGONAL_INFERENCE)
-    run = bb84_run(100_000, RandomSource(55), attack=attack)
-    pairs = list(zip(run.sift.alice_key, run.sift.bob_key))
-    rate = sum(a != b for a, b in pairs) / len(pairs)
+    session = run_session(BB84, 100_000, RandomSource(55), attack=attack)
+    rate = np.count_nonzero(session.alice_bits != session.bob_bits) / len(session.key_index)
     assert abs(rate - 0.25) < 0.01
-    assert abs(run.photons_intercepted - 100_000) == 0
+    assert abs(session.photons_intercepted - 100_000) == 0
 
 
 # -- parity certification ---------------------------------------------------
@@ -141,8 +124,8 @@ def test_scripted_round_discards_lowest_queried_index():
     assert rng.flags == []
     assert result.mismatch_detected
     assert result.detection_round == 1
-    assert result.surviving_positions == [0, 2, 3]
-    assert result.surviving_bits(alice) == [0, 0, 0]
+    assert result.survivors.tolist() == [0, 2, 3]
+    assert [alice[i] for i in result.survivors.tolist()] == [0, 0, 0]
 
 
 def test_scripted_empty_subset_is_resampled():
@@ -153,7 +136,7 @@ def test_scripted_empty_subset_is_resampled():
     rng = ScriptedRng([False, False, True, False])
     result = parity_certify(alice, bob, 1, rng)
     assert rng.flags == []
-    assert result.surviving_positions == [1]
+    assert result.survivors.tolist() == [1]
     assert not result.mismatch_detected
 
 
@@ -199,7 +182,7 @@ def test_property_equal_keys_survive_silently(bits, m, seed):
     result = parity_certify(bits, list(bits), m, RandomSource(seed))
     assert not result.mismatch_detected
     assert result.final_key_length == len(bits) - m
-    assert len(result.surviving_positions) == len(bits) - m
+    assert len(result.survivors) == len(bits) - m
 
 
 # -- expected usable key ------------------------------------------------------

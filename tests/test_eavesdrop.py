@@ -2,7 +2,6 @@
 
 import pytest
 
-from qkdsim.bb84 import bb84_run
 from qkdsim.eavesdrop import (
     EveSource,
     InterceptResend,
@@ -13,9 +12,9 @@ from qkdsim.eavesdrop import (
     normalize_attack,
     passive_infer,
 )
-from qkdsim.photons import THREE_STATE_ALPHABET, Polarization, ResendPolicy
+from qkdsim.photons import BB84, THREE_STATE, THREE_STATE_ALPHABET, Polarization, ResendPolicy
 from qkdsim.rng import RandomSource
-from qkdsim.three_state import three_state_run
+from qkdsim.session import run_session
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 
@@ -38,31 +37,32 @@ def test_normalize_stuck_filter():
 def test_zero_fraction_equals_no_attack_bit_for_bit():
     for seed in (0, 5, 99):
         idle = InterceptResend(fraction=0.0)
-        a = three_state_run(300, RandomSource(seed), attack=idle)
-        b = three_state_run(300, RandomSource(seed), attack=NoAttack())
-        assert a.bob.outcomes == b.bob.outcomes
-        assert a.key_material.key_bits == b.key_material.key_bits
+        a = run_session(THREE_STATE, 300, RandomSource(seed), attack=idle)
+        b = run_session(THREE_STATE, 300, RandomSource(seed), attack=NoAttack())
+        assert a.outcomes == b.outcomes
+        assert a.bob_bits.tolist() == b.bob_bits.tolist()
         assert a.photons_intercepted == 0
 
 
 def test_passive_attack_equals_no_attack_bit_for_bit():
-    a = bb84_run(300, RandomSource(4), attack=PassiveClassical())
-    b = bb84_run(300, RandomSource(4), attack=NoAttack())
-    assert a.bob.outcomes == b.bob.outcomes
+    a = run_session(BB84, 300, RandomSource(4), attack=PassiveClassical())
+    b = run_session(BB84, 300, RandomSource(4), attack=NoAttack())
+    assert a.outcomes == b.outcomes
 
 
 def test_stuck_filter_equals_normalized_intercept_bit_for_bit():
     stuck = StuckFilter(angle=Z0)
-    a = three_state_run(500, RandomSource(13), attack=stuck)
-    b = three_state_run(500, RandomSource(13), attack=stuck.as_intercept_resend())
-    assert a.bob.outcomes == b.bob.outcomes
+    a = run_session(THREE_STATE, 500, RandomSource(13), attack=stuck)
+    b = run_session(THREE_STATE, 500, RandomSource(13), attack=stuck.as_intercept_resend())
+    assert a.outcomes == b.outcomes
     assert a.photons_intercepted == b.photons_intercepted == 500
 
 
 def test_no_attack_session_intercepts_nothing():
-    for run in (three_state_run(50, RandomSource(0)), bb84_run(50, RandomSource(0))):
-        assert run.photons_intercepted == 0
-        assert run.eve_records == []
+    for protocol in (THREE_STATE, BB84):
+        session = run_session(protocol, 50, RandomSource(0))
+        assert session.photons_intercepted == 0
+        assert session.eve_records == []
 
 
 def test_intercept_resend_gate_always_draws_once():
@@ -100,31 +100,31 @@ def test_photon_level_interception_never_pins_the_state():
 
 
 def test_passive_infer_claims_exactly_the_confirmed_diagonal_positions():
-    result = three_state_run(3000, RandomSource(90))
-    records = passive_infer(result.transcript)
+    session = run_session(THREE_STATE, 3000, RandomSource(90))
+    records = passive_infer(session.transcript)
     assert len(records) == 3000
     claimed = {r.index for r in records if r.known_bit is not None}
     confirmed_diagonal = {
         i
-        for i in result.confirmation.confirmed_indices
-        if result.bob.filters[i] is D45
+        for i in session.kept_index.tolist()
+        if session.filters[i] is D45
     }
     assert claimed == confirmed_diagonal
     for r in records:
         assert r.source is EveSource.TRANSCRIPT
         if r.known_bit is not None:
-            assert r.known_bit is result.alice.sent[r.index] is D45
+            assert r.known_bit is session.sent[r.index] is D45
 
 
 def test_passive_infer_never_claims_key_positions():
-    result = three_state_run(2000, RandomSource(91))
-    records = {r.index: r for r in passive_infer(result.transcript)}
-    for i in result.key_material.key_positions:
+    session = run_session(THREE_STATE, 2000, RandomSource(91))
+    records = {r.index: r for r in passive_infer(session.transcript)}
+    for i in session.key_index.tolist():
         assert records[i].known_bit is None
 
 
 def test_stuck_filter_detects_half_and_pins_no_state():
-    records = three_state_run(100_000, RandomSource(12), StuckFilter(Z0)).eve_records
+    records = run_session(THREE_STATE, 100_000, RandomSource(12), StuckFilter(Z0)).eve_records
     assert len(records) == 100_000
     detected = sum(1 for r in records if r.outcome.is_detected)
     assert abs(detected / 100_000 - 0.5) < 0.01

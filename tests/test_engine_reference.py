@@ -5,7 +5,10 @@ describes: every sender choice, then every receiver filter, then per photon
 the attacker's draws (:func:`intercept_resend`) and one measurement if
 anything arrives; and per parity round, one draw per surviving position.
 The engine draws the same variates in whole arrays, so for any photon
-count, seed and attack both must agree exactly.
+count, seed and attack both must agree exactly.  The keep rule, the
+key/auth split and the receiver's key bits are checked against a loop over
+the scalar rules (:func:`has_deterministic_outcome`,
+:func:`infer_polarization`, :func:`bit_map`).
 """
 
 import itertools
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim import eavesdrop
-from qkdsim.bb84 import bb84_run, parity_certify
+from qkdsim.bb84 import parity_certify
 from qkdsim.eavesdrop import (
     InterceptResend,
     NoAttack,
@@ -28,17 +31,22 @@ from qkdsim.eavesdrop import (
 )
 from qkdsim.harness import DEFAULT_FILTER_CHOICES
 from qkdsim.photons import (
+    BB84,
     BB84_ALPHABET,
     BB84_FILTERS,
+    THREE_STATE,
     THREE_STATE_ALPHABET,
     THREE_STATE_FILTERS,
     Polarization,
     POLARIZATIONS,
     ResendPolicy,
+    bit_map,
+    has_deterministic_outcome,
+    infer_polarization,
     measure_arrival,
 )
 from qkdsim.rng import RandomSource
-from qkdsim.three_state import three_state_run
+from qkdsim.session import run_session
 from qkdsim.transcript import Transcript
 
 attacks = st.one_of(
@@ -54,8 +62,9 @@ attacks = st.one_of(
 )
 
 
-def reference_transmission(alphabet, filter_set, n, rng, attack):
+def reference_transmission(protocol, n, rng, attack):
     """Sent states, filters and readings, the attacker's log and her interception count."""
+    alphabet, filter_set = protocol.alphabet, protocol.filters
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
     attack = normalize_attack(attack)
     sent = [alice_rng.choice(alphabet) for _ in range(n)]
@@ -71,30 +80,56 @@ def reference_transmission(alphabet, filter_set, n, rng, attack):
     return sent, filters, outcomes, records, intercepted
 
 
-def check_against_reference(session, alphabet, filter_set, n, seed, attack):
+def reference_split(protocol, sent, filters, outcomes):
+    """Kept flags, key positions, auth positions and the receiver's key bits."""
+    kept = [has_deterministic_outcome(s, f) for s, f in zip(sent, filters)]
+    key = [i for i, k in enumerate(kept) if k and filters[i] is not protocol.auth_filter]
+    auth = [i for i, k in enumerate(kept) if k and filters[i] is protocol.auth_filter]
+    bob_bits = [bit_map(infer_polarization(filters[i], outcomes[i])) for i in key]
+    return kept, key, auth, bob_bits
+
+
+def check_against_reference(protocol, n, seed, attack):
     sent, filters, outcomes, records, intercepted = reference_transmission(
-        alphabet, filter_set, n, RandomSource(seed), attack
+        protocol, n, RandomSource(seed), attack
     )
-    run = session(n, RandomSource(seed), attack)
-    assert run.alice.sent == sent
-    assert run.bob.filters == filters
-    assert run.bob.outcomes == outcomes
-    assert run.photons_intercepted == intercepted
-    assert run.eve_records == records
+    session = run_session(protocol, n, RandomSource(seed), attack)
+    assert session.sent == sent
+    assert session.filters == filters
+    assert session.outcomes == outcomes
+    assert session.photons_intercepted == intercepted
+    assert session.eve_records == records
+    kept, key, auth, bob_bits = reference_split(protocol, sent, filters, outcomes)
+    assert session.kept.tolist() == kept
+    assert session.key_index.tolist() == key
+    assert session.auth_index.tolist() == auth
+    assert session.bob_bits.tolist() == bob_bits
 
 
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1), attack=attacks)
 @settings(max_examples=60, deadline=None)
 def test_three_state_run_matches_reference_loop(n, seed, attack):
-    check_against_reference(
-        three_state_run, THREE_STATE_ALPHABET, THREE_STATE_FILTERS, n, seed, attack
-    )
+    check_against_reference(THREE_STATE, n, seed, attack)
 
 
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1), attack=attacks)
 @settings(max_examples=60, deadline=None)
 def test_bb84_run_matches_reference_loop(n, seed, attack):
-    check_against_reference(bb84_run, BB84_ALPHABET, BB84_FILTERS, n, seed, attack)
+    check_against_reference(BB84, n, seed, attack)
+
+
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+@given(n=st.integers(1, 400), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=40, deadline=None)
+def test_honest_session_splits_kept_positions_and_agrees(protocol, n, seed):
+    session = run_session(protocol, n, RandomSource(seed))
+    key, auth = set(session.key_index.tolist()), set(session.auth_index.tolist())
+    assert not key & auth
+    assert key | auth == set(session.kept_index.tolist())
+    if protocol.auth_filter is None:
+        assert not auth
+    assert session.alice_bits.tolist() == session.bob_bits.tolist()
+    assert session.auth_failures == 0
 
 
 @pytest.mark.parametrize(
@@ -107,9 +142,7 @@ def test_bb84_run_matches_reference_loop(n, seed, attack):
 def test_session_spanning_walker_chunks_matches_reference_loop(attack):
     # Three chunks: the unused tail of each chunk's draw is carried twice.
     n = 2 * eavesdrop._CHUNK + 123
-    check_against_reference(
-        three_state_run, THREE_STATE_ALPHABET, THREE_STATE_FILTERS, n, 8, attack
-    )
+    check_against_reference(THREE_STATE, n, 8, attack)
 
 
 def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
@@ -170,6 +203,6 @@ def test_parity_certify_matches_reference_loop(pairs, m, seed):
     )
     transcript = Transcript()
     result = parity_certify(alice, bob, m, RandomSource(seed), transcript=transcript)
-    assert result.surviving_positions == survivors
+    assert result.survivors.tolist() == survivors
     assert result.detection_round == detection_round
     assert transcript.parity_rounds() == queries

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from qkdsim.bb84 import bb84_run
 from qkdsim.eavesdrop import InterceptResend, NoAttack, PassiveClassical, StuckFilter
 from qkdsim.harness import (
     DEFAULT_FILTER_CHOICES,
+    PROTOCOLS,
     SessionConfig,
     attack_sweep,
     attack_to_jsonable,
@@ -32,9 +32,10 @@ from qkdsim.harness import (
     sweep_to_csv,
     to_json,
 )
-from qkdsim.photons import Polarization, ResendPolicy
+from qkdsim.photons import Polarization, ResendPolicy, bit_map
 from qkdsim.rng import RandomSource
-from qkdsim.three_state import three_state_run
+from qkdsim.session import run_session
+from qkdsim.three_state import tamper_report
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 2026
@@ -106,30 +107,29 @@ RECORD_ATTACKS = (
 
 def render_session(protocol, attack, n, seed) -> str:
     """Every per-photon record a direct session call exposes, plus Eve's log."""
+    r = run_session(PROTOCOLS[protocol], n, RandomSource(seed), attack)
     if protocol == "three_state":
-        r = three_state_run(n, RandomSource(seed), attack)
         fields = (
-            r.alice.sent,
-            r.bob.filters,
-            r.bob.outcomes,
-            r.confirmation.correct,
-            r.key_material.key_positions,
-            r.key_material.key_bits,
-            r.key_material.auth_positions,
-            r.alice_key_bits,
-            r.tamper,
+            r.sent,
+            r.filters,
+            r.outcomes,
+            r.kept.tolist(),
+            r.key_index.tolist(),
+            r.bob_bits.tolist(),
+            r.auth_index.tolist(),
+            r.alice_bits.tolist(),
+            tamper_report(len(r.auth_index), r.auth_failures),
         )
     else:
-        r = bb84_run(n, RandomSource(seed), attack)
         fields = (
-            r.alice.sent,
-            r.alice.bits,
-            r.bob.filters,
-            r.bob.outcomes,
-            r.bob.inferred,
-            r.sift.kept_indices,
-            r.sift.alice_key,
-            r.sift.bob_key,
+            r.sent,
+            [bit_map(p) for p in r.sent],
+            r.filters,
+            r.outcomes,
+            r.inferred,
+            r.kept_index.tolist(),
+            r.alice_bits.tolist(),
+            r.bob_bits.tolist(),
         )
     lines = [repr(f) for f in fields]
     lines.append(json.dumps(r.transcript.to_jsonable(), sort_keys=True))

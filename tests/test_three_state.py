@@ -1,4 +1,4 @@
-"""Three-state protocol: confirmation, key/auth split, tamper evidence."""
+"""Three-state protocol: keep rule, key/auth split, tamper evidence."""
 
 from fractions import Fraction
 
@@ -9,36 +9,29 @@ from hypothesis import strategies as st
 from qkdsim.eavesdrop import StuckFilter
 from qkdsim.photons import (
     ERASURE,
-    THREE_STATE_ALPHABET,
-    THREE_STATE_FILTERS,
+    THREE_STATE,
     Polarization,
     detected,
+    has_deterministic_outcome,
 )
 from qkdsim.rng import RandomSource
+from qkdsim.session import run_session
 from qkdsim.three_state import (
     authenticate,
-    confirm,
     infer_key_state,
     three_state_key_count,
-    three_state_run,
 )
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 
 
 def test_confirm_truth_table():
-    # All nine (sent, filter) cells; exactly five survive.
-    sent = [s for s in THREE_STATE_ALPHABET for _ in THREE_STATE_FILTERS]
-    filters = [f for _ in THREE_STATE_ALPHABET for f in THREE_STATE_FILTERS]
-    result = confirm(sent, filters)
-    kept_cells = {(sent[i], filters[i]) for i in result.confirmed_indices}
+    # All nine (sent, filter) cells; exactly five are kept, four of them key.
+    cells = [(s, f) for s in THREE_STATE.alphabet for f in THREE_STATE.filters]
+    kept_cells = {(s, f) for s, f in cells if has_deterministic_outcome(s, f)}
     assert kept_cells == {(Z0, Z0), (Z0, Z90), (Z90, Z0), (Z90, Z90), (D45, D45)}
-    assert result.count == 5
-
-
-def test_confirm_length_mismatch():
-    with pytest.raises(ValueError):
-        confirm([Z0], [Z0, Z90])
+    auth_cells = {(s, f) for s, f in kept_cells if f is THREE_STATE.auth_filter}
+    assert auth_cells == {(D45, D45)}
 
 
 def test_infer_key_state_four_cases():
@@ -85,46 +78,41 @@ def test_key_count_examples():
 
 
 def test_honest_run_agrees_and_stays_quiet():
-    result = three_state_run(5000, RandomSource(21))
-    assert result.alice_key_bits == result.key_material.key_bits
-    assert not result.tamper.tamper_detected
-    assert result.tamper.auth_failures == 0
-    assert result.photons_intercepted == 0
+    session = run_session(THREE_STATE, 5000, RandomSource(21))
+    assert session.alice_bits.tolist() == session.bob_bits.tolist()
+    assert session.auth_failures == 0
+    assert session.photons_intercepted == 0
 
 
 def test_honest_fractions_near_exact_rates():
     n = 30_000
-    result = three_state_run(n, RandomSource(6))
-    assert abs(result.confirmation.count / n - 5 / 9) < 0.02
-    assert abs(len(result.key_material.key_positions) / n - 4 / 9) < 0.02
-    assert abs(len(result.key_material.auth_positions) / n - 1 / 9) < 0.02
+    session = run_session(THREE_STATE, n, RandomSource(6))
+    assert abs(len(session.kept_index) / n - 5 / 9) < 0.02
+    assert abs(len(session.key_index) / n - 4 / 9) < 0.02
+    assert abs(len(session.auth_index) / n - 1 / 9) < 0.02
 
 
 def test_key_positions_use_rectilinear_filters_only():
-    result = three_state_run(600, RandomSource(2))
-    for i in result.key_material.key_positions:
-        assert result.bob.filters[i] in (Z0, Z90)
-    for i in result.key_material.auth_positions:
-        assert result.bob.filters[i] is D45
-        assert result.alice.sent[i] is D45
+    session = run_session(THREE_STATE, 600, RandomSource(2))
+    for i in session.key_index.tolist():
+        assert session.filters[i] in (Z0, Z90)
+    for i in session.auth_index.tolist():
+        assert session.filters[i] is D45
+        assert session.sent[i] is D45
 
 
 @given(n=st.integers(1, 400), seed=st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_key_plus_auth_is_confirmed(n, seed):
-    result = three_state_run(n, RandomSource(seed))
-    assert (
-        len(result.key_material.key_positions)
-        + len(result.key_material.auth_positions)
-        == result.confirmation.count
-    )
+    session = run_session(THREE_STATE, n, RandomSource(seed))
+    assert len(session.key_index) + len(session.auth_index) == len(session.kept_index)
 
 
 def test_run_reproducible():
-    a = three_state_run(400, RandomSource(123))
-    b = three_state_run(400, RandomSource(123))
-    assert a.alice.sent == b.alice.sent
-    assert a.key_material.key_bits == b.key_material.key_bits
+    a = run_session(THREE_STATE, 400, RandomSource(123))
+    b = run_session(THREE_STATE, 400, RandomSource(123))
+    assert a.sent == b.sent
+    assert a.bob_bits.tolist() == b.bob_bits.tolist()
     assert a.transcript.to_jsonable() == b.transcript.to_jsonable()
 
 
@@ -132,14 +120,14 @@ def test_stuck_rectilinear_reader_corrupts_nothing_but_alarms():
     # A filter stuck at 0° reads every key position correctly (its resends
     # are never mistaken at rectilinear filters) yet alarms on roughly half
     # the authentication positions.  The key stays clean; the session burns.
-    result = three_state_run(20_000, RandomSource(14), attack=StuckFilter(angle=Z0))
-    assert result.alice_key_bits == result.key_material.key_bits
-    alarm_rate = result.tamper.auth_failures / result.tamper.auth_checked
+    session = run_session(THREE_STATE, 20_000, RandomSource(14), attack=StuckFilter(angle=Z0))
+    assert session.alice_bits.tolist() == session.bob_bits.tolist()
+    alarm_rate = session.auth_failures / len(session.auth_index)
     assert abs(alarm_rate - 0.5) < 0.02
-    assert result.tamper.tamper_detected
+    assert session.auth_failures > 0
 
 
 def test_transcript_matches_confirmation():
-    result = three_state_run(300, RandomSource(8))
-    assert result.transcript.kept_positions() == result.confirmation.confirmed_indices
-    assert result.transcript.announced_filters() == result.bob.filters
+    session = run_session(THREE_STATE, 300, RandomSource(8))
+    assert session.transcript.kept_positions() == session.kept_index.tolist()
+    assert session.transcript.announced_filters() == session.filters

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from qkdsim.photons import Polarization
+from qkdsim.photons import THREE_STATE, Polarization
 from qkdsim.rng import RandomSource
-from qkdsim.three_state import three_state_run
+from qkdsim.session import run_session
 from qkdsim.transcript import (
     EntryKind,
     Party,
@@ -93,8 +93,8 @@ def test_jsonable_roundtrip():
 def test_session_transcript_never_leaks_private_data():
     # The public record carries filter angles, kept positions and parity
     # traffic — never the sent polarizations or raw readings.
-    result = three_state_run(200, RandomSource(31))
-    serialized = result.transcript.to_jsonable()
+    session = run_session(THREE_STATE, 200, RandomSource(31))
+    serialized = session.transcript.to_jsonable()
     allowed = {"filters", "kept", "round", "positions", "parity"}
     for entry in serialized:
         assert set(entry["payload"]) <= allowed
@@ -104,5 +104,4 @@ def test_session_transcript_never_leaks_private_data():
 
 
 def test_session_transcript_passes_wire_order():
-    result = three_state_run(50, RandomSource(5))
-    result.transcript.check_wire_order()
+    run_session(THREE_STATE, 50, RandomSource(5)).transcript.check_wire_order()
