@@ -67,6 +67,15 @@ _FILTER_NAMES = {
 }
 
 
+# Config-file values that must have an exact JSON type: bool("false") is True
+# and int(54.9) is 54, so converting them would hide a mistyped value.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("seed", "n", "m", "trials"), ((int,), "an integer")),
+    **dict.fromkeys(("abort_on_tamper", "include_transcripts"), ((bool,), "true or false")),
+    "fraction": ((int, float), "a number"),
+}
+
+
 class _CLIError(Exception):
     """Argument or configuration problem surfaced as exit code 1."""
 
@@ -153,6 +162,9 @@ class _Options:
                 raise _CLIError(f"config: {exc}") from exc
             if not isinstance(loaded, dict):
                 raise _CLIError("config: expected a JSON object of option values")
+            for name, (kinds, expected) in _CONFIG_TYPES.items():
+                if name in loaded and type(loaded[name]) not in kinds:
+                    raise _CLIError(f"{name}: expected {expected}, got {loaded[name]!r}")
             self._file = loaded
 
     def pick(self, name: str, default: Any = None) -> Any:
@@ -213,7 +225,7 @@ def _require_int(opts: _Options, name: str) -> int:
     value = opts.pick(name)
     if value is None:
         raise _CLIError(f"{name}: required")
-    return int(value)
+    return value
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -225,16 +237,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if protocol is None:
         raise _CLIError("protocol: required")
     protocol = str(protocol).replace("-", "_")
-    m = opts.pick("m")
     config = SessionConfig(
         protocol=protocol,
         n=_require_int(opts, "n"),
-        m=None if m is None else int(m),
+        m=opts.pick("m"),
         attack=_build_attack(opts),
         seed=opts.seed(),
-        trials=int(opts.pick("trials", 1)),
-        abort_on_tamper=bool(opts.pick("abort_on_tamper", True)),
-        include_transcripts=bool(opts.pick("include_transcripts", False)),
+        trials=opts.pick("trials", 1),
+        abort_on_tamper=opts.pick("abort_on_tamper", True),
+        include_transcripts=opts.pick("include_transcripts", False),
     ).validate()
     reports = run(config)
     _write_output(to_json(report_document(config, reports)), opts.pick("output"))
@@ -373,7 +384,7 @@ def _cmd_attack_sweep(args: argparse.Namespace) -> int:
         protocol="three_state",
         n=_require_int(opts, "n"),
         seed=opts.seed(),
-        trials=int(opts.pick("trials", 1)),
+        trials=opts.pick("trials", 1),
     )
     rows = attack_sweep(
         base, filter_choices=filter_choices, policies=policies, fractions=fractions

@@ -6,11 +6,19 @@ reproducibly: trial t draws everything from a child seed mixed from
 (master seed, t), so reports are byte-identical across runs and trials can
 be pooled in any order.  Serialization is deliberately boring: one JSON
 document per invocation, schema-versioned, keys sorted, no timestamps.
+
+:func:`to_json` writes every document.  Its output is byte-identical to
+``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, which formats
+one integer per call once ``indent`` is set.  ``to_json`` is a small
+recursive encoder that renders a list of exact ``int`` items (transcripts
+are mostly such lists) in one ``join`` and everything else as the standard
+library does.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Optional, Sequence
 
@@ -332,8 +340,50 @@ def report_document(
 
 
 def to_json(document: dict[str, Any]) -> str:
-    """Canonical serialization: sorted keys, two-space indent, one newline."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, one newline.
+
+    Takes a tree of ``str``-keyed dicts, lists, tuples, strings, ints,
+    floats, bools and ``None``; anything else, a non-``str`` key included,
+    raises :class:`TypeError`.
+    """
+    return _encode(document, "\n") + "\n"
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(obj: Any, newline: str) -> str:
+    """``obj`` as indented JSON; ``newline`` is a line break plus its indent."""
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None or obj is True or obj is False:
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (_ESCAPE(k) + ": " + _encode(obj[k], inner) for k in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_encode(x, inner) for x in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,7 @@ DETERMINISTIC = np.array(
 )
 BITS = np.array([bit_map(p) for p in POLARIZATIONS], dtype=np.int8)
 ORTHOGONAL = np.array([_INDEX[p.orthogonal] for p in POLARIZATIONS])
+DEGREES = np.array([p.degrees for p in POLARIZATIONS])
 
 # Outcome class c: 0 is an erasure, 1 + i a detection at POLARIZATIONS[i].
 OUTCOME_CLASSES = (ERASURE,) + tuple(detected(p) for p in POLARIZATIONS)

@@ -23,6 +23,7 @@ import numpy as np
 from .eavesdrop import Attack, EveRecord, Interception, NoAttack, intercept_session
 from .photons import (
     BITS,
+    DEGREES,
     DETERMINISTIC,
     POLARIZATIONS,
     MeasurementOutcome,
@@ -89,7 +90,7 @@ class Session:
     @cached_property
     def transcript(self) -> Transcript:
         transcript = Transcript()
-        transcript.announce_filters(self.filters)
+        transcript.announce_filters(DEGREES[self.filter_index].tolist())
         transcript.announce_kept(self.kept_index.tolist())
         return transcript
 

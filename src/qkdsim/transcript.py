@@ -48,6 +48,9 @@ _ALLOWED_KEYS = {
 }
 
 
+_ANGLES = {p.degrees for p in Polarization}
+
+
 class TranscriptOrderError(Exception):
     """The discussion violated the protocol's wire order."""
 
@@ -92,14 +95,13 @@ class Transcript:
 
     # -- recording helpers used by the session drivers -------------------
 
-    def announce_filters(self, filters: Sequence[Polarization]) -> None:
-        """The receiver publishes the filter angle used at every clock tick."""
+    def announce_filters(self, degrees: Sequence[int]) -> None:
+        """The receiver publishes the filter angle, in degrees, used at every clock tick."""
+        unknown = set(degrees) - _ANGLES
+        if unknown:
+            raise ValueError(f"filter announcement has no polarization at {sorted(unknown)} degrees")
         self.append(
-            TranscriptEntry(
-                Party.BOB,
-                EntryKind.FILTER_ANNOUNCEMENT,
-                {"filters": [f.degrees for f in filters]},
-            )
+            TranscriptEntry(Party.BOB, EntryKind.FILTER_ANNOUNCEMENT, {"filters": list(degrees)})
         )
 
     def announce_kept(self, kept_positions: Sequence[int]) -> None:
@@ -108,7 +110,7 @@ class Transcript:
             TranscriptEntry(
                 Party.ALICE,
                 EntryKind.CONFIRMATION_ANNOUNCEMENT,
-                {"kept": sorted(int(i) for i in kept_positions)},
+                {"kept": sorted(map(int, kept_positions))},
             )
         )
 
@@ -117,7 +119,7 @@ class Transcript:
             TranscriptEntry(
                 Party.ALICE,
                 EntryKind.PARITY_QUERY,
-                {"round": round_number, "positions": sorted(int(i) for i in positions)},
+                {"round": round_number, "positions": sorted(map(int, positions))},
             )
         )
 

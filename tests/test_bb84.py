@@ -14,7 +14,7 @@ from qkdsim.bb84 import (
     parity_certify,
 )
 from qkdsim.eavesdrop import InterceptResend
-from qkdsim.photons import BB84, Polarization, ResendPolicy
+from qkdsim.photons import BB84, ResendPolicy
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 
@@ -164,7 +164,7 @@ def test_transcript_records_each_round():
     from qkdsim.transcript import Transcript
 
     t = Transcript()
-    t.announce_filters([Polarization.Z0])
+    t.announce_filters([0])
     t.announce_kept([0])
     key = [0, 1, 0, 1, 1, 0]
     parity_certify(key, key, 3, RandomSource(2), transcript=t)

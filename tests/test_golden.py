@@ -36,6 +36,7 @@ from qkdsim.photons import Polarization, ResendPolicy, bit_map
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.three_state import tamper_report
+from qkdsim.transcript import Transcript
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 2026
@@ -162,6 +163,30 @@ def test_report_digests(protocol):
     cases = [(k, a) for k, a in report_cases() if a[0] == protocol]
     changed = [k for k, args in cases if digest(render_report(*args)) != expected[k]]
     assert not changed, f"{len(changed)} of {len(cases)} reports changed, first: {changed[:3]}"
+
+
+@pytest.mark.parametrize("protocol", ["three_state", "bb84"])
+def test_report_documents_render_as_stdlib_with_valid_transcripts(protocol):
+    for _, (case_protocol, attack, n, transcripts) in report_cases():
+        if case_protocol != protocol:
+            continue
+        config = SessionConfig(
+            protocol=protocol,
+            n=n,
+            m=BB84_M if protocol == "bb84" else None,
+            attack=attack,
+            seed=SEED,
+            trials=TRIALS,
+            include_transcripts=transcripts,
+        )
+        document = report_document(config, run(config))
+        assert to_json(document) == json.dumps(document, indent=2, sort_keys=True) + "\n"
+        for trial in document["trials"] if transcripts else ():
+            transcript = Transcript.from_jsonable(trial["transcript"])
+            transcript.check_wire_order()
+            session = run_session(PROTOCOLS[protocol], n, RandomSource(trial["seed"]), attack)
+            assert transcript.announced_filters() == session.filters
+            assert transcript.kept_positions() == session.kept_index.tolist()
 
 
 def test_sweep_digest():

@@ -365,6 +365,42 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     assert doc2["config"]["seed"] == 1
 
 
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("abort_on_tamper", "false", "abort_on_tamper: expected true or false, got 'false'"),
+        ("n", 54.9, "n: expected an integer, got 54.9"),
+        ("trials", "x", "trials: expected an integer, got 'x'"),
+        ("n", True, "n: expected an integer, got True"),
+        ("include_transcripts", 1, "include_transcripts: expected true or false, got 1"),
+        ("fraction", "0.5", "fraction: expected a number, got '0.5'"),
+    ],
+    ids=["bool-as-str", "int-as-float", "int-as-str", "int-as-bool", "bool-as-int", "number-as-str"],
+)
+def test_cli_config_file_rejects_mistyped_values(tmp_path, capsys, field, value, needle):
+    values = {"protocol": "three-state", "n": 54, "attack": "intercept", "seed": 3}
+    values[field] = value
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {needle}\n"
+
+
+def test_cli_config_file_json_false_disables_abort(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(
+        json.dumps(
+            {"protocol": "three-state", "n": 600, "seed": 2, "attack": "intercept",
+             "abort_on_tamper": False}
+        )
+    )
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(config_path))
+    assert code == 0
+    assert json.loads(out)["config"]["abort_on_tamper"] is False
+
+
 def test_cli_bad_flag_exits_one(capsys):
     code, _, err = run_cli(capsys, "simulate", "--protocol", "b92", "--n", "10")
     assert code == 1

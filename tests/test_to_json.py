@@ -1,0 +1,85 @@
+"""The canonical encoder against the standard library's indented json.dumps."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qkdsim.cli import main
+from qkdsim.harness import to_json
+
+
+def stdlib(document) -> str:
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 1e16, -1e16, 1e15, 5e-324, 1e-7, 0.1, 1 / 3, 1.7976931348623157e308]
+    + [math.nan, math.inf, -math.inf]
+)
+# Halfway between two 6-decimal values, where "%.6f" and repr part ways.
+ROUNDING_EDGE = st.integers(-(10**7), 10**7).map(lambda k: (k + 0.5) / 1e6)
+STRINGS = st.text() | st.sampled_from(["", "é", "\x00\x1f\x7f", '"\\/', " \ud800", "😀\n\t"])
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    EDGE_FLOATS,
+    ROUNDING_EDGE,
+    STRINGS,
+)
+MIXED_LISTS = st.lists(st.one_of(st.integers(), st.booleans(), st.floats(), st.none()))
+TREES = st.recursive(
+    SCALARS | MIXED_LISTS | st.lists(st.integers()),
+    lambda children: st.lists(children, max_size=5)
+    | st.tuples(children, children)
+    | st.dictionaries(STRINGS, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(TREES)
+@example({"a": [[], {}, [[{}]], {"b": {"c": []}}]})
+@example([1, True])
+@example([True, 1, 2])
+@example([1, 2.0, None])
+@example({"big": [-(2**100), 2**64, -1, 0]})
+def test_to_json_matches_stdlib(document):
+    assert to_json(document) == stdlib(document)
+
+
+def test_int_subclasses_leave_the_fast_path():
+    assert to_json([0, 1, False, True]) == stdlib([0, 1, False, True])
+    assert "true" in to_json({"x": [2, True]})
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{1: "one"}, {"a": {None: 0}}, {"a": np.int64(3)}, [np.int64(1), 2], {"a": [1, np.float32(0.5)]}],
+    ids=["int-key", "none-key", "np-int64", "np-int64-in-list", "np-float32"],
+)
+def test_to_json_rejects_what_it_cannot_render(document):
+    with pytest.raises(TypeError):
+        to_json(document)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["compare", "--n", "360", "--m", "20"],
+        ["compare", "--n", "7", "--m", "1"],
+        ["attack-sweep", "--n", "300", "--seed", "4", "--fractions", "1.0,0.5", "--format", "json"],
+    ],
+    ids=["analyze", "compare-crossover", "compare-small", "attack-sweep"],
+)
+def test_cli_documents_render_as_stdlib(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == stdlib(json.loads(out))

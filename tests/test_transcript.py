@@ -18,7 +18,7 @@ from qkdsim.transcript import (
 
 def make_basic() -> Transcript:
     t = Transcript()
-    t.announce_filters([Polarization.Z0, Polarization.D45])
+    t.announce_filters([0, 45])
     t.announce_kept([1])
     return t
 
@@ -34,7 +34,7 @@ def test_phase_order_is_enforced():
     t.parity_query(1, [0])
     t.parity_response(1, 1)
     with pytest.raises(TranscriptOrderError):
-        t.announce_filters([Polarization.Z0])
+        t.announce_filters([0])
     with pytest.raises(TranscriptOrderError):
         t.announce_kept([0])
 
@@ -105,3 +105,8 @@ def test_session_transcript_never_leaks_private_data():
 
 def test_session_transcript_passes_wire_order():
     run_session(THREE_STATE, 50, RandomSource(5)).transcript.check_wire_order()
+
+
+def test_filter_announcement_rejects_unknown_angles():
+    with pytest.raises(ValueError, match=r"\[30\]"):
+        Transcript().announce_filters([0, 30, 45])
