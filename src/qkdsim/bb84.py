@@ -40,6 +40,7 @@ class CertificationResult:
     final_key_length: int
     detection_round: Optional[int]
     survivors: np.ndarray  # surviving key positions, ascending
+    differing: int  # surviving positions where the two keys disagree
 
 
 def parity_certify(
@@ -61,7 +62,11 @@ def parity_certify(
     1 - 2^-m detection power.
 
     A subset draw spends one variate per survivor, in position order, as
-    one bulk draw; an empty subset is redrawn the same way.
+    one bulk draw; an empty subset is redrawn the same way.  The parities
+    differ exactly when the subset holds an odd number of the positions
+    where the keys disagree, so only those positions are followed; the
+    subset itself and the receiver's parity are formed only for a
+    transcript.
     """
     if m < 0:
         raise ValueError("round count must be non-negative")
@@ -71,24 +76,26 @@ def parity_certify(
         raise KeyTooShort(
             f"key of {len(alice_key)} bits cannot pay for {m} parity rounds"
         )
-    alice = np.asarray(alice_key, dtype=np.int64)
-    bob = np.asarray(bob_key, dtype=np.int64)
-    survivors = np.arange(len(alice))
+    bob = np.asarray(bob_key)
+    errors = np.flatnonzero(np.asarray(alice_key) != bob)
+    survivors = np.arange(len(bob))
     detection_round: Optional[int] = None
     for round_number in range(1, m + 1):
         chosen = rng.uniform_array(len(survivors)) < 0.5
         while not chosen.any():
             chosen = rng.uniform_array(len(survivors)) < 0.5
-        subset = survivors[chosen]
-        parity_a = int(alice[subset].sum()) & 1
-        parity_b = int(bob[subset].sum()) & 1
         if transcript is not None:
+            subset = survivors[chosen]
             transcript.parity_query(round_number, subset.tolist())
-            transcript.parity_response(round_number, parity_b)
-        if parity_a != parity_b and detection_round is None:
-            detection_round = round_number
+            transcript.parity_response(round_number, int(bob[subset].sum()) & 1)
         # survivors ascend, so the first chosen one is the lowest index
-        survivors = np.delete(survivors, int(np.argmax(chosen)))
+        first = int(np.argmax(chosen))
+        if errors.size:
+            rank = np.searchsorted(survivors, errors)
+            if np.count_nonzero(chosen[rank]) & 1 and detection_round is None:
+                detection_round = round_number
+            errors = errors[errors != survivors[first]]
+        survivors = np.delete(survivors, first)
     return CertificationResult(
         rounds=m,
         mismatch_detected=detection_round is not None,
@@ -96,6 +103,7 @@ def parity_certify(
         final_key_length=len(survivors),
         detection_round=detection_round,
         survivors=survivors,
+        differing=len(errors),
     )
 
 

@@ -45,10 +45,9 @@ from .photons import (
     MeasurementOutcome,
     Polarization,
     ResendPolicy,
-    outcome_class,
 )
 from .rng import RandomSource, derive_child_seed
-from .session import run_session
+from .session import CELL_SHAPE, run_session
 from .three_state import tamper_report
 
 SCHEMA_VERSION = 1
@@ -172,22 +171,16 @@ class SessionReport:
 _OUTCOME_LABELS = tuple(outcome_label(o) for o in OUTCOME_CLASSES)
 
 
-def _tally(
-    sent: np.ndarray, filters: np.ndarray, detected: np.ndarray
-) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
+def _tally(cells: np.ndarray) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
     """Count readings per outcome class and per (sent state, outcome class).
 
-    Takes a session's index arrays (see :class:`qkdsim.session.Session`);
+    Reads a session's cell histogram (see :class:`qkdsim.session.Session`);
     only non-zero cells appear.
     """
-    classes = len(OUTCOME_CLASSES)
-    cells = np.bincount(
-        sent * classes + outcome_class(filters, detected),
-        minlength=len(POLARIZATIONS) * classes,
-    )
     outcome_counts: dict[str, int] = {}
     joint: dict[str, dict[str, int]] = {}
-    for s, row in zip(POLARIZATIONS, cells.reshape(-1, classes).tolist()):
+    for s, per_filter in zip(POLARIZATIONS, cells.reshape(CELL_SHAPE).tolist()):
+        row = [sum(erased for erased, _ in per_filter)] + [hit for _, hit in per_filter]
         for label, count in zip(_OUTCOME_LABELS, row):
             if count:
                 outcome_counts[label] = outcome_counts.get(label, 0) + count
@@ -195,9 +188,7 @@ def _tally(
     return outcome_counts, joint
 
 
-def _key_agreement(alice_key: np.ndarray, bob_key: np.ndarray) -> dict[str, Any]:
-    differing = int(np.count_nonzero(alice_key != bob_key))
-    length = len(alice_key)
+def _key_agreement(length: int, differing: int) -> dict[str, Any]:
     return {
         "length": length,
         "matching": length - differing,
@@ -215,6 +206,7 @@ _NOT_CERTIFIED = CertificationResult(
     final_key_length=0,
     detection_round=None,
     survivors=np.empty(0, dtype=np.intp),
+    differing=0,
 )
 
 
@@ -228,20 +220,20 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
     trial_seed = derive_child_seed(config.seed, trial)
     rng = RandomSource(trial_seed)
     session = run_session(PROTOCOLS[config.protocol], config.n, rng, config.attack)
-    alice_key, bob_key = session.alice_bits, session.bob_bits
-    counts = {"sent": config.n, "confirmed": len(session.kept_index)}
+    counts = {"sent": config.n, "confirmed": session.confirmed}
     status: Optional[str] = None
     if session.protocol.auth_filter is not None:
-        report = tamper_report(len(session.auth_index), session.auth_failures)
-        counts.update(key=len(session.key_index), auth=len(session.auth_index))
+        report = tamper_report(session.auth_count, session.auth_failures)
+        counts.update(key=session.key_count, auth=session.auth_count)
         tamper: dict[str, Any] = {"method": "auth_positions", **asdict(report)}
         tampered = report.tamper_detected
+        agreement = (session.key_count, session.key_errors)
     else:
         assert config.m is not None  # validate() guarantees it
         try:
             cert = parity_certify(
-                alice_key,
-                bob_key,
+                session.alice_bits,
+                session.bob_bits,
                 config.m,
                 rng.child(3),
                 transcript=session.transcript if config.include_transcripts else None,
@@ -258,11 +250,9 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
             "tamper_detected": cert.mismatch_detected,
         }
         tampered = cert.mismatch_detected
-        alice_key, bob_key = alice_key[cert.survivors], bob_key[cert.survivors]
+        agreement = (cert.final_key_length, cert.differing)
 
-    outcome_counts, joint_counts = _tally(
-        session.sent_index, session.filter_index, session.detected
-    )
+    outcome_counts, joint_counts = _tally(session.cells)
     aborted = tampered and config.abort_on_tamper
     return SessionReport(
         protocol=config.protocol,
@@ -273,9 +263,7 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
         joint_counts=joint_counts,
         tamper=tamper,
         aborted=aborted,
-        key_agreement=(
-            None if aborted or status is not None else _key_agreement(alice_key, bob_key)
-        ),
+        key_agreement=None if aborted or status is not None else _key_agreement(*agreement),
         transcript=session.transcript.to_jsonable() if config.include_transcripts else None,
         status=status,
     )

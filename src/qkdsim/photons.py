@@ -290,6 +290,8 @@ _INDEX = {p: i for i, p in enumerate(POLARIZATIONS)}
 PASS_PROBABILITY = np.array(
     [[float(detection_probability(p, f)) for f in POLARIZATIONS] for p in POLARIZATIONS]
 )
+# The same table flat, read at the pair index 4 * photon + filter.
+_PASS_FLAT = PASS_PROBABILITY.ravel()
 # The keep rule of both protocols, per (photon index, filter index).
 DETERMINISTIC = np.array(
     [[has_deterministic_outcome(p, f) for f in POLARIZATIONS] for p in POLARIZATIONS]
@@ -325,9 +327,9 @@ def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray
 
 
 def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.ndarray:
-    """n draws of ``rng.choice(options)``, as polarization indices."""
-    table = np.array([_INDEX[p] for p in options])
-    return table[(rng.uniform_array(n) * len(options)).astype(np.intp)]
+    """n draws of ``rng.choice(options)``, as ``int8`` polarization indices."""
+    table = np.array([_INDEX[p] for p in options], dtype=np.int8)
+    return table.take((rng.uniform_array(n) * len(options)).astype(np.int8))
 
 
 def transmit(
@@ -352,9 +354,10 @@ def transmit(
     filters = _choose(protocol.filters, receiver_rng, n)
     interception = intercept(sent)
     if interception is None:
-        return sent, filters, receiver_rng.uniform_array(n) < PASS_PROBABILITY[sent, filters], None
+        p = _PASS_FLAT.take(sent * 4 + filters)
+        return sent, filters, receiver_rng.uniform_array(n) < p, None
     arrived = interception.arrival >= 0
+    pair = (interception.arrival * 4 + filters)[arrived]
     detected_mask = np.zeros(n, dtype=bool)
-    u = receiver_rng.uniform_array(int(np.count_nonzero(arrived)))
-    detected_mask[arrived] = u < PASS_PROBABILITY[interception.arrival[arrived], filters[arrived]]
+    detected_mask[arrived] = receiver_rng.uniform_array(len(pair)) < _PASS_FLAT.take(pair)
     return sent, filters, detected_mask, interception

@@ -10,12 +10,25 @@ evidence.  All other kept positions are key, and the receiver's inference
 there is the sent state.  What follows the split (the three-state tamper
 report, the BB84 parity rounds) lives in :mod:`qkdsim.three_state` and
 :mod:`qkdsim.bb84`.
+
+Every count a trial reports is a sum over cells.  A tick falls in cell
+``(4 * sent + filter) * 2 + detected`` of 32, with ``sent`` and ``filter``
+indices into :data:`~qkdsim.photons.POLARIZATIONS` and ``detected`` the
+receiver's reading.  :attr:`Session.cells` is the session's histogram over
+them, one ``np.bincount``.  :func:`cell_table` marks each cell, once per
+protocol, from the exact tables (``DETERMINISTIC``, ``BITS``,
+``ORTHOGONAL``) and the spec's ``auth_filter``: kept, key, auth, auth
+failure, key error, and the bit each party holds there.  The confirmed,
+key and auth counts, the auth failures, the key errors and the outcome
+tallies are each a sum of the histogram over marked cells, and the
+histograms of two runs add cell by cell.  Positions and key bits are read
+through the same table, tick by tick, only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -38,54 +51,137 @@ from .rng import RandomSource
 from .transcript import Transcript
 
 
+# A tick falls in one cell per (sent state, receiver filter, reading), laid
+# out row-major over this shape: cell (4 * sent + filter) * 2 + detected.
+CELL_SHAPE = (len(POLARIZATIONS), len(POLARIZATIONS), 2)
+CELLS = 32
+_CELL_SENT, _CELL_FILTER, _CELL_READING = np.unravel_index(np.arange(CELLS), CELL_SHAPE)
+
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """One protocol's marks on the 32 cells, arrays indexed by cell.
+
+    ``kept``: the reading is deterministic, so the sender keeps the
+    position.  ``auth``: kept, under the spec's ``auth_filter``.  ``key``:
+    kept, under any other filter.  ``auth_failure``: an auth cell with an
+    erasure.  ``key_error``: a key cell whose reading infers a bit other
+    than the sender's, which only an attacker's resent photon can reach.
+    ``sent_bit`` and ``read_bit`` are the sender's bit and the bit the
+    receiver infers from his reading, per cell.
+    """
+
+    kept: np.ndarray
+    key: np.ndarray
+    auth: np.ndarray
+    auth_failure: np.ndarray
+    key_error: np.ndarray
+    sent_bit: np.ndarray
+    read_bit: np.ndarray
+
+
+@cache
+def cell_table(protocol: Protocol) -> CellTable:
+    """The cell marks of ``protocol``, built once from the exact tables."""
+    sent, filters, detected = _CELL_SENT, _CELL_FILTER, _CELL_READING.astype(bool)
+    kept = DETERMINISTIC[sent, filters]
+    auth = np.zeros(CELLS, dtype=bool)
+    if protocol.auth_filter is not None:
+        auth = kept & (filters == POLARIZATIONS.index(protocol.auth_filter))
+    key = kept & ~auth
+    sent_bit, read_bit = BITS[sent], BITS[inferred_index(filters, detected)]
+    return CellTable(
+        kept, key, auth, auth & ~detected, key & (sent_bit != read_bit), sent_bit, read_bit
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Session:
     """Everything one session produced, as index arrays over its ticks.
 
-    Positions, bits and per-photon lists are derived on first read.
+    Counts are read off :attr:`cells`, the session's cell histogram;
+    positions, bits and per-photon lists are derived on first read.
     """
 
     protocol: Protocol
-    sent_index: np.ndarray  # indices into POLARIZATIONS
+    sent_index: np.ndarray  # int8 indices into POLARIZATIONS
     filter_index: np.ndarray
     detected: np.ndarray  # bool: the receiver's detector fired
-    kept: np.ndarray  # bool: the reading was deterministic
     interception: Optional[Interception] = None  # the attacker's side, if active
+
+    @cached_property
+    def cell_index(self) -> np.ndarray:
+        """Each tick's cell, (4 * sent + filter) * 2 + detected, as ``int8``."""
+        return (self.sent_index * 4 + self.filter_index) * 2 + self.detected
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Photons per cell: the session's histogram over its 32 cells."""
+        return np.bincount(self.cell_index, minlength=CELLS)
+
+    @cached_property
+    def table(self) -> CellTable:
+        return cell_table(self.protocol)
+
+    def _count(self, mark: np.ndarray) -> int:
+        return int(self.cells[mark].sum())
+
+    @property
+    def confirmed(self) -> int:
+        """Kept positions: those whose reading was deterministic."""
+        return self._count(self.table.kept)
+
+    @property
+    def key_count(self) -> int:
+        return self._count(self.table.key)
+
+    @property
+    def auth_count(self) -> int:
+        return self._count(self.table.auth)
+
+    @property
+    def auth_failures(self) -> int:
+        """Erasures at authentication positions, where honest physics forces a detection."""
+        return self._count(self.table.auth_failure)
+
+    @property
+    def key_errors(self) -> int:
+        """Key positions where the receiver's bit differs from the sender's."""
+        return self._count(self.table.key_error)
+
+    def _positions(self, mark: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(mark.take(self.cell_index))
+
+    @cached_property
+    def kept(self) -> np.ndarray:
+        """Per tick, bool: the reading was deterministic."""
+        return self.table.kept.take(self.cell_index)
 
     @cached_property
     def kept_index(self) -> np.ndarray:
         return np.flatnonzero(self.kept)
 
     @cached_property
-    def _at_auth(self) -> np.ndarray:
-        auth = self.protocol.auth_filter
-        if auth is None:
-            return np.zeros(len(self.kept_index), dtype=bool)
-        return self.filter_index[self.kept_index] == POLARIZATIONS.index(auth)
-
-    @cached_property
     def key_index(self) -> np.ndarray:
-        return self.kept_index[~self._at_auth]
+        return self._positions(self.table.key)
 
     @cached_property
     def auth_index(self) -> np.ndarray:
-        return self.kept_index[self._at_auth]
+        return self._positions(self.table.auth)
+
+    @cached_property
+    def _key_cells(self) -> np.ndarray:
+        return self.cell_index.take(self.key_index)
 
     @cached_property
     def alice_bits(self) -> np.ndarray:
         """The sender's key bit at each key position."""
-        return BITS[self.sent_index[self.key_index]]
+        return self.table.sent_bit.take(self._key_cells)
 
     @cached_property
     def bob_bits(self) -> np.ndarray:
         """The receiver's key bit at each key position, read off his inference."""
-        key = self.key_index
-        return BITS[inferred_index(self.filter_index[key], self.detected[key])]
-
-    @property
-    def auth_failures(self) -> int:
-        """Erasures at authentication positions, where honest physics forces a detection."""
-        return len(self.auth_index) - int(np.count_nonzero(self.detected[self.auth_index]))
+        return self.table.read_bit.take(self._key_cells)
 
     @cached_property
     def transcript(self) -> Transcript:
@@ -139,4 +235,4 @@ def run_session(
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
     tap = partial(intercept_session, attack, protocol.filters, protocol.alphabet, eve_rng)
     sent, filters, detected, interception = transmit(protocol, n, alice_rng, bob_rng, tap)
-    return Session(protocol, sent, filters, detected, DETERMINISTIC[sent, filters], interception)
+    return Session(protocol, sent, filters, detected, interception)

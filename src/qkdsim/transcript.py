@@ -48,7 +48,7 @@ _ALLOWED_KEYS = {
 }
 
 
-_ANGLES = {p.degrees for p in Polarization}
+_BY_DEGREES = {p.degrees: p for p in Polarization}
 
 
 class TranscriptOrderError(Exception):
@@ -97,7 +97,7 @@ class Transcript:
 
     def announce_filters(self, degrees: Sequence[int]) -> None:
         """The receiver publishes the filter angle, in degrees, used at every clock tick."""
-        unknown = set(degrees) - _ANGLES
+        unknown = set(degrees) - _BY_DEGREES.keys()
         if unknown:
             raise ValueError(f"filter announcement has no polarization at {sorted(unknown)} degrees")
         self.append(
@@ -139,7 +139,12 @@ class Transcript:
     def announced_filters(self) -> list[Polarization]:
         for entry in self.entries:
             if entry.kind is EntryKind.FILTER_ANNOUNCEMENT:
-                return [Polarization.from_degrees(d) for d in entry.payload["filters"]]
+                try:
+                    return [_BY_DEGREES[d] for d in entry.payload["filters"]]
+                except KeyError as exc:
+                    raise ValueError(
+                        f"filter announcement has no polarization at {exc.args[0]} degrees"
+                    ) from None
         raise LookupError("no filter announcement in transcript")
 
     def kept_positions(self) -> list[int]:

@@ -12,6 +12,7 @@ the scalar rules (:func:`has_deterministic_outcome`,
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim import eavesdrop
-from qkdsim.bb84 import parity_certify
+from qkdsim.bb84 import KeyTooShort, parity_certify
 from qkdsim.eavesdrop import (
     InterceptResend,
     NoAttack,
@@ -29,11 +30,19 @@ from qkdsim.eavesdrop import (
     intercept_session,
     normalize_attack,
 )
-from qkdsim.harness import DEFAULT_FILTER_CHOICES
+from qkdsim.harness import (
+    DEFAULT_FILTER_CHOICES,
+    STATUS_KEY_TOO_SHORT,
+    SessionConfig,
+    outcome_label,
+    run_trial,
+)
 from qkdsim.photons import (
     BB84,
     BB84_ALPHABET,
     BB84_FILTERS,
+    BITS,
+    DETERMINISTIC,
     THREE_STATE,
     THREE_STATE_ALPHABET,
     THREE_STATE_FILTERS,
@@ -43,6 +52,7 @@ from qkdsim.photons import (
     bit_map,
     has_deterministic_outcome,
     infer_polarization,
+    inferred_index,
     measure_arrival,
 )
 from qkdsim.rng import RandomSource
@@ -188,21 +198,84 @@ def reference_parity_rounds(alice, bob, m, rng):
     return survivors, detection_round, queries
 
 
+@pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
 @given(
     pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=80),
     m=st.integers(0, 79),
     seed=st.integers(0, 2**64 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_parity_certify_matches_reference_loop(pairs, m, seed):
+def test_parity_certify_matches_reference_loop(recorded, pairs, m, seed):
+    # Without a transcript, mismatches are found from the error positions alone.
     alice = [a for a, _ in pairs]
     bob = [b for _, b in pairs]
     m = min(m, len(pairs) - 1)
     survivors, detection_round, queries = reference_parity_rounds(
         alice, bob, m, RandomSource(seed)
     )
-    transcript = Transcript()
+    transcript = Transcript() if recorded else None
     result = parity_certify(alice, bob, m, RandomSource(seed), transcript=transcript)
     assert result.survivors.tolist() == survivors
     assert result.detection_round == detection_round
-    assert transcript.parity_rounds() == queries
+    assert result.differing == sum(alice[i] != bob[i] for i in survivors)
+    if recorded:
+        assert transcript.parity_rounds() == queries
+
+
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    attack=attacks,
+    m=st.integers(0, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_report_counts_match_session_index_arrays(protocol, n, seed, attack, m):
+    # Every count run_trial reads off the cell histogram, recounted per tick.
+    bb84 = protocol.auth_filter is None
+    config = SessionConfig(
+        protocol=protocol.name,
+        n=n,
+        m=m if bb84 else None,
+        attack=attack,
+        seed=seed,
+        abort_on_tamper=False,
+    ).validate()
+    report = run_trial(config, 0)
+    rng = RandomSource(report.seed)
+    session = run_session(protocol, n, rng, attack)
+    sent, filters, detected = session.sent_index, session.filter_index, session.detected
+    kept = DETERMINISTIC[sent, filters]
+    at_auth = np.zeros(n, dtype=bool)
+    if not bb84:
+        at_auth = filters == POLARIZATIONS.index(protocol.auth_filter)
+    key, auth = np.flatnonzero(kept & ~at_auth), np.flatnonzero(kept & at_auth)
+    alice = BITS[sent[key]]
+    bob = BITS[inferred_index(filters[key], detected[key])]
+
+    labels = [outcome_label(o) for o in session.outcomes]
+    assert report.outcome_counts == dict(Counter(labels))
+    joint = {}
+    for s, label in zip(session.sent, labels):
+        row = joint.setdefault(s.name, {})
+        row[label] = row.get(label, 0) + 1
+    assert report.joint_counts == joint
+    assert report.counts["confirmed"] == np.count_nonzero(kept)
+    if bb84:
+        try:
+            cert = parity_certify(alice, bob, m, rng.child(3))
+        except KeyTooShort:
+            assert report.status == STATUS_KEY_TOO_SHORT and report.key_agreement is None
+            return
+        survivors = cert.survivors
+        assert report.counts["key"] == len(survivors)
+        assert report.key_agreement["length"] == len(survivors)
+        assert report.key_agreement["differing"] == np.count_nonzero(
+            alice[survivors] != bob[survivors]
+        )
+    else:
+        assert (report.counts["key"], report.counts["auth"]) == (len(key), len(auth))
+        assert report.tamper["auth_checked"] == len(auth)
+        assert report.tamper["auth_failures"] == np.count_nonzero(~detected[auth])
+        assert report.key_agreement["length"] == len(key)
+        assert report.key_agreement["differing"] == np.count_nonzero(alice != bob)

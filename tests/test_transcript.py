@@ -110,3 +110,10 @@ def test_session_transcript_passes_wire_order():
 def test_filter_announcement_rejects_unknown_angles():
     with pytest.raises(ValueError, match=r"\[30\]"):
         Transcript().announce_filters([0, 30, 45])
+
+
+def test_announced_filters_names_an_unknown_angle():
+    entry = {"sender": "bob", "kind": "filter_announcement", "payload": {"filters": [0, 30, 45]}}
+    transcript = Transcript.from_jsonable([entry])
+    with pytest.raises(ValueError, match=r"\b30 degrees"):
+        transcript.announced_filters()
