@@ -7,11 +7,13 @@ probability in play is of the form 2^a·3^b, so any entropy is an exact
 rational combination ``q + r·log2(3)`` (:class:`ExactBits`).
 
 The same enumeration machinery doubles as the oracle for the Monte Carlo
-suite: :func:`receiver_outcome_distribution` predicts what the receiver
-sees under any intercept-resend configuration, and the per-position attack
-statistics (:func:`auth_failure_probability`, :func:`key_error_probability`)
-are what empirical sweeps are checked against.  Every oracle reads the same
-:class:`~qkdsim.photons.Protocol` spec as the session engine.
+suite: :func:`cell_probabilities` is the exact law of one tick over the 32
+cells that :attr:`~qkdsim.session.Session.cells` counts, under any attack.
+The rates (:func:`kept_fraction`, :func:`key_fraction`,
+:func:`auth_fraction`) and the per-position attack statistics
+(:func:`auth_failure_probability`, :func:`key_error_probability`) are sums
+of that law over the cells that :func:`~qkdsim.session.cell_table` marks,
+the same marks the trial reports count with.
 """
 
 from __future__ import annotations
@@ -21,21 +23,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .eavesdrop import Attack, InterceptResend, NoAttack, normalize_attack
 from .photons import (
     ERASURE,
+    PASS_PROBABILITY,
+    POLARIZATIONS,
     THREE_STATE,
     MeasurementOutcome,
     Polarization,
     Protocol,
-    ResendPolicy,
-    bit_map,
     detected,
-    detection_probability,
-    has_deterministic_outcome,
-    infer_polarization,
+    resend_table,
     transition_distribution,
 )
+from .session import CELLS, cell_table
 
 LOG2_3 = math.log2(3)
 
@@ -204,14 +207,6 @@ class EntropyReport:
     def equivocation(self) -> ExactBits:
         return self.h_ab - self.h_b
 
-    def as_floats(self) -> dict[str, float]:
-        return {
-            "h_a": float(self.h_a),
-            "h_b": float(self.h_b),
-            "h_ab": float(self.h_ab),
-            "mutual_info": float(self.mutual_info),
-        }
-
 
 def entropy_report(
     joint: Optional[JointDistribution] = None,
@@ -230,34 +225,19 @@ def entropy_report(
 # ---------------------------------------------------------------------------
 
 
-def _cells(protocol: Protocol) -> list[tuple[Polarization, Polarization]]:
-    """Every (sent, filter) pair; each is equally likely."""
-    return [(s, f) for s in protocol.alphabet for f in protocol.filters]
-
-
-def _key_cells(protocol: Protocol) -> list[tuple[Polarization, Polarization]]:
-    """Kept cells not read through the authentication filter."""
-    return [
-        (s, f)
-        for s, f in _cells(protocol)
-        if has_deterministic_outcome(s, f) and f is not protocol.auth_filter
-    ]
-
-
 def kept_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Probability a uniform (sent, filter) position survives keep/discard."""
-    cells = _cells(protocol)
-    return Fraction(sum(1 for s, f in cells if has_deterministic_outcome(s, f)), len(cells))
+    return _mass(cell_probabilities(protocol), cell_table(protocol).kept)
 
 
 def key_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Kept positions off the authentication filter: the secret-bit rate."""
-    return Fraction(len(_key_cells(protocol)), len(_cells(protocol)))
+    return _mass(cell_probabilities(protocol), cell_table(protocol).key)
 
 
 def auth_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Kept positions under the authentication filter: the tamper-evidence rate."""
-    return kept_fraction(protocol) - key_fraction(protocol)
+    return _mass(cell_probabilities(protocol), cell_table(protocol).auth)
 
 
 @dataclass(frozen=True)
@@ -365,9 +345,9 @@ def compare(n: int, m: int) -> RateComparison:
     the crossover the three-state protocol yields more bits.
     """
     if n < 1:
-        raise ValueError("need at least one photon")
+        raise ValueError(f"n: need at least one photon, got {n}")
     if m < 0:
-        raise ValueError("round count must be non-negative")
+        raise ValueError(f"m: round count must be non-negative, got {m}")
     return RateComparison(
         n=n,
         m=m,
@@ -384,90 +364,98 @@ def compare(n: int, m: int) -> RateComparison:
 # ---------------------------------------------------------------------------
 
 
+# Pass chances in halves (0, 1 or 2), so the attacked channel counts in integers.
+_PASS_HALVES = (2 * PASS_PROBABILITY).astype(np.int64)
+
+
+def _interception(attack: Attack, protocol: Protocol) -> tuple[Fraction, np.ndarray, int]:
+    """The attacked share of photons, and what an attacked photon becomes.
+
+    ``counts[s, a] / scale`` is the chance that an intercepted photon sent as
+    ``POLARIZATIONS[s]`` leaves her station as ``POLARIZATIONS[a]``, or as
+    nothing for ``a = 4``.  Her filter is uniform over her options; she
+    detects per the exact pass table and resends a detection at her filter
+    angle, an erasure as an equally likely entry of her filter's row of
+    :func:`~qkdsim.photons.resend_table`, whose -1 is the last column.
+    """
+    attack = normalize_attack(attack)
+    counts = np.zeros((len(POLARIZATIONS), len(POLARIZATIONS) + 1), dtype=np.int64)
+    if not isinstance(attack, InterceptResend):
+        return Fraction(0), counts, 1
+    options = protocol.filters if attack.filter_choice is None else (attack.filter_choice,)
+    resend = resend_table(attack.resend, protocol.alphabet)
+    width = resend.shape[1]
+    for e in map(POLARIZATIONS.index, options):
+        counts[:, e] += width * _PASS_HALVES[:, e]
+        counts[:, resend[e]] += (2 - _PASS_HALVES[:, e])[:, None]
+    return Fraction(attack.fraction), counts, 2 * width * len(options)
+
+
 def arrival_distribution(
     sent: Polarization, attack: Attack, protocol: Protocol = THREE_STATE
 ) -> dict[Optional[Polarization], Fraction]:
     """Exact law of what leaves the attacked channel (None = nothing).
 
-    Enumerates the interceptor's branches — fraction gate, filter choice,
-    her detect/erase outcome, resend policy — with exact weights.
+    Weighs the interceptor's branches exactly: fraction gate, filter
+    choice, her detect/erase outcome and her resend table row.
     """
-    attack = normalize_attack(attack)
-    out: dict[Optional[Polarization], Fraction] = {}
-
-    def add(state: Optional[Polarization], w: Fraction) -> None:
-        if w:
-            out[state] = out.get(state, Fraction(0)) + w
-
-    if not isinstance(attack, InterceptResend):
-        add(sent, Fraction(1))
-        return out
-    fraction = Fraction(attack.fraction)
-    add(sent, 1 - fraction)
-    if fraction == 0:
-        return out
-    if attack.filter_choice is not None:
-        filter_weights = {attack.filter_choice: Fraction(1)}
-    else:
-        filter_weights = {f: Fraction(1, len(protocol.filters)) for f in protocol.filters}
-    for eve_filter, w_filter in filter_weights.items():
-        w_branch = fraction * w_filter
-        p_detect = detection_probability(sent, eve_filter)
-        add(eve_filter, w_branch * p_detect)
-        w_erase = w_branch * (1 - p_detect)
-        if attack.resend is ResendPolicy.ORTHOGONAL_INFERENCE:
-            add(eve_filter.orthogonal, w_erase)
-        elif attack.resend is ResendPolicy.SEND_NOTHING:
-            add(None, w_erase)
-        else:
-            for a in protocol.alphabet:
-                add(a, w_erase / len(protocol.alphabet))
-    return out
+    share, counts, scale = _interception(attack, protocol)
+    row = counts[POLARIZATIONS.index(sent)].tolist()
+    law = {a: share * Fraction(c, scale) for a, c in zip(POLARIZATIONS + (None,), row)}
+    law[sent] += 1 - share
+    return {a: p for a, p in law.items() if p}
 
 
-def receiver_outcome_distribution(
-    sent: Polarization,
-    receiver_filter: Polarization,
-    attack: Attack = NoAttack(),
-    protocol: Protocol = THREE_STATE,
-) -> dict[MeasurementOutcome, Fraction]:
-    """Exact law of the receiver's reading at one position under attack."""
-    out: dict[MeasurementOutcome, Fraction] = {}
-    for arriving, w in arrival_distribution(sent, attack, protocol).items():
-        if arriving is None:
-            out[ERASURE] = out.get(ERASURE, Fraction(0)) + w
-            continue
-        for outcome, p in transition_distribution(arriving, receiver_filter).items():
-            if p:
-                out[outcome] = out.get(outcome, Fraction(0)) + w * p
-    return out
+def cell_probabilities(protocol: Protocol, attack: Attack = NoAttack()) -> list[Fraction]:
+    """Exact law of one tick over the 32 cells of :attr:`Session.cells`.
+
+    Entry ``(4 * sent + filter) * 2 + detected`` is the chance that a tick
+    sends ``POLARIZATIONS[sent]``, is read through ``POLARIZATIONS[filter]``
+    and detects (1) or erases (0): the sender and the receiver choose
+    uniformly from the spec, and the photon reaches the receiver per
+    :func:`arrival_distribution`.  Cells outside the spec have mass 0.
+    Counted in integers over one common denominator, then reduced.
+    """
+    share, counts, scale = _interception(attack, protocol)
+    # Detections of an intercepted photon, in units of 1 / (2 * scale).
+    hits = (counts[:, : len(POLARIZATIONS)] @ _PASS_HALVES).tolist()
+    untouched = (share.denominator - share.numerator) * scale
+    whole = 2 * scale * share.denominator
+    denominator = whole * len(protocol.alphabet) * len(protocol.filters)
+    law = [Fraction(0)] * CELLS
+    for s in map(POLARIZATIONS.index, protocol.alphabet):
+        for f in map(POLARIZATIONS.index, protocol.filters):
+            detections = untouched * int(_PASS_HALVES[s, f]) + share.numerator * hits[s][f]
+            cell = (4 * s + f) * 2
+            law[cell] = Fraction(whole - detections, denominator)
+            law[cell + 1] = Fraction(detections, denominator)
+    return law
+
+
+def _mass(law: list[Fraction], mark) -> Fraction:
+    """Total probability of the cells ``mark`` flags."""
+    return sum((p for p, marked in zip(law, mark.tolist()) if marked), Fraction(0))
 
 
 def auth_failure_probability(attack: Attack) -> Fraction:
-    """Chance one authentication position alarms (erasure where a detection
-    is forced), per the exact enumeration.  Scales linearly with the
-    attacked fraction, since untouched photons never alarm there."""
-    dist = receiver_outcome_distribution(Polarization.D45, Polarization.D45, attack)
-    return dist.get(ERASURE, Fraction(0))
+    """Chance one three-state authentication position alarms (an erasure
+    where a detection is forced), per the exact cell law.  Scales linearly
+    with the attacked fraction, since untouched photons never alarm there."""
+    law, table = cell_probabilities(THREE_STATE, attack), cell_table(THREE_STATE)
+    return _mass(law, table.auth_failure) / _mass(law, table.auth)
 
 
 def key_error_probability(attack: Attack, protocol: Protocol = THREE_STATE) -> Fraction:
     """Chance a kept key position silently yields disagreeing bits.
 
-    Averaged over the equally likely key cells: kept (sent, filter) pairs
-    whose filter is not the authentication filter, which for the
-    three-state spec are the four rectilinear x rectilinear cells.  These
-    errors raise no alarm at the position itself — which is exactly why
-    the three-state diagonal positions carry the tamper check.
+    Key positions are kept (sent, filter) pairs whose filter is not the
+    authentication filter, which for the three-state spec are the four
+    rectilinear x rectilinear cells.  These errors raise no alarm at the
+    position itself — which is exactly why the three-state diagonal
+    positions carry the tamper check.
     """
-    cells = _key_cells(protocol)
-    err = Fraction(0)
-    for s, f in cells:
-        dist = receiver_outcome_distribution(s, f, attack, protocol)
-        for outcome, p in dist.items():
-            if bit_map(infer_polarization(f, outcome)) != bit_map(s):
-                err += p
-    return err / len(cells)
+    law, table = cell_probabilities(protocol, attack), cell_table(protocol)
+    return _mass(law, table.key_error) / _mass(law, table.key)
 
 
 def model_auth_failure_rate(fraction: Union[float, Fraction]) -> Fraction:

@@ -13,7 +13,6 @@ with :data:`qkdsim.photons.BB84`); this module holds the parity rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,10 +23,6 @@ from .transcript import Transcript
 
 class KeyTooShort(ValueError):
     """Raised when a key cannot pay for the requested parity rounds."""
-
-
-class NonPositiveKey(ValueError):
-    """Raised when the expected usable key length is not positive."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,18 +100,3 @@ def parity_certify(
         survivors=survivors,
         differing=len(errors),
     )
-
-
-def bb84_usable_key(n: int, m: int) -> Fraction:
-    """Expected usable key length: half the photons sift, minus m discards.
-
-    Exact rational; display rounding is the caller's choice.
-    """
-    if n < 1:
-        raise ValueError("need at least one photon")
-    if m < 0:
-        raise ValueError("round count must be non-negative")
-    expected = Fraction(n, 2) - m
-    if expected <= 0:
-        raise NonPositiveKey(f"n={n}, m={m} leaves no expected key")
-    return expected

@@ -376,9 +376,12 @@ def _cmd_attack_sweep(args: argparse.Namespace) -> int:
             raise _CLIError(f"resend-policies: {exc}") from exc
 
     fractions_spec = opts.pick("fractions")
-    fractions = (
-        [1.0] if fractions_spec is None else [float(x) for x in _split_csv(fractions_spec)]
-    )
+    try:
+        fractions = (
+            [1.0] if fractions_spec is None else [float(x) for x in _split_csv(fractions_spec)]
+        )
+    except ValueError as exc:
+        raise _CLIError(f"fractions: {exc}") from exc
 
     base = SessionConfig(
         protocol="three_state",

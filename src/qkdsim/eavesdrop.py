@@ -11,11 +11,13 @@ An active attacker meets each photon exactly once, in transmission order —
 she cannot clone, reorder or delay.  Per photon she spends one gate
 variate; if she intercepts it, one filter variate unless her filter is
 fixed, one measurement variate, and one resend variate if she reads an
-erasure under ``UNIFORM_RANDOM``.  :func:`intercept_resend` is that rule
-for one photon, :func:`intercept_session` for a whole session on arrays.
-All attacker randomness comes from her own stream, so an
-``InterceptResend`` with ``fraction=0`` leaves the honest parties' variate
-streams, and hence the whole session, bit-for-bit unchanged.
+erasure and her row of :func:`~qkdsim.photons.resend_table` offers more
+than one state.  :func:`intercept_session` runs a whole session through
+that rule on arrays, draw for draw the same as the photon-by-photon
+reference loop in ``tests/reference.py``.  All attacker randomness comes
+from her own stream, so an ``InterceptResend`` with ``fraction=0`` leaves
+the honest parties' variate streams, and hence the whole session,
+bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .photons import (
-    ORTHOGONAL,
     OUTCOME_CLASSES,
     PASS_PROBABILITY,
     POLARIZATIONS,
@@ -35,12 +36,10 @@ from .photons import (
     Polarization,
     ResendPolicy,
     THREE_STATE_ALPHABET,
-    THREE_STATE_FILTERS,
-    collapse_and_resend,
     consistent_inputs,
     has_deterministic_outcome,
-    measure_arrival,
     outcome_class,
+    resend_table,
 )
 from .rng import RandomSource
 
@@ -124,34 +123,6 @@ class EveRecord:
     known_bit: Optional[Polarization] = None
 
 
-def intercept_resend(
-    photon: Optional[Polarization],
-    strategy: InterceptResend,
-    rng: RandomSource,
-    filter_set: Sequence[Polarization] = THREE_STATE_FILTERS,
-    alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET,
-    index: int = 0,
-) -> tuple[Optional[Polarization], EveRecord]:
-    """One photon through the attacker's measurement station.
-
-    With probability ``strategy.fraction`` the photon is measured with her
-    filter and something is resent per the resend policy; otherwise it
-    passes untouched.  Returns what continues down the line plus her record
-    of the event.  ``known_bit`` uses only her local evidence (filter +
-    outcome), never the later public discussion.
-    """
-    if not rng.below(strategy.fraction):
-        return photon, EveRecord(index, EveSource.PHOTON)
-    filter_angle = strategy.filter_choice
-    if filter_angle is None:
-        filter_angle = rng.choice(tuple(filter_set))
-    outcome = measure_arrival(photon, filter_angle, rng)
-    resent = collapse_and_resend(outcome, filter_angle, strategy.resend, rng, tuple(alphabet))
-    candidates = consistent_inputs(filter_angle, outcome, tuple(alphabet))
-    known = candidates[0] if len(candidates) == 1 else None
-    return resent, EveRecord(index, EveSource.PHOTON, filter_angle, outcome, known)
-
-
 # Photons per chunk of intercept_session: bounds her variate buffer.
 _CHUNK = 32768
 
@@ -172,7 +143,7 @@ class Interception:
     alphabet: tuple[Polarization, ...]
 
     def records(self) -> list[EveRecord]:
-        """Her log, one :class:`EveRecord` per photon, as :func:`intercept_resend` writes it."""
+        """Her log, one :class:`EveRecord` per photon, from her filter and reading alone."""
         logged = {(-1, 0): (None, None, None)}
         for f, angle in enumerate(POLARIZATIONS):
             for c in (0, f + 1):
@@ -183,16 +154,16 @@ class Interception:
         return [EveRecord(i, EveSource.PHOTON, *logged[key]) for i, key in enumerate(keys)]
 
 
-def _walk(u, gate, photon_filter, measure_at: int, random_resend: bool, sent: np.ndarray):
+def _walk(u, gate, photon_filter, measure_at: int, resends: int, sent: np.ndarray):
     """Each photon's first variate in ``u``, and the end of the last photon's draws.
 
     Steps come from one ``bytes`` table per sent state, since whether an
-    erasure is resent at random depends on it.  Entries too near the end
-    to hold an interception go unread: the chunk draws enough for all.
+    erasure spends a resend variate depends on it.  Entries too near the
+    end to hold an interception go unread: the chunk draws enough for all.
     """
     steps = np.where(gate, np.uint8(measure_at + 1), np.uint8(1))
     tables = [steps.tobytes()] * len(POLARIZATIONS)
-    if random_resend:
+    if resends:
         k = len(u) - measure_at
         for s in range(len(POLARIZATIONS)):
             table = steps.copy()
@@ -214,30 +185,34 @@ def intercept_session(
     rng: RandomSource,
     sent_index: np.ndarray,
 ) -> Optional[Interception]:
-    """Every photon of a session through :func:`intercept_resend`, on arrays.
+    """Every photon of a session through the attacker's station, on arrays.
 
     ``sent_index`` holds each photon's polarization index in transmission
-    order; ``None`` comes back when the attack touches no photon.  Draw for
-    draw the same as calling :func:`intercept_resend` photon by photon on
-    ``rng``: each chunk of photons draws the most it could spend, walks to
-    each photon's first variate, and carries the unused tail into the next
-    chunk.  ``rng`` is left past what was used.
+    order; ``None`` comes back when the attack touches no photon.  With
+    probability ``fraction`` a photon is measured with her filter; a
+    detection is resent at her filter angle, an erasure as an equally
+    likely entry of her filter's :func:`~qkdsim.photons.resend_table` row.
+    Draw for draw the same as the photon-by-photon loop on ``rng``: each
+    chunk of photons draws the most it could spend, walks to each photon's
+    first variate, and carries the unused tail into the next chunk.
+    ``rng`` is left past what was used.
     """
     attack = normalize_attack(attack)
     if not isinstance(attack, InterceptResend):
         return None
     choose = attack.filter_choice is None
-    random_resend = attack.resend is ResendPolicy.UNIFORM_RANDOM
     options = filter_set if choose else (attack.filter_choice,)
     filter_table = np.array([POLARIZATIONS.index(f) for f in options], dtype=np.int8)
-    alphabet_table = np.array([POLARIZATIONS.index(p) for p in alphabet], dtype=np.int8)
+    resend = resend_table(attack.resend, alphabet)
+    width = resend.shape[1]
+    resends = int(width > 1)  # variates an erasure spends to pick its resend
     measure_at = 1 + choose  # offset of the measurement variate; a resend one follows
     # Every photon spends the same count when none or all are intercepted
-    # and no erasure is resent at random; otherwise the starts are walked.
+    # and no erasure spends a resend variate; otherwise the starts are walked.
     stride = 1 if attack.fraction == 0 else 0
-    if attack.fraction == 1 and not random_resend:
+    if attack.fraction == 1 and not resends:
         stride = measure_at + 1
-    most = stride or measure_at + 1 + random_resend
+    most = stride or measure_at + 1 + resends
 
     arrival, filters = sent_index.astype(np.int8), np.full(len(sent_index), -1, dtype=np.int8)
     detected = np.zeros(len(sent_index), dtype=bool)
@@ -245,24 +220,21 @@ def intercept_session(
     for lo in range(0, len(sent_index), _CHUNK):
         sent = sent_index[lo : lo + _CHUNK]
         u = np.concatenate((u, rng.uniform_array(max(0, len(sent) * most - len(u)))))
-        # Each position read as a gate and as a filter choice (rng.choice);
+        # Each position read as a gate and as a uniform filter choice;
         # a photon starting at q reads its filter at q + choose.
         gate = u < attack.fraction
         filter_at = filter_table[(u * len(filter_table)).astype(np.int8)]
         if stride:
             starts, end = np.arange(0, len(sent) * stride, stride), len(sent) * stride
         else:
-            starts, end = _walk(u, gate, filter_at[choose:], measure_at, random_resend, sent)
+            starts, end = _walk(u, gate, filter_at[choose:], measure_at, resends, sent)
         hit = gate[starts]
         at = starts[hit]
         eve_filter = filter_at[at + choose]
         det = u[at + measure_at] < PASS_PROBABILITY[sent[hit], eve_filter]
-        resent = np.where(det, eve_filter, ORTHOGONAL[eve_filter])
-        if attack.resend is ResendPolicy.SEND_NOTHING:
-            resent[~det] = -1
-        elif random_resend:
-            u_resend = u[at[~det] + measure_at + 1]
-            resent[~det] = alphabet_table[(u_resend * len(alphabet_table)).astype(np.int8)]
+        # A detection spends no resend variate; its pick is read but unused.
+        pick = (u[at + measure_at + 1] * width).astype(np.int8) if resends else 0
+        resent = np.where(det, eve_filter, resend[eve_filter, pick])
         photon = lo + np.flatnonzero(hit)
         arrival[photon], filters[photon], detected[photon] = resent, eve_filter, det
         u = u[end:]

@@ -15,8 +15,12 @@ The two protocols differ at this layer only in their :class:`Protocol`
 spec: sender alphabet, receiver filters and authentication filter.  Whole
 sessions are transmitted by :func:`transmit`, which draws every variate of
 a party as one array and reads the outcomes off small index tables built
-from :func:`detection_probability`.  Its draws are exactly those of calling
-:func:`measure` photon by photon.
+from :func:`detection_probability`.  Its draws are exactly those of a
+photon-by-photon loop that spends one variate per measurement (the
+reference loop in ``tests/reference.py``).  An interceptor's erasure
+branch is one index table per resend policy and alphabet,
+:func:`resend_table`, which the session engine and the exact oracles read
+alike.
 """
 
 from __future__ import annotations
@@ -191,33 +195,6 @@ def transition_distribution(
     return {detected(filter_angle): p, ERASURE: 1 - p}
 
 
-def measure(
-    photon: Polarization, filter_angle: Polarization, rng: RandomSource
-) -> MeasurementOutcome:
-    """Send one photon through a filter and read the detector.
-
-    A pure function of (photon, filter, next variate): exactly one variate is
-    consumed per call, even when the outcome is deterministic, so replaying a
-    RandomSource reproduces the identical outcome sequence.
-    """
-    if rng.uniform() < PASS_PROBABILITY[_INDEX[photon], _INDEX[filter_angle]]:
-        return _DETECTED[filter_angle]
-    return ERASURE
-
-
-def measure_arrival(
-    photon: Optional[Polarization], filter_angle: Polarization, rng: RandomSource
-) -> MeasurementOutcome:
-    """Like :func:`measure`, but the clock tick may carry no photon at all.
-
-    An empty tick (``photon is None``, e.g. an interceptor absorbed the
-    photon and sent nothing) is always an erasure and consumes no variate.
-    """
-    if photon is None:
-        return ERASURE
-    return measure(photon, filter_angle, rng)
-
-
 class ResendPolicy(Enum):
     """What an interceptor retransmits when her own filter shows an erasure.
 
@@ -236,29 +213,6 @@ class ResendPolicy(Enum):
     ORTHOGONAL_INFERENCE = "orthogonal"
     SEND_NOTHING = "nothing"
     UNIFORM_RANDOM = "random"
-
-
-def collapse_and_resend(
-    outcome: MeasurementOutcome,
-    filter_angle: Polarization,
-    policy: ResendPolicy,
-    rng: RandomSource,
-    alphabet: tuple[Polarization, ...] = THREE_STATE_ALPHABET,
-) -> Optional[Polarization]:
-    """What leaves an intercepting measurement station.
-
-    A detected photon is retransmitted at the filter angle it collapsed to;
-    an erasure is handled per ``policy``.  Returns ``None`` when nothing is
-    resent.  Collapse destroys input information: the resent photon depends
-    only on (outcome, filter), never on the original polarization.
-    """
-    if outcome.is_detected:
-        return outcome.detected_as
-    if policy is ResendPolicy.ORTHOGONAL_INFERENCE:
-        return filter_angle.orthogonal
-    if policy is ResendPolicy.SEND_NOTHING:
-        return None
-    return rng.choice(alphabet)
 
 
 def consistent_inputs(
@@ -306,6 +260,22 @@ _POLARIZATION_OBJECTS = np.array(POLARIZATIONS, dtype=object)
 _OUTCOME_OBJECTS = np.array(OUTCOME_CLASSES, dtype=object)
 
 
+def resend_table(policy: ResendPolicy, alphabet: Sequence[Polarization]) -> np.ndarray:
+    """What an interceptor resends after an erasure, per filter index.
+
+    Row f lists the equally likely resent polarization indices after an
+    erasure behind the filter ``POLARIZATIONS[f]``: its orthogonal, -1 for
+    "send nothing", or the whole ``alphabet`` for a uniform resend.  A row
+    of more than one entry costs her one variate to pick from.  This is the
+    one place the resend policies are told apart.
+    """
+    if policy is ResendPolicy.ORTHOGONAL_INFERENCE:
+        return ORTHOGONAL[:, None]
+    if policy is ResendPolicy.SEND_NOTHING:
+        return np.full((len(POLARIZATIONS), 1), -1, dtype=np.int8)
+    return np.tile(np.array([_INDEX[p] for p in alphabet], dtype=np.int8), (len(POLARIZATIONS), 1))
+
+
 def as_polarizations(index: np.ndarray) -> list[Polarization]:
     """The polarization at each position of an index array, as a list."""
     return _POLARIZATION_OBJECTS[index].tolist()
@@ -327,7 +297,7 @@ def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray
 
 
 def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.ndarray:
-    """n draws of ``rng.choice(options)``, as ``int8`` polarization indices."""
+    """n uniform draws from ``options``, one variate each, as ``int8`` polarization indices."""
     table = np.array([_INDEX[p] for p in options], dtype=np.int8)
     return table.take((rng.uniform_array(n) * len(options)).astype(np.int8))
 

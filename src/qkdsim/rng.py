@@ -71,18 +71,6 @@ class RandomSource:
             raise ValueError(f"variate count must be >= 0, got {k}")
         return self._gen.random(k)
 
-    def uniforms(self, k: int) -> list[float]:
-        """Next ``k`` variates as a list, consumed from the same stream as :meth:`uniform`."""
-        return self.uniform_array(k).tolist()
-
-    def below(self, p: float) -> bool:
-        """True with probability ``p``; consumes exactly one variate."""
-        return self.uniform() < p
-
-    def choice(self, seq):
-        """Uniform element of ``seq``; consumes exactly one variate."""
-        return seq[int(self.uniform() * len(seq))]
-
     def child(self, index: int) -> "RandomSource":
         """Derive an independent stream from (seed, index).
 

@@ -22,7 +22,8 @@ failure, key error, and the bit each party holds there.  The confirmed,
 key and auth counts, the auth failures, the key errors and the outcome
 tallies are each a sum of the histogram over marked cells, and the
 histograms of two runs add cell by cell.  Positions and key bits are read
-through the same table, tick by tick, only when asked for.
+through the same table, tick by tick, only when asked for.  The exact
+oracles sum :func:`qkdsim.analysis.cell_probabilities` over the same marks.
 """
 
 from __future__ import annotations

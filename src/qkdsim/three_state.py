@@ -24,23 +24,6 @@ this module holds the three-state post-processing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
-
-from .photons import MeasurementOutcome, Polarization, infer_polarization
-
-
-def infer_key_state(
-    filter_angle: Polarization, outcome: MeasurementOutcome
-) -> Polarization:
-    """Resolve a confirmed rectilinear-filter reading to the sent state.
-
-    Detection means the state aligned with the filter; erasure means the
-    orthogonal one.  Only valid at key positions, hence the filter guard.
-    """
-    if filter_angle not in (Polarization.Z0, Polarization.Z90):
-        raise ValueError("key bits come from rectilinear-filter positions only")
-    return infer_polarization(filter_angle, outcome)
 
 
 @dataclass(frozen=True)
@@ -68,20 +51,3 @@ def tamper_report(checked: int, failures: int) -> TamperReport:
         tamper_detected=failures > 0,
         model_certification=1.0 - 3.0 ** (-checked),
     )
-
-
-def authenticate(outcomes: Sequence[MeasurementOutcome]) -> TamperReport:
-    """Check the readings at confirmed diagonal-filter positions.
-
-    Honest physics forces every one of them to be a detection, so each
-    erasure among them is unambiguous tamper evidence.  The receiver can
-    run this check alone, with no extra public traffic.
-    """
-    return tamper_report(len(outcomes), sum(1 for o in outcomes if o.is_erasure))
-
-
-def three_state_key_count(n: int) -> Fraction:
-    """Expected key bits from n photons: 4n/9, exact."""
-    if n < 0:
-        raise ValueError("photon count must be non-negative")
-    return Fraction(4 * n, 9)

@@ -1,0 +1,163 @@
+"""The photon-by-photon reference path that the array engine is held to.
+
+Every function here spends variates one at a time, in the order the
+protocol describes, and states its rule directly: the resend policies are
+branches of :func:`collapse_and_resend`, not reads of the engine's
+:func:`~qkdsim.photons.resend_table`.  The tests compare
+:func:`qkdsim.session.run_session` and
+:func:`qkdsim.eavesdrop.intercept_session` with these loops draw for draw,
+so a fault in a shared table shows as a disagreement.  :func:`cell_law`
+enumerates the same branches with exact rationals, as the reference for
+:func:`qkdsim.analysis.cell_probabilities`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from qkdsim.eavesdrop import EveRecord, EveSource, InterceptResend, normalize_attack
+from qkdsim.photons import (
+    ERASURE,
+    POLARIZATIONS,
+    THREE_STATE_ALPHABET,
+    THREE_STATE_FILTERS,
+    MeasurementOutcome,
+    Polarization,
+    ResendPolicy,
+    consistent_inputs,
+    detected,
+    detection_probability,
+)
+from qkdsim.rng import RandomSource
+
+
+def uniforms(rng: RandomSource, k: int) -> list[float]:
+    """The next ``k`` variates of ``rng`` as a list."""
+    return rng.uniform_array(k).tolist()
+
+
+def below(rng: RandomSource, p: float) -> bool:
+    """True with probability ``p``; consumes exactly one variate."""
+    return rng.uniform() < p
+
+
+def choice(rng: RandomSource, seq):
+    """Uniform element of ``seq``; consumes exactly one variate."""
+    return seq[int(rng.uniform() * len(seq))]
+
+
+def measure(
+    photon: Polarization, filter_angle: Polarization, rng: RandomSource
+) -> MeasurementOutcome:
+    """Send one photon through a filter and read the detector.
+
+    A pure function of (photon, filter, next variate): exactly one variate is
+    consumed per call, even when the outcome is deterministic, so replaying a
+    RandomSource reproduces the identical outcome sequence.
+    """
+    if below(rng, float(detection_probability(photon, filter_angle))):
+        return detected(filter_angle)
+    return ERASURE
+
+
+def measure_arrival(
+    photon: Optional[Polarization], filter_angle: Polarization, rng: RandomSource
+) -> MeasurementOutcome:
+    """Like :func:`measure`, but the clock tick may carry no photon at all.
+
+    An empty tick (``photon is None``, e.g. an interceptor absorbed the
+    photon and sent nothing) is always an erasure and consumes no variate.
+    """
+    if photon is None:
+        return ERASURE
+    return measure(photon, filter_angle, rng)
+
+
+def collapse_and_resend(
+    outcome: MeasurementOutcome,
+    filter_angle: Polarization,
+    policy: ResendPolicy,
+    rng: RandomSource,
+    alphabet: tuple[Polarization, ...] = THREE_STATE_ALPHABET,
+) -> Optional[Polarization]:
+    """What leaves an intercepting measurement station.
+
+    A detected photon is retransmitted at the filter angle it collapsed to;
+    an erasure is handled per ``policy``.  Returns ``None`` when nothing is
+    resent.  Collapse destroys input information: the resent photon depends
+    only on (outcome, filter), never on the original polarization.
+    """
+    if outcome.is_detected:
+        return outcome.detected_as
+    if policy is ResendPolicy.ORTHOGONAL_INFERENCE:
+        return filter_angle.orthogonal
+    if policy is ResendPolicy.SEND_NOTHING:
+        return None
+    return choice(rng, alphabet)
+
+
+def intercept_resend(
+    photon: Optional[Polarization],
+    strategy: InterceptResend,
+    rng: RandomSource,
+    filter_set: Sequence[Polarization] = THREE_STATE_FILTERS,
+    alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET,
+    index: int = 0,
+) -> tuple[Optional[Polarization], EveRecord]:
+    """One photon through the attacker's measurement station.
+
+    With probability ``strategy.fraction`` the photon is measured with her
+    filter and something is resent per the resend policy; otherwise it
+    passes untouched.  Returns what continues down the line plus her record
+    of the event.  ``known_bit`` uses only her local evidence (filter +
+    outcome), never the later public discussion.
+    """
+    if not below(rng, strategy.fraction):
+        return photon, EveRecord(index, EveSource.PHOTON)
+    filter_angle = strategy.filter_choice
+    if filter_angle is None:
+        filter_angle = choice(rng, tuple(filter_set))
+    outcome = measure_arrival(photon, filter_angle, rng)
+    resent = collapse_and_resend(outcome, filter_angle, strategy.resend, rng, tuple(alphabet))
+    candidates = consistent_inputs(filter_angle, outcome, tuple(alphabet))
+    known = candidates[0] if len(candidates) == 1 else None
+    return resent, EveRecord(index, EveSource.PHOTON, filter_angle, outcome, known)
+
+
+def arrival_law(sent: Polarization, attack, protocol) -> dict[Optional[Polarization], Fraction]:
+    """What leaves the attacker's station, by exact branch enumeration."""
+    attack = normalize_attack(attack)
+    if not isinstance(attack, InterceptResend):
+        return {sent: Fraction(1)}
+    fraction = Fraction(attack.fraction)
+    law = {sent: 1 - fraction}
+    options = protocol.filters if attack.filter_choice is None else (attack.filter_choice,)
+    for eve_filter in options:
+        w = fraction / len(options)
+        p = detection_probability(sent, eve_filter)
+        law[eve_filter] = law.get(eve_filter, 0) + w * p
+        if attack.resend is ResendPolicy.ORTHOGONAL_INFERENCE:
+            resent = (eve_filter.orthogonal,)
+        elif attack.resend is ResendPolicy.SEND_NOTHING:
+            resent = (None,)
+        else:
+            resent = protocol.alphabet
+        for r in resent:
+            law[r] = law.get(r, 0) + w * (1 - p) / len(resent)
+    return {state: p for state, p in law.items() if p}
+
+
+def cell_law(protocol, attack) -> list[Fraction]:
+    """Exact chance of each cell ``(4 * sent + filter) * 2 + detected``, by enumeration."""
+    law = [Fraction(0)] * 32
+    w = Fraction(1, len(protocol.alphabet) * len(protocol.filters))
+    for s in protocol.alphabet:
+        arrivals = arrival_law(s, attack, protocol)
+        for f in protocol.filters:
+            cell = (4 * POLARIZATIONS.index(s) + POLARIZATIONS.index(f)) * 2
+            for arriving, p_arrive in arrivals.items():
+                p = 0 if arriving is None else detection_probability(arriving, f)
+                law[cell] += w * p_arrive * (1 - p)
+                law[cell + 1] += w * p_arrive * p
+    return law

@@ -21,6 +21,7 @@ from qkdsim.analysis import (
     auth_failure_probability,
     auth_fraction,
     bb84_certification_probability,
+    cell_probabilities,
     compare,
     empirical_statistics,
     entropy_bits,
@@ -40,6 +41,9 @@ from qkdsim.analysis import (
 from qkdsim.eavesdrop import InterceptResend, NoAttack, StuckFilter
 from qkdsim.harness import SessionConfig, run
 from qkdsim.photons import BB84, ERASURE, THREE_STATE, Polarization, ResendPolicy, detected
+from qkdsim.rng import RandomSource
+from qkdsim.session import run_session
+from reference import arrival_law, cell_law
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 ORTH = ResendPolicy.ORTHOGONAL_INFERENCE
@@ -323,6 +327,51 @@ def test_arrival_distribution_send_nothing_mass_on_absence():
     dist = arrival_distribution(Z0, attack)
     # A 0° photon never passes a 90° filter: everything is absorbed.
     assert dist == {None: Fraction(1)}
+
+
+EXACT_ATTACKS = [NoAttack()] + [StuckFilter(p) for p in Polarization] + [
+    InterceptResend(choice, policy, fraction)
+    for choice in (None, *Polarization)
+    for policy in ResendPolicy
+    for fraction in (0.0, 0.3, 1.0)
+]
+
+
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+def test_cell_law_matches_branch_enumeration(protocol):
+    # The integer kernel against a Fraction enumeration of every branch.
+    for attack in EXACT_ATTACKS:
+        assert cell_probabilities(protocol, attack) == cell_law(protocol, attack)
+        for sent in protocol.alphabet:
+            expected = arrival_law(sent, attack, protocol)
+            assert arrival_distribution(sent, attack, protocol) == expected
+
+
+HISTOGRAM_ATTACKS = [NoAttack(), StuckFilter(Z0)] + [
+    InterceptResend(choice, policy, fraction)
+    for choice in (None, Z0, D45)
+    for policy in ResendPolicy
+    for fraction in (0.5, 1.0)
+]
+
+
+def attack_id(attack):
+    if isinstance(attack, InterceptResend):
+        choice = "uniform" if attack.filter_choice is None else attack.filter_choice.name
+        return f"{choice}/{attack.resend.value}/{attack.fraction}"
+    return type(attack).__name__
+
+
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+@pytest.mark.parametrize("attack", HISTOGRAM_ATTACKS, ids=attack_id)
+def test_session_histogram_follows_the_cell_law(protocol, attack):
+    # Every one of the 32 cells, not just the rates the reports print.
+    law = cell_probabilities(protocol, attack)
+    assert sum(law) == 1
+    n = 20_000
+    cells = run_session(protocol, n, RandomSource(77), attack).cells
+    for count, p in zip(cells.tolist(), law):
+        assert abs(count - n * p) <= 6 * math.sqrt(n * p * (1 - p))
 
 
 # -- empirical pooling ---------------------------------------------------------

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim.bb84 import (
-    KeyTooShort,
-    NonPositiveKey,
-    bb84_usable_key,
-    parity_certify,
-)
+from qkdsim.analysis import compare
+from qkdsim.bb84 import KeyTooShort, parity_certify
 from qkdsim.eavesdrop import InterceptResend
 from qkdsim.photons import BB84, ResendPolicy
 from qkdsim.rng import RandomSource
@@ -189,21 +185,15 @@ def test_property_equal_keys_survive_silently(bits, m, seed):
 
 
 def test_usable_key_worked_values():
-    assert bb84_usable_key(54, 6) == 21
-    assert bb84_usable_key(108, 6) == 48
-    assert bb84_usable_key(200, 6) == 94
+    assert compare(54, 6).bb84_key == 21
+    assert compare(108, 6).bb84_key == 48
+    assert compare(200, 6).bb84_key == 94
+    assert compare(13, 6).bb84_key == Fraction(1, 2)
+    # n/2 - m is an expectation; it may fall to zero or below.
+    assert compare(12, 6).bb84_key == 0
+    assert compare(10, 6).bb84_key == -1
 
 
 @given(m=st.integers(1, 40))
 def test_usable_key_at_the_crossover_grid(m):
-    assert bb84_usable_key(18 * m, m) == 8 * m
-
-
-def test_usable_key_errors():
-    with pytest.raises(NonPositiveKey):
-        bb84_usable_key(12, 6)
-    with pytest.raises(NonPositiveKey):
-        bb84_usable_key(10, 6)
-    with pytest.raises(ValueError):
-        bb84_usable_key(0, 1)
-    assert bb84_usable_key(13, 6) == Fraction(1, 2)
+    assert compare(18 * m, m).bb84_key == 8 * m

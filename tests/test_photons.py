@@ -1,4 +1,8 @@
-"""Physical layer: exact transition table, sampling, collapse, consistency."""
+"""Physical layer: exact transition table, sampling, collapse, consistency.
+
+Sampling and collapse are checked on the photon-by-photon reference path
+(``tests/reference.py``), which the array engine is held to draw for draw.
+"""
 
 from fractions import Fraction
 
@@ -16,17 +20,15 @@ from qkdsim.photons import (
     Polarization,
     ResendPolicy,
     bit_map,
-    collapse_and_resend,
     consistent_inputs,
     detected,
     detection_probability,
     has_deterministic_outcome,
     infer_polarization,
-    measure,
-    measure_arrival,
     transition_distribution,
 )
 from qkdsim.rng import RandomSource
+from reference import collapse_and_resend, measure, measure_arrival, uniforms
 
 ALL = tuple(Polarization)
 polarizations = st.sampled_from(ALL)
@@ -118,6 +120,12 @@ def test_bit_map_values():
 def test_infer_polarization_two_branches(filt):
     assert infer_polarization(filt, detected(filt)) is filt
     assert infer_polarization(filt, ERASURE) is filt.orthogonal
+    # The four key cases: a rectilinear reading names the sent state.
+    Z0, Z90 = Polarization.Z0, Polarization.Z90
+    assert infer_polarization(Z0, detected(Z0)) is Z0
+    assert infer_polarization(Z0, ERASURE) is Z90
+    assert infer_polarization(Z90, detected(Z90)) is Z90
+    assert infer_polarization(Z90, ERASURE) is Z0
 
 
 def test_outcomes_are_interned():
@@ -148,7 +156,7 @@ def test_measure_consumes_exactly_one_variate(photon, filt, seed):
     measure(photon, filt, a)
     b.uniform()
     # After one draw each, the two twins must stay in lockstep.
-    assert a.uniforms(4) == b.uniforms(4)
+    assert uniforms(a, 4) == uniforms(b, 4)
 
 
 def test_measure_deterministic_cells():
@@ -171,7 +179,7 @@ def test_measure_arrival_absence_is_erasure_without_a_draw():
     a = RandomSource(8)
     b = RandomSource(8)
     assert measure_arrival(None, Polarization.Z0, a) is ERASURE
-    assert a.uniforms(4) == b.uniforms(4)
+    assert uniforms(a, 4) == uniforms(b, 4)
 
 
 def test_measure_arrival_present_equals_measure():

@@ -1,4 +1,8 @@
-"""Determinism and stream-independence checks for the random source."""
+"""Determinism and stream-independence checks for the random source.
+
+The scalar helpers (``uniforms``, ``below``, ``choice``) belong to the
+photon-by-photon reference path in ``tests/reference.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,21 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim.rng import RandomSource, derive_child_seed
+from reference import below, choice, uniforms
 
 
 def test_same_seed_same_stream():
     a = RandomSource(1234)
     b = RandomSource(1234)
-    assert a.uniforms(100) == b.uniforms(100)
+    assert uniforms(a, 100) == uniforms(b, 100)
 
 
 def test_different_seeds_differ():
-    assert RandomSource(1).uniforms(8) != RandomSource(2).uniforms(8)
+    assert uniforms(RandomSource(1), 8) != uniforms(RandomSource(2), 8)
 
 
 def test_uniform_range():
     rng = RandomSource(5)
-    values = rng.uniforms(10_000)
+    values = uniforms(rng, 10_000)
     assert all(0.0 <= v < 1.0 for v in values)
 
 
@@ -30,14 +35,14 @@ def test_buffer_refill_matches_one_at_a_time():
     n = 4096 * 2 + 517
     a = RandomSource(99)
     b = RandomSource(99)
-    assert [a.uniform() for _ in range(n)] == b.uniforms(n)
+    assert [a.uniform() for _ in range(n)] == uniforms(b, n)
 
 
 def test_below_matches_uniform_comparison():
     a = RandomSource(7)
     b = RandomSource(7)
-    flags = [a.below(0.3) for _ in range(1000)]
-    values = b.uniforms(1000)
+    flags = [below(a, 0.3) for _ in range(1000)]
+    values = uniforms(b, 1000)
     assert flags == [v < 0.3 for v in values]
 
 
@@ -45,29 +50,29 @@ def test_choice_consumes_one_variate():
     a = RandomSource(11)
     b = RandomSource(11)
     seq = ("x", "y", "z")
-    picks = [a.choice(seq) for _ in range(500)]
-    values = b.uniforms(500)
+    picks = [choice(a, seq) for _ in range(500)]
+    values = uniforms(b, 500)
     assert picks == [seq[int(v * 3)] for v in values]
 
 
 def test_choice_covers_all_members():
     rng = RandomSource(3)
-    seen = {rng.choice((0, 1, 2)) for _ in range(200)}
+    seen = {choice(rng, (0, 1, 2)) for _ in range(200)}
     assert seen == {0, 1, 2}
 
 
 def test_child_streams_are_stable_and_independent():
     parent = RandomSource(42)
-    early = parent.child(0).uniforms(5)
-    parent.uniforms(1000)  # consuming the parent must not move the children
-    late = parent.child(0).uniforms(5)
+    early = uniforms(parent.child(0), 5)
+    uniforms(parent, 1000)  # consuming the parent must not move the children
+    late = uniforms(parent.child(0), 5)
     assert early == late
-    assert parent.child(0).uniforms(5) != parent.child(1).uniforms(5)
+    assert uniforms(parent.child(0), 5) != uniforms(parent.child(1), 5)
 
 
 def test_child_matches_derive_child_seed():
     parent = RandomSource(42)
-    assert parent.child(3).uniforms(4) == RandomSource(derive_child_seed(42, 3)).uniforms(4)
+    assert uniforms(parent.child(3), 4) == uniforms(RandomSource(derive_child_seed(42, 3)), 4)
 
 
 def test_derive_child_seed_rejects_negative_index():
@@ -122,8 +127,8 @@ def test_bulk_draw_of_zero_consumes_nothing():
     a.uniform()
     b.uniform()
     assert a.uniform_array(0).size == 0  # inside a block
-    assert a.uniforms(0) == []
-    assert a.uniforms(5000) == b.uniforms(5000)
+    assert uniforms(a, 0) == []
+    assert uniforms(a, 5000) == uniforms(b, 5000)
 
 
 def test_bulk_draw_rejects_negative_count():

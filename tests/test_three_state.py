@@ -2,25 +2,15 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim.analysis import compare
 from qkdsim.eavesdrop import StuckFilter
-from qkdsim.photons import (
-    ERASURE,
-    THREE_STATE,
-    Polarization,
-    detected,
-    has_deterministic_outcome,
-)
+from qkdsim.photons import THREE_STATE, Polarization, has_deterministic_outcome
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
-from qkdsim.three_state import (
-    authenticate,
-    infer_key_state,
-    three_state_key_count,
-)
+from qkdsim.three_state import tamper_report
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 
@@ -34,20 +24,8 @@ def test_confirm_truth_table():
     assert auth_cells == {(D45, D45)}
 
 
-def test_infer_key_state_four_cases():
-    assert infer_key_state(Z0, detected(Z0)) is Z0
-    assert infer_key_state(Z0, ERASURE) is Z90
-    assert infer_key_state(Z90, detected(Z90)) is Z90
-    assert infer_key_state(Z90, ERASURE) is Z0
-
-
-def test_infer_key_state_rejects_diagonal_filter():
-    with pytest.raises(ValueError):
-        infer_key_state(D45, detected(D45))
-
-
 def test_authenticate_clean():
-    report = authenticate([detected(D45)] * 8)
+    report = tamper_report(checked=8, failures=0)
     assert report.auth_checked == 8
     assert report.auth_failures == 0
     assert not report.tamper_detected
@@ -55,26 +33,24 @@ def test_authenticate_clean():
 
 
 def test_authenticate_single_erasure_alarms():
-    report = authenticate([detected(D45), ERASURE, detected(D45)])
+    report = tamper_report(checked=3, failures=1)
     assert report.auth_failures == 1
     assert report.tamper_detected
 
 
 def test_authenticate_empty():
-    report = authenticate([])
+    report = tamper_report(checked=0, failures=0)
     assert report.auth_checked == 0
     assert not report.tamper_detected
     assert report.model_certification == 0.0
 
 
 def test_key_count_examples():
-    assert three_state_key_count(54) == 24
-    assert three_state_key_count(9) == 4
-    assert three_state_key_count(18) == 8
-    assert three_state_key_count(1) == Fraction(4, 9)
-    assert three_state_key_count(0) == 0
-    with pytest.raises(ValueError):
-        three_state_key_count(-1)
+    # The expected three-state key, 4n/9, exact (m plays no part in it).
+    assert compare(54, 6).three_state_key == 24
+    assert compare(9, 0).three_state_key == 4
+    assert compare(18, 1).three_state_key == 8
+    assert compare(1, 0).three_state_key == Fraction(4, 9)
 
 
 def test_honest_run_agrees_and_stays_quiet():
