@@ -120,12 +120,6 @@ def test_bit_map_values():
 def test_infer_polarization_two_branches(filt):
     assert infer_polarization(filt, detected(filt)) is filt
     assert infer_polarization(filt, ERASURE) is filt.orthogonal
-    # The four key cases: a rectilinear reading names the sent state.
-    Z0, Z90 = Polarization.Z0, Polarization.Z90
-    assert infer_polarization(Z0, detected(Z0)) is Z0
-    assert infer_polarization(Z0, ERASURE) is Z90
-    assert infer_polarization(Z90, detected(Z90)) is Z90
-    assert infer_polarization(Z90, ERASURE) is Z0
 
 
 def test_outcomes_are_interned():

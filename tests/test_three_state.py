@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from qkdsim.analysis import compare
 from qkdsim.eavesdrop import StuckFilter
-from qkdsim.photons import THREE_STATE, Polarization, has_deterministic_outcome
+from qkdsim.photons import (
+    ERASURE,
+    THREE_STATE,
+    Polarization,
+    detected,
+    has_deterministic_outcome,
+    infer_polarization,
+)
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.three_state import tamper_report
@@ -22,6 +29,15 @@ def test_confirm_truth_table():
     assert kept_cells == {(Z0, Z0), (Z0, Z90), (Z90, Z0), (Z90, Z90), (D45, D45)}
     auth_cells = {(s, f) for s, f in kept_cells if f is THREE_STATE.auth_filter}
     assert auth_cells == {(D45, D45)}
+
+
+def test_infer_key_state_four_cases():
+    # A rectilinear reading names the sent key state: the filter angle on a
+    # detection, its orthogonal on an erasure.
+    assert infer_polarization(Z0, detected(Z0)) is Z0
+    assert infer_polarization(Z0, ERASURE) is Z90
+    assert infer_polarization(Z90, detected(Z90)) is Z90
+    assert infer_polarization(Z90, ERASURE) is Z0
 
 
 def test_authenticate_clean():
