@@ -33,9 +33,9 @@ def main(argv=None) -> int:
     n = args.start
     for step in range(args.steps):
         session = run_session(THREE_STATE, n, RandomSource(derive_child_seed(args.seed, step)))
-        confirmed = len(session.kept_index) / n
-        key = len(session.key_index) / n
-        auth = len(session.auth_index) / n
+        confirmed = session.confirmed / n
+        key = session.key_count / n
+        auth = session.auth_count / n
         worst = max(
             abs(confirmed - exact["confirmed"]) / standard_error(exact["confirmed"], n),
             abs(key - exact["key"]) / standard_error(exact["key"], n),

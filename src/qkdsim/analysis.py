@@ -1,19 +1,26 @@
 """Closed-form analysis of both protocols, in exact rational arithmetic.
 
-Everything here is derived by enumeration over the discrete channel model
-in :mod:`qkdsim.photons`, with probabilities kept as :class:`~fractions.Fraction`
-until the caller asks for floats.  Entropies stay symbolic too: every
-probability in play is of the form 2^a·3^b, so any entropy is an exact
-rational combination ``q + r·log2(3)`` (:class:`ExactBits`).
+The channel is enumerated in one place, :func:`cell_probabilities`: the
+exact law of one tick over the 32 cells that
+:attr:`~qkdsim.session.Session.cells` counts, under any attack, read off
+the tables of :mod:`qkdsim.photons`.  Probabilities stay
+:class:`~fractions.Fraction` until the caller asks for floats.  Everything
+else is read off that law:
 
-The same enumeration machinery doubles as the oracle for the Monte Carlo
-suite: :func:`cell_probabilities` is the exact law of one tick over the 32
-cells that :attr:`~qkdsim.session.Session.cells` counts, under any attack.
-The rates (:func:`kept_fraction`, :func:`key_fraction`,
-:func:`auth_fraction`) and the per-position attack statistics
-(:func:`auth_failure_probability`, :func:`key_error_probability`) are sums
-of that law over the cells that :func:`~qkdsim.session.cell_table` marks,
-the same marks the trial reports count with.
+* the rates (:func:`kept_fraction`, :func:`key_fraction`,
+  :func:`auth_fraction`) and the per-position attack statistics
+  (:func:`auth_failure_probability`, :func:`key_error_probability`) are
+  sums of it over the cells that :func:`~qkdsim.session.cell_table` marks,
+  the same marks the trial reports count with;
+* the joint law of (sent state, receiver reading),
+  :func:`joint_distribution`, is its honest form folded by
+  :func:`~qkdsim.session.outcome_rows`, the fold the reports' outcome
+  tallies use, and the entropies (:func:`entropy_report`) are read off
+  that joint law.
+
+Entropies stay symbolic too: every probability in play is of the form
+2^a·3^b, so any entropy is an exact rational combination
+``q + r·log2(3)`` (:class:`ExactBits`).
 """
 
 from __future__ import annotations
@@ -21,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .eavesdrop import Attack, InterceptResend, NoAttack, normalize_attack
 from .photons import (
     ERASURE,
+    OUTCOME_CLASSES,
     PASS_PROBABILITY,
     POLARIZATIONS,
     THREE_STATE,
@@ -36,15 +44,10 @@ from .photons import (
     Protocol,
     detected,
     resend_table,
-    transition_distribution,
 )
-from .session import CELLS, cell_table
+from .session import CELLS, cell_table, outcome_rows
 
 LOG2_3 = math.log2(3)
-
-
-class EmptyInput(ValueError):
-    """Raised when an estimator is given nothing to estimate from."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +171,21 @@ class JointDistribution:
 
 
 def joint_distribution(protocol: Protocol = THREE_STATE) -> JointDistribution:
-    """Exact composition: uniform sender x uniform filter x channel physics.
+    """Exact joint law of (sent state, receiver reading): the honest cell law, folded.
 
     The receiver outcome classes are one detection class per filter angle
     plus the erasure class (the filter identity is public, the reading is
     not, so "detected at 45°" and "erasure" are the receiver's datum).
+    Every pair appears, those of mass 0 included.
     """
-    senders, filter_set = protocol.alphabet, protocol.filters
-    outcomes = tuple(detected(f) for f in filter_set) + (ERASURE,)
-    cells: dict[tuple[Polarization, MeasurementOutcome], Fraction] = {
-        (s, o): Fraction(0) for s in senders for o in outcomes
+    rows = outcome_rows(cell_probabilities(protocol))
+    outcomes = tuple(detected(f) for f in protocol.filters) + (ERASURE,)
+    cells = {
+        (s, o): rows[POLARIZATIONS.index(s)][OUTCOME_CLASSES.index(o)]
+        for s in protocol.alphabet
+        for o in outcomes
     }
-    w_sender = Fraction(1, len(senders))
-    w_filter = Fraction(1, len(filter_set))
-    for s in senders:
-        for f in filter_set:
-            for outcome, p in transition_distribution(s, f).items():
-                cells[(s, outcome)] += w_sender * w_filter * p
-    return JointDistribution(cells, senders, outcomes)
+    return JointDistribution(cells, protocol.alphabet, outcomes)
 
 
 @dataclass(frozen=True)
@@ -481,12 +481,8 @@ def session_detection_probability(
 
 
 # ---------------------------------------------------------------------------
-# Empirical estimators (Monte Carlo side of the empirical-vs-exact checks)
+# Sampling error of the Monte Carlo estimates
 # ---------------------------------------------------------------------------
-
-
-def _plugin_entropy(frequencies: Iterable[float]) -> float:
-    return -sum(p * math.log2(p) for p in frequencies if p > 0)
 
 
 def standard_error(p: float, trials: int) -> float:
@@ -494,88 +490,3 @@ def standard_error(p: float, trials: int) -> float:
     if trials <= 0:
         raise ValueError("need a positive sample size")
     return math.sqrt(p * (1.0 - p) / trials)
-
-
-@dataclass(frozen=True)
-class EmpiricalStatistics:
-    """Plug-in estimates pooled from session reports, with standard errors."""
-
-    photons: int
-    joint_frequencies: dict[str, dict[str, float]]
-    receiver_frequencies: dict[str, float]
-    h_a: float
-    h_b: float
-    h_ab: float
-    mutual_info: float
-    confirmed_fraction: float
-    key_fraction: float
-    auth_fraction: float
-    standard_errors: dict[str, float]
-
-
-def empirical_statistics(reports: Sequence) -> EmpiricalStatistics:
-    """Pool per-session counts into frequency estimates.
-
-    Accepts any objects exposing ``joint_counts`` (sent-name → outcome-label
-    → count) and ``counts`` (with sent/confirmed/key/auth totals), i.e.
-    session reports.  Pooling is pure summation, so the result is
-    independent of report order.
-    """
-    if not reports:
-        raise EmptyInput("no session reports to pool")
-    pooled: dict[str, dict[str, int]] = {}
-    totals = {"sent": 0, "confirmed": 0, "key": 0, "auth": 0}
-    for report in reports:
-        for sent_name, row in report.joint_counts.items():
-            dest = pooled.setdefault(sent_name, {})
-            for label, count in row.items():
-                dest[label] = dest.get(label, 0) + count
-        for field in totals:
-            totals[field] += report.counts[field]
-    # Canonical key order before any float work: integer pooling commutes,
-    # but float summation only does if it always runs in the same order.
-    joint = {
-        s: {label: row[label] for label in sorted(row)} for s, row in sorted(pooled.items())
-    }
-    photons = totals["sent"]
-    if photons == 0:
-        raise EmptyInput("pooled reports contain no photons")
-
-    joint_freq = {
-        s: {label: count / photons for label, count in row.items()}
-        for s, row in joint.items()
-    }
-    sender_freq = [sum(row.values()) / photons for row in joint.values()]
-    receiver_freq: dict[str, float] = {}
-    for row in joint.values():
-        for label, count in row.items():
-            receiver_freq[label] = receiver_freq.get(label, 0.0) + count / photons
-
-    h_a = _plugin_entropy(sender_freq)
-    h_b = _plugin_entropy(receiver_freq.values())
-    h_ab = _plugin_entropy(
-        count / photons for row in joint.values() for count in row.values()
-    )
-    confirmed_fraction = totals["confirmed"] / photons
-    key_fraction = totals["key"] / photons
-    auth_fraction = totals["auth"] / photons
-    errors = {
-        "confirmed_fraction": standard_error(confirmed_fraction, photons),
-        "key_fraction": standard_error(key_fraction, photons),
-        "auth_fraction": standard_error(auth_fraction, photons),
-    }
-    for label, freq in receiver_freq.items():
-        errors[f"receiver_{label}"] = standard_error(freq, photons)
-    return EmpiricalStatistics(
-        photons=photons,
-        joint_frequencies=joint_freq,
-        receiver_frequencies=receiver_freq,
-        h_a=h_a,
-        h_b=h_b,
-        h_ab=h_ab,
-        mutual_info=h_a + h_b - h_ab,
-        confirmed_fraction=confirmed_fraction,
-        key_fraction=key_fraction,
-        auth_fraction=auth_fraction,
-        standard_errors=errors,
-    )

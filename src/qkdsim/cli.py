@@ -380,6 +380,8 @@ def _cmd_attack_sweep(args: argparse.Namespace) -> int:
         fractions = (
             [1.0] if fractions_spec is None else [float(x) for x in _split_csv(fractions_spec)]
         )
+        for fraction in fractions:
+            InterceptResend(fraction=fraction)  # checks the range before any session runs
     except ValueError as exc:
         raise _CLIError(f"fractions: {exc}") from exc
 

@@ -5,7 +5,9 @@ optical line, measures photons with her own filter and retransmits
 something (:class:`InterceptResend`, :class:`StuckFilter`).  A *passive*
 attacker reads only the public discussion (:class:`PassiveClassical`);
 :func:`passive_infer` computes everything such an attacker can claim about
-the key material, position by position.
+the key material, position by position, by running the public keep rule
+(the ``DETERMINISTIC`` table of :mod:`qkdsim.photons`) backwards once per
+filter.
 
 An active attacker meets each photon exactly once, in transmission order —
 she cannot clone, reorder or delay.  Per photon she spends one gate
@@ -29,6 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .photons import (
+    DETERMINISTIC,
     OUTCOME_CLASSES,
     PASS_PROBABILITY,
     POLARIZATIONS,
@@ -37,7 +40,6 @@ from .photons import (
     ResendPolicy,
     THREE_STATE_ALPHABET,
     consistent_inputs,
-    has_deterministic_outcome,
     outcome_class,
     resend_table,
 )
@@ -241,48 +243,33 @@ def intercept_session(
     return Interception(arrival, filters >= 0, filters, detected, tuple(alphabet))
 
 
-def consistent_sent_states(
-    filter_angle: Polarization,
-    kept: bool,
-    alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET,
-) -> tuple[Polarization, ...]:
-    """Alphabet states consistent with one (announced filter, kept?) pair.
-
-    The keep/discard rule is public — a position is kept exactly when
-    (sent, filter) has a deterministic outcome — so anyone can run it
-    backwards.  This is the exhaustive-consistency primitive behind
-    :func:`passive_infer` and the security property tests.
-    """
-    return tuple(
-        s for s in alphabet if has_deterministic_outcome(s, filter_angle) == kept
-    )
-
-
 def passive_infer(
     transcript, alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET
 ) -> list[EveRecord]:
     """Everything a transcript-only attacker can claim about the key material.
 
     For each position she knows the receiver's announced filter and whether
-    the sender kept it.  A kept position determines the sent state exactly
-    when a single alphabet member survives the consistency check — for the
-    three-state alphabet that happens only at kept diagonal-filter
-    (authentication) positions, where the state is forced.  Kept
-    rectilinear-filter positions always leave both key states open, which
-    is the protocol's security claim for the key bits.
+    the sender kept it.  The keep rule is public (a position is kept
+    exactly when (sent, filter) reads deterministically, the
+    ``DETERMINISTIC`` table), so she can run it backwards: a kept position
+    determines the sent state exactly when a single alphabet member reads
+    deterministically under its filter.  For the three-state alphabet that
+    happens only at kept diagonal-filter (authentication) positions, where
+    the state is forced.  Kept rectilinear-filter positions always leave
+    both key states open, which is the protocol's security claim for the
+    key bits.
 
     Discarded positions yield no ``known_bit``: they carry no key or
     authentication material, so the attacker's knowledge of them is
     irrelevant to the session (deliberately not claimed here).
     """
-    filters = transcript.announced_filters()
+    states = [POLARIZATIONS.index(s) for s in alphabet]
+    pinned = {}
+    for f, angle in enumerate(POLARIZATIONS):
+        candidates = [alphabet[i] for i, keeps in enumerate(DETERMINISTIC[states, f]) if keeps]
+        pinned[angle] = candidates[0] if len(candidates) == 1 else None
     kept = set(transcript.kept_positions())
-    records = []
-    for i, f in enumerate(filters):
-        known = None
-        if i in kept:
-            candidates = consistent_sent_states(f, True, alphabet)
-            if len(candidates) == 1:
-                known = candidates[0]
-        records.append(EveRecord(i, EveSource.TRANSCRIPT, f, None, known))
-    return records
+    return [
+        EveRecord(i, EveSource.TRANSCRIPT, f, None, pinned[f] if i in kept else None)
+        for i, f in enumerate(transcript.announced_filters())
+    ]

@@ -47,7 +47,7 @@ from .photons import (
     ResendPolicy,
 )
 from .rng import RandomSource, derive_child_seed
-from .session import CELL_SHAPE, run_session
+from .session import outcome_rows, run_session
 from .three_state import tamper_report
 
 SCHEMA_VERSION = 1
@@ -174,13 +174,12 @@ _OUTCOME_LABELS = tuple(outcome_label(o) for o in OUTCOME_CLASSES)
 def _tally(cells: np.ndarray) -> tuple[dict[str, int], dict[str, dict[str, int]]]:
     """Count readings per outcome class and per (sent state, outcome class).
 
-    Reads a session's cell histogram (see :class:`qkdsim.session.Session`);
-    only non-zero cells appear.
+    Labels the fold of a session's cell histogram (see
+    :func:`qkdsim.session.outcome_rows`); only non-zero cells appear.
     """
     outcome_counts: dict[str, int] = {}
     joint: dict[str, dict[str, int]] = {}
-    for s, per_filter in zip(POLARIZATIONS, cells.reshape(CELL_SHAPE).tolist()):
-        row = [sum(erased for erased, _ in per_filter)] + [hit for _, hit in per_filter]
+    for s, row in zip(POLARIZATIONS, outcome_rows(cells)):
         for label, count in zip(_OUTCOME_LABELS, row):
             if count:
                 outcome_counts[label] = outcome_counts.get(label, 0) + count
@@ -459,22 +458,17 @@ def attack_sweep(
                     filter_choice=choice, resend=policy, fraction=fraction
                 )
                 config = replace(base, attack=attack, abort_on_tamper=False)
-                reports = run(config)
-                agg = aggregate(reports)
-                auth_checked = sum(r.tamper["auth_checked"] for r in reports)
-                auth_failures = sum(r.tamper["auth_failures"] for r in reports)
+                agg = aggregate(run(config))
                 rows.append(
                     SweepRow(
                         policy=f"{filter_choice_label(choice)}/{policy.value}",
                         fraction=fraction,
-                        empirical_failure=(
-                            auth_failures / auth_checked if auth_checked else 0.0
-                        ),
+                        empirical_failure=agg.get("auth_failure_rate", 0.0),
                         oracle_failure=float(auth_failure_probability(attack)),
                         paper_model=float(model_auth_failure_rate(fraction)),
                         detection_rate=agg["detection_rate"],
                         key_error_rate=agg["key_error_rate"],
-                        auth_positions=auth_checked,
+                        auth_positions=agg["totals"]["auth"],
                         oracle_key_error=float(key_error_probability(attack)),
                     )
                 )

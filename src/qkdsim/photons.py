@@ -8,8 +8,11 @@ is observable as an *erasure*: a tick with no detection.
 
 For the 45-degree-spaced alphabet the pass probabilities are exactly 0, 1/2
 or 1, so the whole channel is enumerable with exact rationals.
-:func:`transition_distribution` returns those rationals and serves as the
-enumeration oracle against which every Monte Carlo statistic is checked.
+:func:`detection_probability` gives them, and the tables below read them
+off once: ``PASS_PROBABILITY`` and the keep rule ``DETERMINISTIC``, per
+(photon, filter) index.  The sampler and the exact oracles of
+:mod:`qkdsim.analysis` both read these tables; the channel law itself is
+enumerated once, in :func:`qkdsim.analysis.cell_probabilities`.
 
 The two protocols differ at this layer only in their :class:`Protocol`
 spec: sender alphabet, receiver filters and authentication filter.  Whole
@@ -181,18 +184,6 @@ def infer_polarization(
     if outcome.is_detected:
         return outcome.detected_as  # type: ignore[return-value]
     return filter_angle.orthogonal
-
-
-def transition_distribution(
-    photon: Polarization, filter_angle: Polarization
-) -> dict[MeasurementOutcome, Fraction]:
-    """Exact outcome distribution for one photon-filter encounter.
-
-    This is the ground truth for all statistical checks: Monte Carlo
-    frequencies must converge to these rationals.
-    """
-    p = detection_probability(photon, filter_angle)
-    return {detected(filter_angle): p, ERASURE: 1 - p}
 
 
 class ResendPolicy(Enum):

@@ -24,13 +24,16 @@ tallies are each a sum of the histogram over marked cells, and the
 histograms of two runs add cell by cell.  Positions and key bits are read
 through the same table, tick by tick, only when asked for.  The exact
 oracles sum :func:`qkdsim.analysis.cell_probabilities` over the same marks.
+:func:`outcome_rows` folds 32 cell values, a histogram or that exact law,
+to (sent state, reading) rows: the reports' outcome tallies and the exact
+joint law of :func:`qkdsim.analysis.joint_distribution` are both this fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +60,18 @@ from .transcript import Transcript
 CELL_SHAPE = (len(POLARIZATIONS), len(POLARIZATIONS), 2)
 CELLS = 32
 _CELL_SENT, _CELL_FILTER, _CELL_READING = np.unravel_index(np.arange(CELLS), CELL_SHAPE)
+
+
+def outcome_rows(cells: Sequence) -> list[list]:
+    """Fold 32 cell values to one row per sent state, in ``POLARIZATIONS`` order.
+
+    Row entries follow :data:`~qkdsim.photons.OUTCOME_CLASSES`: the
+    erasures summed over filters, then the detections at each filter.
+    Takes a histogram and a list of exact :class:`~fractions.Fraction`
+    probabilities alike, and returns Python numbers.
+    """
+    per_sent = np.reshape(cells, (len(POLARIZATIONS), CELLS // len(POLARIZATIONS))).tolist()
+    return [[sum(ticks[0::2])] + ticks[1::2] for ticks in per_sent]
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,9 @@ branches of :func:`collapse_and_resend`, not reads of the engine's
 :func:`qkdsim.eavesdrop.intercept_session` with these loops draw for draw,
 so a fault in a shared table shows as a disagreement.  :func:`cell_law`
 enumerates the same branches with exact rationals, as the reference for
-:func:`qkdsim.analysis.cell_probabilities`.
+:func:`qkdsim.analysis.cell_probabilities`, and :func:`joint_law` the
+honest (sent state, reading) pairs, as the reference for
+:func:`qkdsim.analysis.joint_distribution`.
 """
 
 from __future__ import annotations
@@ -160,4 +162,21 @@ def cell_law(protocol, attack) -> list[Fraction]:
                 p = 0 if arriving is None else detection_probability(arriving, f)
                 law[cell] += w * p_arrive * (1 - p)
                 law[cell + 1] += w * p_arrive * p
+    return law
+
+
+def joint_law(protocol) -> dict[tuple[Polarization, MeasurementOutcome], Fraction]:
+    """Exact law of (sent state, receiver reading) on the honest channel, by enumeration.
+
+    Keys run over the alphabet, then a detection at each filter and an
+    erasure, zero mass included.
+    """
+    outcomes = tuple(detected(f) for f in protocol.filters) + (ERASURE,)
+    law = {(s, o): Fraction(0) for s in protocol.alphabet for o in outcomes}
+    w = Fraction(1, len(protocol.alphabet) * len(protocol.filters))
+    for s in protocol.alphabet:
+        for f in protocol.filters:
+            p = detection_probability(s, f)
+            law[s, detected(f)] += w * p
+            law[s, ERASURE] += w * (1 - p)
     return law

@@ -11,16 +11,15 @@ from fractions import Fraction
 import mpmath
 
 from qkdsim.analysis import (
-    auth_failure_probability,
     entropy_report,
     compare,
     joint_distribution,
 )
 from qkdsim.bb84 import parity_certify
 from qkdsim.cli import main
-from qkdsim.eavesdrop import InterceptResend, passive_infer
+from qkdsim.eavesdrop import passive_infer
 from qkdsim.harness import SessionConfig, attack_sweep, run
-from qkdsim.photons import BB84, ERASURE, THREE_STATE, Polarization, ResendPolicy, detected
+from qkdsim.photons import BB84, ERASURE, THREE_STATE, Polarization, detected
 from qkdsim.rng import RandomSource, derive_child_seed
 from qkdsim.session import run_session
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim.analysis import (
-    EmptyInput,
     ExactBits,
     arrival_distribution,
     auth_failure_probability,
@@ -23,7 +22,6 @@ from qkdsim.analysis import (
     bb84_certification_probability,
     cell_probabilities,
     compare,
-    empirical_statistics,
     entropy_bits,
     entropy_report,
     equal_confidence_rounds,
@@ -39,11 +37,10 @@ from qkdsim.analysis import (
     three_state_certification_probability,
 )
 from qkdsim.eavesdrop import InterceptResend, NoAttack, StuckFilter
-from qkdsim.harness import SessionConfig, run
 from qkdsim.photons import BB84, ERASURE, THREE_STATE, Polarization, ResendPolicy, detected
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
-from reference import arrival_law, cell_law
+from reference import arrival_law, cell_law, joint_law
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 ORTH = ResendPolicy.ORTHOGONAL_INFERENCE
@@ -132,6 +129,17 @@ def test_receiver_marginal_exact():
 def test_sender_marginal_uniform():
     marginal = joint_distribution().sender_marginal()
     assert all(p == Fraction(1, 3) for p in marginal.values())
+
+
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+def test_joint_distribution_matches_branch_enumeration(protocol):
+    # Same pairs in the same order, each an exact Fraction, zero mass included.
+    joint = joint_distribution(protocol)
+    expected = joint_law(protocol)
+    assert list(joint.cells.items()) == list(expected.items())
+    assert all(type(p) is Fraction for p in joint.cells.values())
+    assert joint.senders == protocol.alphabet
+    assert joint.outcomes == tuple(dict.fromkeys(o for _, o in expected))
 
 
 def test_entropy_closed_forms():
@@ -372,31 +380,6 @@ def test_session_histogram_follows_the_cell_law(protocol, attack):
     cells = run_session(protocol, n, RandomSource(77), attack).cells
     for count, p in zip(cells.tolist(), law):
         assert abs(count - n * p) <= 6 * math.sqrt(n * p * (1 - p))
-
-
-# -- empirical pooling ---------------------------------------------------------
-
-
-def test_empirical_statistics_requires_reports():
-    with pytest.raises(EmptyInput):
-        empirical_statistics([])
-
-
-def test_empirical_statistics_order_independent():
-    reports = run(SessionConfig(protocol="three_state", n=500, trials=6, seed=3))
-    forward = empirical_statistics(reports)
-    backward = empirical_statistics(list(reversed(reports)))
-    assert forward == backward
-
-
-def test_empirical_mutual_information_converges():
-    reports = run(SessionConfig(protocol="three_state", n=100_000, trials=2, seed=8))
-    stats = empirical_statistics(reports)
-    exact = entropy_report()
-    assert stats.photons == 200_000
-    assert abs(stats.mutual_info - float(exact.mutual_info)) < 0.02
-    assert abs(stats.h_b - float(exact.h_b)) < 0.02
-    assert abs(stats.confirmed_fraction - 5 / 9) < 0.01
 
 
 def test_standard_error():

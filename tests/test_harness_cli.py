@@ -1,5 +1,6 @@
 """Session harness and command-line surface: validation, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -407,9 +408,14 @@ def test_cli_bad_flag_exits_one(capsys):
     assert err
 
 
+# SHA-256 of the analyze document: exact values, key order and formatting.
+ANALYZE_DIGEST = "a5a6f33910bc5d66db96d9d13d64a3369edb2d523cc1dceab7fb1a152dcb4a2c"
+
+
 def test_cli_analyze_document(capsys):
     code, out, _ = run_cli(capsys, "analyze")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGEST
     doc = json.loads(out)
     assert doc["total_mass"] == "1"
     assert doc["entropies"]["mutual_info"]["bits_4dp"] == 0.2516
@@ -472,8 +478,12 @@ def test_cli_attack_sweep_unknown_filter(capsys):
             ["attack-sweep", "--n", "90", "--fractions", "abc"],
             "fractions: could not convert string to float: 'abc'",
         ),
+        (
+            ["attack-sweep", "--n", "90", "--fractions", "0.5,1.5"],
+            "fractions: fraction must lie in [0, 1], got 1.5",
+        ),
     ],
-    ids=["compare-n", "compare-m", "sweep-fractions"],
+    ids=["compare-n", "compare-m", "sweep-fractions", "sweep-fraction-range"],
 )
 def test_cli_errors_name_their_field(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)

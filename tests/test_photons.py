@@ -25,7 +25,6 @@ from qkdsim.photons import (
     detection_probability,
     has_deterministic_outcome,
     infer_polarization,
-    transition_distribution,
 )
 from qkdsim.rng import RandomSource
 from reference import collapse_and_resend, measure, measure_arrival, uniforms
@@ -137,10 +136,9 @@ def test_detected_repr():
 
 
 @given(polarizations, polarizations)
-def test_transition_distribution_is_normalized(photon, filt):
-    dist = transition_distribution(photon, filt)
-    assert sum(dist.values()) == 1
-    assert all(p >= 0 for p in dist.values())
+def test_detection_probability_is_a_probability(photon, filt):
+    # Detection and erasure then split each encounter's unit mass.
+    assert 0 <= detection_probability(photon, filt) <= 1
 
 
 @given(polarizations, polarizations, st.integers(0, 2**32))
@@ -250,6 +248,8 @@ def test_consistent_inputs_rejects_foreign_detection():
 def test_consistent_inputs_contains_the_truth(photon, filt):
     # Whatever outcome the physics can produce, the true input is always in
     # the consistent set for that outcome.
-    for outcome, p in transition_distribution(photon, filt).items():
-        if p > 0:
-            assert photon in consistent_inputs(filt, outcome, ALL)
+    p = detection_probability(photon, filt)
+    if p > 0:
+        assert photon in consistent_inputs(filt, detected(filt), ALL)
+    if p < 1:
+        assert photon in consistent_inputs(filt, ERASURE, ALL)
