@@ -6,11 +6,16 @@ Four subcommands:
 * ``analyze``      — print the exact joint distribution / entropy numbers
 * ``compare``      — key-length and certification trade-off at a given (n, m)
 * ``attack-sweep`` — interception grid vs. the enumeration oracles, as CSV
+  or JSON (``--format``)
 
-Option precedence is command line > ``--config`` JSON file > ``QKDSIM_SEED``
-environment variable (seed only) > built-in defaults.  Exit codes: 0 on
-success, 1 on invalid configuration or runtime error, 2 when a simulated
-session aborted on tamper evidence (the report is still written).
+Each subcommand's parser is its only option schema.  A ``--config`` JSON
+file's keys are that subcommand's option names with underscores, checked
+against the parser's types and choices; its values become the parser's
+defaults.  Precedence: command line > config file > ``QKDSIM_SEED`` (the
+``--seed`` default, ``simulate`` and ``attack-sweep`` only) > built-in
+defaults.  Exit codes: 0 on success, 1 on invalid configuration or runtime
+error, 2 when a simulated session aborted on tamper evidence (the report is
+still written).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .analysis import (
     LOG2_3,
@@ -48,6 +53,7 @@ from .harness import (
     SCHEMA_VERSION,
     SessionConfig,
     attack_sweep,
+    filter_choice_label,
     outcome_label,
     report_document,
     run,
@@ -58,22 +64,8 @@ from .photons import Polarization, ResendPolicy
 
 ENV_SEED = "QKDSIM_SEED"
 
-_FILTER_NAMES = {
-    "uniform": None,
-    "z0": Polarization.Z0,
-    "d45": Polarization.D45,
-    "z90": Polarization.Z90,
-    "d135": Polarization.D135,
-}
-
-
-# Config-file values that must have an exact JSON type: bool("false") is True
-# and int(54.9) is 54, so converting them would hide a mistyped value.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("seed", "n", "m", "trials"), ((int,), "an integer")),
-    **dict.fromkeys(("abort_on_tamper", "include_transcripts"), ((bool,), "true or false")),
-    "fraction": ((int, float), "a number"),
-}
+# "uniform" (a fresh random filter per photon) or an angle, as the sweep labels them.
+_FILTERS = {filter_choice_label(choice): choice for choice in (None, *Polarization)}
 
 
 class _CLIError(Exception):
@@ -81,136 +73,140 @@ class _CLIError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]
+
     # argparse exits with status 2 on bad flags; our status 2 means
     # "tamper abort", so route parse errors through the normal error path.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _CLIError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="qkdsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, help="JSON file of option defaults")
-        p.add_argument("--output", default=None, help="write here instead of stdout")
-        p.add_argument("--format", choices=list(formats), default=None)
+    def add_io(p: argparse.ArgumentParser, seeded: bool) -> None:
+        if seeded:
+            # A string default goes through type=int, so a bad QKDSIM_SEED
+            # fails the parse like a bad --seed.
+            p.add_argument("--seed", type=int, default=os.environ.get(ENV_SEED, 0))
+        p.add_argument("--config", help="JSON file of option defaults")
+        p.add_argument("--output", help="write here instead of stdout")
 
     sim = sub.add_parser("simulate", help="run seeded protocol sessions")
     sim.add_argument("--protocol", choices=["three-state", "three_state", "bb84"])
-    sim.add_argument("--n", type=int, default=None, help="photons per session")
-    sim.add_argument("--m", type=int, default=None, help="bb84 parity rounds")
+    sim.add_argument("--n", type=int, help="photons per session")
+    sim.add_argument("--m", type=int, help="bb84 parity rounds")
     sim.add_argument(
-        "--attack", choices=["none", "passive", "intercept", "stuck"], default=None
+        "--attack", choices=["none", "passive", "intercept", "stuck"], default="none"
     )
-    sim.add_argument("--eve-filter", choices=sorted(_FILTER_NAMES), default=None)
+    sim.add_argument("--eve-filter", choices=sorted(_FILTERS), default="uniform")
     sim.add_argument(
-        "--resend-policy", choices=[p.value for p in ResendPolicy], default=None
+        "--resend-policy",
+        choices=[p.value for p in ResendPolicy],
+        default=ResendPolicy.ORTHOGONAL_INFERENCE.value,
     )
-    sim.add_argument("--fraction", type=float, default=None)
+    sim.add_argument("--fraction", type=float, default=1.0)
     sim.add_argument(
-        "--stuck-angle", choices=["z0", "d45", "z90", "d135"], default=None
+        "--stuck-angle", choices=[filter_choice_label(p) for p in Polarization], default="z0"
     )
-    sim.add_argument("--trials", type=int, default=None)
+    sim.add_argument("--trials", type=int, default=1)
     sim.add_argument(
-        "--abort-on-tamper", action=argparse.BooleanOptionalAction, default=None
+        "--abort-on-tamper", action=argparse.BooleanOptionalAction, default=True
     )
     sim.add_argument(
-        "--include-transcripts", action=argparse.BooleanOptionalAction, default=None
+        "--include-transcripts", action=argparse.BooleanOptionalAction, default=False
     )
-    add_io(sim, formats=["json"])
+    add_io(sim, seeded=True)
+    sim.set_defaults(handler=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="exact distribution and entropy report")
-    add_io(ana, formats=["json"])
+    add_io(ana, seeded=False)
+    ana.set_defaults(handler=_cmd_analyze)
 
     cmp_ = sub.add_parser("compare", help="three-state vs bb84 at a given n, m")
-    cmp_.add_argument("--n", type=int, default=None)
-    cmp_.add_argument("--m", type=int, default=None)
-    add_io(cmp_, formats=["json"])
+    cmp_.add_argument("--n", type=int)
+    cmp_.add_argument("--m", type=int)
+    add_io(cmp_, seeded=False)
+    cmp_.set_defaults(handler=_cmd_compare)
 
     sweep = sub.add_parser("attack-sweep", help="interception grid vs oracles")
-    sweep.add_argument("--n", type=int, default=None)
-    sweep.add_argument("--trials", type=int, default=None)
+    sweep.add_argument("--n", type=int)
+    sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument(
-        "--fractions", default=None, help="comma-separated, e.g. 0.25,0.5,1.0"
+        "--fractions", default="1.0", help="comma-separated, e.g. 0.25,0.5,1.0"
     )
     sweep.add_argument(
-        "--eve-filters", default=None, help="comma-separated subset of uniform,z0,d45,z90"
+        "--eve-filters",
+        default=",".join(map(filter_choice_label, DEFAULT_FILTER_CHOICES)),
+        help=f"comma-separated subset of {','.join(_FILTERS)}",
     )
     sweep.add_argument(
         "--resend-policies",
-        default=None,
-        help="comma-separated subset of orthogonal,nothing,random",
+        default=",".join(p.value for p in DEFAULT_RESEND_POLICIES),
+        help="comma-separated subset of %(default)s",
     )
-    add_io(sweep, formats=["csv", "json"])
+    sweep.add_argument("--format", choices=["csv", "json"], default="csv")
+    add_io(sweep, seeded=True)
+    sweep.set_defaults(handler=_cmd_attack_sweep)
+
+    parser.commands = sub.choices
     return parser
 
 
-class _Options:
-    """Merged view of CLI flags, config-file values, and defaults."""
+def _read_config(path: str, command: argparse.ArgumentParser) -> dict[str, Any]:
+    """The option values in a JSON config file, checked against ``command``.
 
-    def __init__(self, args: argparse.Namespace):
-        self._args = args
-        self._file: dict[str, Any] = {}
-        path = getattr(args, "config", None)
-        if path:
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    loaded = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise _CLIError(f"config: {exc}") from exc
-            if not isinstance(loaded, dict):
-                raise _CLIError("config: expected a JSON object of option values")
-            for name, (kinds, expected) in _CONFIG_TYPES.items():
-                if name in loaded and type(loaded[name]) not in kinds:
-                    raise _CLIError(f"{name}: expected {expected}, got {loaded[name]!r}")
-            self._file = loaded
-
-    def pick(self, name: str, default: Any = None) -> Any:
-        value = getattr(self._args, name, None)
-        if value is not None:
-            return value
-        if name in self._file:
-            return self._file[name]
-        return default
-
-    def seed(self) -> int:
-        value = self.pick("seed")
-        if value is None:
-            value = os.environ.get(ENV_SEED, 0)
-        try:
-            return int(value)
-        except (TypeError, ValueError) as exc:
-            raise _CLIError(f"seed: expected an integer, got {value!r}") from exc
+    Keys are the option names with underscores.  A value must have the exact
+    JSON type its option parses to: bool("false") is True and int(54.9) is
+    54, so converting would hide a mistyped value.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _CLIError(f"config: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise _CLIError("config: expected a JSON object of option values")
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    values = {}
+    for name, value in loaded.items():
+        action = actions.get(name)
+        if action is None:
+            raise _CLIError(f"{name}: not an option of {command.prog}")
+        if isinstance(action, argparse.BooleanOptionalAction):
+            ok, expected = type(value) is bool, "true or false"
+        elif action.type is int:
+            ok, expected = type(value) is int, "an integer"
+        elif action.type is float:
+            ok, expected = type(value) in (int, float), "a number"
+        elif action.choices is not None:
+            ok, expected = value in action.choices, f"one of {', '.join(action.choices)}"
+        else:
+            ok, expected = type(value) is str, "a string"
+        if not ok:
+            raise _CLIError(f"{name}: expected {expected}, got {value!r}")
+        values[name] = value if action.type is None else action.type(value)
+    return values
 
 
-def _build_attack(opts: _Options) -> Attack:
-    kind = opts.pick("attack", "none")
-    if kind == "none":
-        return NoAttack()
-    if kind == "passive":
-        return PassiveClassical()
-    if kind == "stuck":
-        angle = str(opts.pick("stuck_angle", "z0")).lower()
-        if angle not in _FILTER_NAMES or angle == "uniform":
-            raise _CLIError(f"stuck-angle: unknown angle {angle!r}")
-        return StuckFilter(angle=_FILTER_NAMES[angle])
-    if kind == "intercept":
-        filter_name = str(opts.pick("eve_filter", "uniform")).lower()
-        if filter_name not in _FILTER_NAMES:
-            raise _CLIError(f"eve-filter: unknown choice {filter_name!r}")
-        policy_name = str(opts.pick("resend_policy", ResendPolicy.ORTHOGONAL_INFERENCE.value))
-        try:
-            policy = ResendPolicy(policy_name)
-        except ValueError as exc:
-            raise _CLIError(f"resend-policy: unknown policy {policy_name!r}") from exc
-        return InterceptResend(
-            filter_choice=_FILTER_NAMES[filter_name],
-            resend=policy,
-            fraction=float(opts.pick("fraction", 1.0)),
-        )
-    raise _CLIError(f"attack: unknown kind {kind!r}")
+def _build_attack(args: argparse.Namespace) -> Attack:
+    return {
+        "none": NoAttack,
+        "passive": PassiveClassical,
+        "stuck": lambda: StuckFilter(angle=_FILTERS[args.stuck_angle]),
+        "intercept": lambda: InterceptResend(
+            filter_choice=_FILTERS[args.eve_filter],
+            resend=ResendPolicy(args.resend_policy),
+            fraction=args.fraction,
+        ),
+    }[args.attack]()
+
+
+def _require(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise _CLIError(f"{name}: required")
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -221,34 +217,20 @@ def _write_output(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _require_int(opts: _Options, name: str) -> int:
-    value = opts.pick(name)
-    if value is None:
-        raise _CLIError(f"{name}: required")
-    return value
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    fmt = opts.pick("format", "json")
-    if fmt != "json":
-        raise _CLIError(f"format: simulate only emits json, got {fmt!r}")
-    protocol = opts.pick("protocol")
-    if protocol is None:
-        raise _CLIError("protocol: required")
-    protocol = str(protocol).replace("-", "_")
+    _require(args, "protocol", "n")
     config = SessionConfig(
-        protocol=protocol,
-        n=_require_int(opts, "n"),
-        m=opts.pick("m"),
-        attack=_build_attack(opts),
-        seed=opts.seed(),
-        trials=opts.pick("trials", 1),
-        abort_on_tamper=opts.pick("abort_on_tamper", True),
-        include_transcripts=opts.pick("include_transcripts", False),
+        protocol=args.protocol.replace("-", "_"),
+        n=args.n,
+        m=args.m,
+        attack=_build_attack(args),
+        seed=args.seed,
+        trials=args.trials,
+        abort_on_tamper=args.abort_on_tamper,
+        include_transcripts=args.include_transcripts,
     ).validate()
     reports = run(config)
-    _write_output(to_json(report_document(config, reports)), opts.pick("output"))
+    _write_output(to_json(report_document(config, reports)), args.output)
     return 2 if any(r.aborted for r in reports) else 0
 
 
@@ -301,21 +283,13 @@ def _analyze_document() -> dict[str, Any]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    fmt = opts.pick("format", "json")
-    if fmt != "json":
-        raise _CLIError(f"format: analyze only emits json, got {fmt!r}")
-    _write_output(to_json(_analyze_document()), opts.pick("output"))
+    _write_output(to_json(_analyze_document()), args.output)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    fmt = opts.pick("format", "json")
-    if fmt != "json":
-        raise _CLIError(f"format: compare only emits json, got {fmt!r}")
-    n = _require_int(opts, "n")
-    m = _require_int(opts, "m")
+    _require(args, "n", "m")
+    n, m = args.n, args.m
     result = compare(n, m)
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -342,59 +316,38 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "bb84": bb84_certification_probability(m),
         },
     }
-    _write_output(to_json(document), opts.pick("output"))
+    _write_output(to_json(document), args.output)
     return 0
 
 
-def _split_csv(text: str) -> list[str]:
-    return [part.strip() for part in str(text).split(",") if part.strip()]
+def _split_list(args: argparse.Namespace, name: str, parse: Callable[[str], Any]) -> list:
+    """Parse a comma-separated option; errors name it as spelled on the command line."""
+    label = name.replace("_", "-")
+    text = getattr(args, name)
+    items = [part.strip() for part in text.split(",") if part.strip()]
+    if not items:
+        raise _CLIError(f"{label}: expected at least one entry, got {text!r}")
+    try:
+        return [parse(item) for item in items]
+    except KeyError as exc:
+        raise _CLIError(f"{label}: unknown choice {exc}") from exc
+    except ValueError as exc:
+        raise _CLIError(f"{label}: {exc}") from exc
 
 
 def _cmd_attack_sweep(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    fmt = opts.pick("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise _CLIError(f"format: attack-sweep emits csv or json, got {fmt!r}")
-
-    filters_spec = opts.pick("eve_filters")
-    if filters_spec is None:
-        filter_choices = DEFAULT_FILTER_CHOICES
-    else:
-        filter_choices = []
-        for name in _split_csv(filters_spec):
-            if name.lower() not in _FILTER_NAMES:
-                raise _CLIError(f"eve-filters: unknown choice {name!r}")
-            filter_choices.append(_FILTER_NAMES[name.lower()])
-
-    policies_spec = opts.pick("resend_policies")
-    if policies_spec is None:
-        policies = DEFAULT_RESEND_POLICIES
-    else:
-        try:
-            policies = [ResendPolicy(name) for name in _split_csv(policies_spec)]
-        except ValueError as exc:
-            raise _CLIError(f"resend-policies: {exc}") from exc
-
-    fractions_spec = opts.pick("fractions")
-    try:
-        fractions = (
-            [1.0] if fractions_spec is None else [float(x) for x in _split_csv(fractions_spec)]
-        )
-        for fraction in fractions:
-            InterceptResend(fraction=fraction)  # checks the range before any session runs
-    except ValueError as exc:
-        raise _CLIError(f"fractions: {exc}") from exc
-
-    base = SessionConfig(
-        protocol="three_state",
-        n=_require_int(opts, "n"),
-        seed=opts.seed(),
-        trials=opts.pick("trials", 1),
+    filter_choices = _split_list(args, "eve_filters", lambda x: _FILTERS[x.lower()])
+    policies = _split_list(args, "resend_policies", ResendPolicy)
+    # Building each cell's attack checks the range before any session runs.
+    fractions = _split_list(
+        args, "fractions", lambda x: InterceptResend(fraction=float(x)).fraction
     )
+    _require(args, "n")
+    base = SessionConfig(protocol="three_state", n=args.n, seed=args.seed, trials=args.trials)
     rows = attack_sweep(
         base, filter_choices=filter_choices, policies=policies, fractions=fractions
     )
-    if fmt == "csv":
+    if args.format == "csv":
         text = sweep_to_csv(rows)
     else:
         text = to_json(
@@ -404,23 +357,20 @@ def _cmd_attack_sweep(args: argparse.Namespace) -> int:
                 "rows": [row.to_jsonable() for row in rows],
             }
         )
-    _write_output(text, opts.pick("output"))
+    _write_output(text, args.output)
     return 0
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
-    "attack-sweep": _cmd_attack_sweep,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        if args.config is not None:
+            # File values become the subcommand's defaults, so flags still win.
+            command = parser.commands[args.command]
+            command.set_defaults(**_read_config(args.config, command))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except (_CLIError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

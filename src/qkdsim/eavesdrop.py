@@ -37,8 +37,8 @@ from .photons import (
     POLARIZATIONS,
     MeasurementOutcome,
     Polarization,
+    Protocol,
     ResendPolicy,
-    THREE_STATE_ALPHABET,
     consistent_inputs,
     outcome_class,
     resend_table,
@@ -243,9 +243,7 @@ def intercept_session(
     return Interception(arrival, filters >= 0, filters, detected, tuple(alphabet))
 
 
-def passive_infer(
-    transcript, alphabet: Sequence[Polarization] = THREE_STATE_ALPHABET
-) -> list[EveRecord]:
+def passive_infer(transcript, protocol: Protocol) -> list[EveRecord]:
     """Everything a transcript-only attacker can claim about the key material.
 
     For each position she knows the receiver's announced filter and whether
@@ -253,16 +251,19 @@ def passive_infer(
     exactly when (sent, filter) reads deterministically, the
     ``DETERMINISTIC`` table), so she can run it backwards: a kept position
     determines the sent state exactly when a single alphabet member reads
-    deterministically under its filter.  For the three-state alphabet that
-    happens only at kept diagonal-filter (authentication) positions, where
-    the state is forced.  Kept rectilinear-filter positions always leave
-    both key states open, which is the protocol's security claim for the
-    key bits.
+    deterministically under its filter.  A transcript does not name its
+    protocol, so the caller passes the one the sender drew from.  For the
+    three-state alphabet a state is pinned only at kept diagonal-filter
+    (authentication) positions.  Kept rectilinear-filter positions always
+    leave both key states open, which is the protocol's security claim for
+    the key bits.  Under BB84 every filter keeps two alphabet states, so
+    nothing is pinned.
 
     Discarded positions yield no ``known_bit``: they carry no key or
     authentication material, so the attacker's knowledge of them is
     irrelevant to the session (deliberately not claimed here).
     """
+    alphabet = protocol.alphabet
     states = [POLARIZATIONS.index(s) for s in alphabet]
     pinned = {}
     for f, angle in enumerate(POLARIZATIONS):

@@ -188,7 +188,7 @@ def test_criterion_8_passive_eavesdropper_bound():
             for i in session.kept_index.tolist()
             if session.filters[i] is Polarization.D45
         }
-        for record in passive_infer(session.transcript):
+        for record in passive_infer(session.transcript, THREE_STATE):
             if record.known_bit is not None:
                 known_total += 1
                 ok = (

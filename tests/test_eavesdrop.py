@@ -101,7 +101,7 @@ def test_photon_level_interception_never_pins_the_state():
 
 def test_passive_infer_claims_exactly_the_confirmed_diagonal_positions():
     session = run_session(THREE_STATE, 3000, RandomSource(90))
-    records = passive_infer(session.transcript)
+    records = passive_infer(session.transcript, THREE_STATE)
     assert len(records) == 3000
     claimed = {r.index for r in records if r.known_bit is not None}
     confirmed_diagonal = {
@@ -118,9 +118,20 @@ def test_passive_infer_claims_exactly_the_confirmed_diagonal_positions():
 
 def test_passive_infer_never_claims_key_positions():
     session = run_session(THREE_STATE, 2000, RandomSource(91))
-    records = {r.index: r for r in passive_infer(session.transcript)}
+    records = {r.index: r for r in passive_infer(session.transcript, THREE_STATE)}
     for i in session.key_index.tolist():
         assert records[i].known_bit is None
+
+
+def test_passive_infer_on_bb84_claims_only_true_states():
+    # Every BB84 filter keeps two alphabet states, so no kept position is
+    # pinned; the three-state alphabet would pin 45 degrees where 135 is as likely.
+    session = run_session(BB84, 200, RandomSource(3))
+    records = passive_infer(session.transcript, BB84)
+    assert len(records) == 200
+    for r in records:
+        assert r.known_bit is None or r.known_bit is session.sent[r.index]
+    assert all(r.known_bit is None for r in records)
 
 
 def test_stuck_filter_detects_half_and_pins_no_state():

@@ -345,9 +345,14 @@ def test_cli_env_seed_and_flag_precedence(tmp_path, capsys, monkeypatch):
         capsys, "simulate", "--protocol", "three-state", "--n", "50", "--seed", "1"
     )
     assert json.loads(out_flag)["config"]["seed"] == 1
+    monkeypatch.setenv("QKDSIM_SEED", "abc")
+    code, out_bad, err = run_cli(capsys, "simulate", "--protocol", "three-state", "--n", "50")
+    assert code == 1
+    assert out_bad == ""
+    assert err == "error: argument --seed: invalid int value: 'abc'\n"
 
 
-def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
+def test_cli_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(
         json.dumps({"protocol": "three-state", "n": 80, "seed": 7, "trials": 2})
@@ -364,6 +369,33 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     doc2 = json.loads(out2)
     assert doc2["config"]["n"] == 40
     assert doc2["config"]["seed"] == 1
+    # The file beats QKDSIM_SEED.
+    monkeypatch.setenv("QKDSIM_SEED", "900")
+    _, out3, _ = run_cli(capsys, "simulate", "--config", str(config_path))
+    assert json.loads(out3)["config"]["seed"] == 7
+
+    compare_path = tmp_path / "compare.json"
+    compare_path.write_text(json.dumps({"n": 54, "m": 6}))
+    _, out, _ = run_cli(capsys, "compare", "--config", str(compare_path))
+    assert (json.loads(out)["n"], json.loads(out)["m"]) == (54, 6)
+    _, out, _ = run_cli(capsys, "compare", "--config", str(compare_path), "--m", "3")
+    assert (json.loads(out)["n"], json.loads(out)["m"]) == (54, 3)
+
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(
+        json.dumps(
+            {"n": 300, "seed": 4, "fractions": "0.5", "eve_filters": "z0",
+             "resend_policies": "nothing", "format": "json"}
+        )
+    )
+    _, out, _ = run_cli(capsys, "attack-sweep", "--config", str(sweep_path))
+    [row] = json.loads(out)["rows"]
+    assert (row["policy"], row["fraction"]) == ("z0/nothing", 0.5)
+    _, out, _ = run_cli(
+        capsys, "attack-sweep", "--config", str(sweep_path), "--fractions", "1.0",
+        "--format", "csv",
+    )
+    assert out.splitlines()[1].startswith("z0/nothing, 1.0, ")
 
 
 @pytest.mark.parametrize(
@@ -375,8 +407,20 @@ def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
         ("n", True, "n: expected an integer, got True"),
         ("include_transcripts", 1, "include_transcripts: expected true or false, got 1"),
         ("fraction", "0.5", "fraction: expected a number, got '0.5'"),
+        ("trails", 5, "trails: not an option of qkdsim simulate"),
+        ("format", "json", "format: not an option of qkdsim simulate"),
+        (
+            "stuck_angle",
+            "uniform",
+            "stuck_angle: expected one of z0, d45, z90, d135, got 'uniform'",
+        ),
+        ("attack", "mitm", "attack: expected one of none, passive, intercept, stuck, got 'mitm'"),
     ],
-    ids=["bool-as-str", "int-as-float", "int-as-str", "int-as-bool", "bool-as-int", "number-as-str"],
+    ids=[
+        "bool-as-str", "int-as-float", "int-as-str", "int-as-bool", "bool-as-int",
+        "number-as-str", "unknown-key", "other-command-key", "stuck-angle-choice",
+        "attack-choice",
+    ],
 )
 def test_cli_config_file_rejects_mistyped_values(tmp_path, capsys, field, value, needle):
     values = {"protocol": "three-state", "n": 54, "attack": "intercept", "seed": 3}
@@ -482,8 +526,23 @@ def test_cli_attack_sweep_unknown_filter(capsys):
             ["attack-sweep", "--n", "90", "--fractions", "0.5,1.5"],
             "fractions: fraction must lie in [0, 1], got 1.5",
         ),
+        (
+            ["attack-sweep", "--n", "90", "--fractions", ""],
+            "fractions: expected at least one entry, got ''",
+        ),
+        (
+            ["attack-sweep", "--n", "90", "--eve-filters", ","],
+            "eve-filters: expected at least one entry, got ','",
+        ),
+        (
+            ["attack-sweep", "--n", "90", "--resend-policies", " "],
+            "resend-policies: expected at least one entry, got ' '",
+        ),
     ],
-    ids=["compare-n", "compare-m", "sweep-fractions", "sweep-fraction-range"],
+    ids=[
+        "compare-n", "compare-m", "sweep-fractions", "sweep-fraction-range",
+        "sweep-no-fractions", "sweep-no-filters", "sweep-no-policies",
+    ],
 )
 def test_cli_errors_name_their_field(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)
