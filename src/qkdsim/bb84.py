@@ -38,6 +38,29 @@ class CertificationResult:
     differing: int  # surviving positions where the two keys disagree
 
 
+# Variates a round reads before it skips the rest, when only its first
+# chosen position matters: all of them are at least 1/2 with chance 2^-64.
+_HEAD = 64
+
+
+def _draw_subset(rng: RandomSource, n: int, whole: bool) -> np.ndarray:
+    """One round's inclusion flags (variate below 1/2) over n survivors.
+
+    With ``whole`` all n flags are drawn.  Otherwise the flags come back
+    only as far as a head that holds the first chosen position: the first
+    ``_HEAD`` variates are drawn, and the rest of the round is skipped if
+    one of them is below 1/2 or drawn in full if none is.  Either way the
+    stream ends where n drawn variates leave it.
+    """
+    head = rng.uniform_array(n if whole else min(n, _HEAD)) < 0.5
+    if len(head) == n:
+        return head
+    if head.any():
+        rng.skip(n - len(head))
+        return head
+    return np.concatenate((head, rng.uniform_array(n - len(head)) < 0.5))
+
+
 def parity_certify(
     alice_key: Sequence[int],
     bob_key: Sequence[int],
@@ -56,12 +79,14 @@ def parity_certify(
     fail with probability exactly 1/2, which is what gives m rounds their
     1 - 2^-m detection power.
 
-    A subset draw spends one variate per survivor, in position order, as
-    one bulk draw; an empty subset is redrawn the same way.  The parities
-    differ exactly when the subset holds an odd number of the positions
-    where the keys disagree, so only those positions are followed; the
-    subset itself and the receiver's parity are formed only for a
-    transcript.
+    A subset draw spends one variate per survivor, in position order; an
+    empty subset is redrawn the same way.  The parities differ exactly when
+    the subset holds an odd number of the positions where the keys
+    disagree, so only those positions are followed; the subset itself and
+    the receiver's parity are formed only for a transcript.  A round with
+    neither a transcript nor a disagreeing survivor reads only its first
+    chosen position (see :func:`_draw_subset`) and skips the rest of its
+    variates unread, leaving ``rng`` where the full draw would.
     """
     if m < 0:
         raise ValueError("round count must be non-negative")
@@ -76,9 +101,10 @@ def parity_certify(
     survivors = np.arange(len(bob))
     detection_round: Optional[int] = None
     for round_number in range(1, m + 1):
-        chosen = rng.uniform_array(len(survivors)) < 0.5
+        whole = transcript is not None or errors.size > 0
+        chosen = _draw_subset(rng, len(survivors), whole)
         while not chosen.any():
-            chosen = rng.uniform_array(len(survivors)) < 0.5
+            chosen = _draw_subset(rng, len(survivors), whole)
         if transcript is not None:
             subset = survivors[chosen]
             transcript.parity_query(round_number, subset.tolist())

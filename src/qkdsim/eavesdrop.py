@@ -33,13 +33,14 @@ import numpy as np
 from .photons import (
     DETERMINISTIC,
     OUTCOME_CLASSES,
-    PASS_PROBABILITY,
     POLARIZATIONS,
     MeasurementOutcome,
     Polarization,
     Protocol,
     ResendPolicy,
     consistent_inputs,
+    detects,
+    option_index,
     outcome_class,
     resend_table,
 )
@@ -169,7 +170,7 @@ def _walk(u, gate, photon_filter, measure_at: int, resends: int, sent: np.ndarra
         k = len(u) - measure_at
         for s in range(len(POLARIZATIONS)):
             table = steps.copy()
-            table[:k] += gate[:k] & (u[measure_at:] >= PASS_PROBABILITY[s, photon_filter[:k]])
+            table[:k] += gate[:k] & ~detects(s * 4 + photon_filter[:k], u[measure_at:])
             tables[s] = table.tobytes()
     starts = []
     record = starts.append
@@ -204,7 +205,6 @@ def intercept_session(
         return None
     choose = attack.filter_choice is None
     options = filter_set if choose else (attack.filter_choice,)
-    filter_table = np.array([POLARIZATIONS.index(f) for f in options], dtype=np.int8)
     resend = resend_table(attack.resend, alphabet)
     width = resend.shape[1]
     resends = int(width > 1)  # variates an erasure spends to pick its resend
@@ -225,7 +225,7 @@ def intercept_session(
         # Each position read as a gate and as a uniform filter choice;
         # a photon starting at q reads its filter at q + choose.
         gate = u < attack.fraction
-        filter_at = filter_table[(u * len(filter_table)).astype(np.int8)]
+        filter_at = option_index(options, (u * len(options)).astype(np.int8))
         if stride:
             starts, end = np.arange(0, len(sent) * stride, stride), len(sent) * stride
         else:
@@ -233,7 +233,7 @@ def intercept_session(
         hit = gate[starts]
         at = starts[hit]
         eve_filter = filter_at[at + choose]
-        det = u[at + measure_at] < PASS_PROBABILITY[sent[hit], eve_filter]
+        det = detects(sent[hit] * 4 + eve_filter, u[at + measure_at])
         # A detection spends no resend variate; its pick is read but unused.
         pick = (u[at + measure_at + 1] * width).astype(np.int8) if resends else 0
         resent = np.where(det, eve_filter, resend[eve_filter, pick])

@@ -10,20 +10,21 @@ For the 45-degree-spaced alphabet the pass probabilities are exactly 0, 1/2
 or 1, so the whole channel is enumerable with exact rationals.
 :func:`detection_probability` gives them, and the tables below read them
 off once: ``PASS_PROBABILITY`` and the keep rule ``DETERMINISTIC``, per
-(photon, filter) index.  The sampler and the exact oracles of
-:mod:`qkdsim.analysis` both read these tables; the channel law itself is
+(photon, filter) index, and ``DETECTS``, the pass chance read as a byte per
+side of 1/2 of the measurement variate.  The sampler and the exact oracles
+of :mod:`qkdsim.analysis` both read these tables; the channel law itself is
 enumerated once, in :func:`qkdsim.analysis.cell_probabilities`.
 
 The two protocols differ at this layer only in their :class:`Protocol`
 spec: sender alphabet, receiver filters and authentication filter.  Whole
-sessions are transmitted by :func:`transmit`, which draws every variate of
-a party as one array and reads the outcomes off small index tables built
-from :func:`detection_probability`.  Its draws are exactly those of a
-photon-by-photon loop that spends one variate per measurement (the
-reference loop in ``tests/reference.py``).  An interceptor's erasure
-branch is one index table per resend policy and alphabet,
-:func:`resend_table`, which the session engine and the exact oracles read
-alike.
+sessions are transmitted by :func:`transmit`, which draws each party's
+variates in cache-sized blocks, in stream order, and reads the outcomes off
+small index tables built from :func:`detection_probability`, through
+``intp`` indices.  Its draws are exactly those of a photon-by-photon loop
+that spends one variate per measurement (the reference loop in
+``tests/reference.py``).  An interceptor's erasure branch is one index
+table per resend policy and alphabet, :func:`resend_table`, which the
+session engine and the exact oracles read alike.
 """
 
 from __future__ import annotations
@@ -235,8 +236,10 @@ _INDEX = {p: i for i, p in enumerate(POLARIZATIONS)}
 PASS_PROBABILITY = np.array(
     [[float(detection_probability(p, f)) for f in POLARIZATIONS] for p in POLARIZATIONS]
 )
-# The same table flat, read at the pair index 4 * photon + filter.
-_PASS_FLAT = PASS_PROBABILITY.ravel()
+# Whether a photon passes, per (4 * photon + filter) * 2 + (u < 1/2) for
+# its measurement variate u: u < p reads the same for every u on one side
+# of 1/2, since every pass chance p is 0, 1/2 or 1.
+DETECTS = (np.array([0.75, 0.25]) < PASS_PROBABILITY[..., None]).ravel()
 # The keep rule of both protocols, per (photon index, filter index).
 DETERMINISTIC = np.array(
     [[has_deterministic_outcome(p, f) for f in POLARIZATIONS] for p in POLARIZATIONS]
@@ -287,10 +290,56 @@ def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray
     return np.where(detected_mask, filters, ORTHOGONAL[filters])
 
 
+def option_index(options: Sequence[Polarization], slot: np.ndarray) -> np.ndarray:
+    """The polarization index of ``options[slot]`` at each position, as ``int8``.
+
+    Options that lead ``POLARIZATIONS``, as every alphabet and filter set
+    does, are their own indices and need no table.
+    """
+    if tuple(options) == POLARIZATIONS[: len(options)]:
+        return slot
+    table = np.array([_INDEX[p] for p in options], dtype=np.int8)
+    return table[slot.astype(np.intp)]
+
+
+def detects(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``u < PASS_PROBABILITY`` at each flat pair index ``4 * photon + filter``.
+
+    Read off the byte table ``DETECTS`` through an ``intp`` index, so no
+    per-photon pass chance is formed.
+    """
+    index = pair * 2
+    index += u < 0.5
+    return DETECTS[index.astype(np.intp)]
+
+
+# Variates per block of a party's draw.  A 64 kB block is reused from the
+# heap; a whole 60k-photon draw is a fresh 480 kB array whose pages fault
+# in on every session.
+_BLOCK = 8192
+
+
+def _blocks(rng: RandomSource, n: int):
+    """The next n variates of ``rng`` in stream order, as (offset, block) pairs."""
+    for lo in range(0, n, _BLOCK):
+        yield lo, rng.uniform_array(min(_BLOCK, n - lo))
+
+
 def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.ndarray:
     """n uniform draws from ``options``, one variate each, as ``int8`` polarization indices."""
-    table = np.array([_INDEX[p] for p in options], dtype=np.int8)
-    return table.take((rng.uniform_array(n) * len(options)).astype(np.int8))
+    slot = np.empty(n, dtype=np.int8)
+    for lo, u in _blocks(rng, n):
+        u *= len(options)
+        slot[lo : lo + len(u)] = u  # truncates, as astype does
+    return option_index(options, slot)
+
+
+def _measure(pair: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """The receiver's detection at each flat pair index, one variate each."""
+    detected = np.empty(len(pair), dtype=bool)
+    for lo, u in _blocks(rng, len(pair)):
+        detected[lo : lo + len(u)] = detects(pair[lo : lo + len(u)], u)
+    return detected
 
 
 def transmit(
@@ -304,21 +353,23 @@ def transmit(
 
     Draw for draw the same as the per-photon loop: the sender spends one
     variate per photon on its state; the receiver spends n on filters,
-    then one per arriving photon on its measurement, in tick order.
+    then one per arriving photon on its measurement, in tick order.  Each
+    party draws in blocks of ``_BLOCK`` variates, in stream order, so no
+    per-photon float array is formed.  Every variate drawn is read: a
+    measurement only as far as which side of 1/2 it falls, since the
+    detection is read off the byte table ``DETECTS`` (:func:`detects`).
     ``intercept`` (see :func:`qkdsim.eavesdrop.intercept_session`) maps the
     sent index array to the attacker's :class:`Interception`, or ``None``
     if she touches no photon; an empty tick spends no receiver variate.
-    Returns the sent and filter index arrays, the receiver's detections
-    (bool per tick) and the interception.
+    Returns the sent and filter index arrays (``int8``), the receiver's
+    detections (bool per tick) and the interception.
     """
     sent = _choose(protocol.alphabet, sender_rng, n)
     filters = _choose(protocol.filters, receiver_rng, n)
     interception = intercept(sent)
     if interception is None:
-        p = _PASS_FLAT.take(sent * 4 + filters)
-        return sent, filters, receiver_rng.uniform_array(n) < p, None
+        return sent, filters, _measure(sent * 4 + filters, receiver_rng), None
     arrived = interception.arrival >= 0
-    pair = (interception.arrival * 4 + filters)[arrived]
     detected_mask = np.zeros(n, dtype=bool)
-    detected_mask[arrived] = receiver_rng.uniform_array(len(pair)) < _PASS_FLAT.take(pair)
+    detected_mask[arrived] = _measure((interception.arrival * 4 + filters)[arrived], receiver_rng)
     return sent, filters, detected_mask, interception

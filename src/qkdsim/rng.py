@@ -11,7 +11,10 @@ variates of the stream as a float64 array, exactly the values and the order
 that k calls of :meth:`RandomSource.uniform` would return.  Scalar and bulk
 draws may be interleaved freely; a session that draws its variates in
 whole arrays is therefore bit-for-bit identical to one that draws them one
-at a time.  A bulk draw of 0 consumes nothing.
+at a time.  A bulk draw of 0 consumes nothing.  :meth:`RandomSource.skip`
+moves past the next k variates unread: the stream is left exactly where a
+discarded ``uniform_array(k)`` would leave it, so a caller that reads only
+part of a block may skip the rest without changing any later draw.
 """
 
 from __future__ import annotations
@@ -70,6 +73,16 @@ class RandomSource:
         if k < 0:
             raise ValueError(f"variate count must be >= 0, got {k}")
         return self._gen.random(k)
+
+    def skip(self, k: int) -> None:
+        """Move past the next ``k`` variates unread, as ``uniform_array(k)`` would.
+
+        A double costs PCG64 one 64-bit output, so this is
+        ``PCG64.advance(k)``, whose cost grows with the bit length of ``k``.
+        """
+        if k < 0:
+            raise ValueError(f"variate count must be >= 0, got {k}")
+        self._gen.bit_generator.advance(k)
 
     def child(self, index: int) -> "RandomSource":
         """Derive an independent stream from (seed, index).

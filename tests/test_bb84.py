@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim.analysis import compare
-from qkdsim.bb84 import KeyTooShort, parity_certify
+from qkdsim.bb84 import _HEAD, KeyTooShort, parity_certify
 from qkdsim.eavesdrop import InterceptResend
 from qkdsim.photons import BB84, ResendPolicy
 from qkdsim.rng import RandomSource
@@ -20,16 +20,23 @@ class ScriptedRng:
 
     Each flag stands for one variate: True for one below 1/2 (the position
     joins the subset), False for one above it.  Bulk draws consume the
-    script in order, one flag per variate, and the script must be used up.
+    script in order, one flag per variate; a skip consumes its flags
+    unread.  The script must be used up.
     """
 
     def __init__(self, flags):
         self.flags = list(flags)
 
-    def uniform_array(self, k):
+    def _take(self, k):
         taken, self.flags = self.flags[:k], self.flags[k:]
         assert len(taken) == k, "script exhausted"
-        return np.array([0.25 if flag else 0.75 for flag in taken])
+        return taken
+
+    def uniform_array(self, k):
+        return np.array([0.25 if flag else 0.75 for flag in self._take(k)])
+
+    def skip(self, k):
+        self._take(k)
 
 
 def test_honest_run_keys_agree():
@@ -133,6 +140,31 @@ def test_scripted_empty_subset_is_resampled():
     result = parity_certify(alice, bob, 1, rng)
     assert rng.flags == []
     assert result.survivors.tolist() == [1]
+    assert not result.mismatch_detected
+
+
+def test_scripted_empty_head_reads_the_tail():
+    # Equal keys longer than the head: no variate of the head is below 1/2,
+    # so the rest of the round is drawn, and its second flag is the first
+    # chosen position.
+    n = _HEAD + 6
+    key = [0, 1] * (n // 2)
+    rng = ScriptedRng([False] * _HEAD + [False, True, False, True, False, False])
+    result = parity_certify(key, list(key), 1, rng)
+    assert rng.flags == []
+    assert result.survivors.tolist() == [i for i in range(n) if i != _HEAD + 1]
+    assert not result.mismatch_detected
+
+
+def test_scripted_empty_round_is_redrawn_and_its_tail_skipped():
+    # The whole first draw is empty; the redraw chooses position 1 in its
+    # head and skips the 6 flags after the head.
+    n = _HEAD + 6
+    key = [1, 0] * (n // 2)
+    rng = ScriptedRng([False] * n + [False, True] + [False] * (n - 2))
+    result = parity_certify(key, list(key), 1, rng)
+    assert rng.flags == []
+    assert result.survivors.tolist() == [0] + list(range(2, n))
     assert not result.mismatch_detected
 
 

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim import eavesdrop
-from qkdsim.bb84 import KeyTooShort, parity_certify
+from qkdsim import eavesdrop, photons
+from qkdsim.bb84 import _HEAD, KeyTooShort, parity_certify
 from qkdsim.eavesdrop import (
     InterceptResend,
     NoAttack,
@@ -155,6 +155,19 @@ def test_session_spanning_walker_chunks_matches_reference_loop(attack):
     check_against_reference(THREE_STATE, n, 8, attack)
 
 
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "attack",
+    [NoAttack(), InterceptResend(None, ResendPolicy.SEND_NOTHING, 0.5)],
+    ids=["honest", "intercepted"],
+)
+def test_session_across_small_draw_blocks_matches_reference_loop(monkeypatch, protocol, attack):
+    # Each party's variates are drawn a block at a time; blocks of 37 put
+    # many block edges inside one session, and the last block is short.
+    monkeypatch.setattr(photons, "_BLOCK", 37)
+    check_against_reference(protocol, 1000, 21, attack)
+
+
 def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
     monkeypatch.setattr(eavesdrop, "_CHUNK", 37)
     grid = itertools.product(
@@ -220,6 +233,36 @@ def test_parity_certify_matches_reference_loop(recorded, pairs, m, seed):
     assert result.differing == sum(alice[i] != bob[i] for i in survivors)
     if recorded:
         assert transcript.parity_rounds() == queries
+
+
+@st.composite
+def keys_with_few_errors(draw):
+    """Equal keys, or keys that differ in 1 to 3 places, and a round count they can pay for."""
+    length = draw(st.one_of(st.integers(1, 300), st.sampled_from([_HEAD - 1, _HEAD, _HEAD + 1])))
+    alice = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+    errors = min(draw(st.integers(0, 3)), length)
+    flips = draw(st.sets(st.integers(0, length - 1), min_size=errors, max_size=errors))
+    bob = [bit ^ (i in flips) for i, bit in enumerate(alice)]
+    return alice, bob, draw(st.integers(0, length - 1))
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
+@given(keys=keys_with_few_errors(), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+def test_parity_certify_with_few_errors_matches_reference_loop(recorded, keys, seed):
+    # Rounds with no error left read only a head of their variates and skip
+    # the rest; the certifier stream must still end where the loop's does.
+    alice, bob, m = keys
+    reference_rng, rng = RandomSource(seed), RandomSource(seed)
+    survivors, detection_round, queries = reference_parity_rounds(alice, bob, m, reference_rng)
+    transcript = Transcript() if recorded else None
+    result = parity_certify(alice, bob, m, rng, transcript=transcript)
+    assert result.survivors.tolist() == survivors
+    assert result.detection_round == detection_round
+    assert result.differing == sum(alice[i] != bob[i] for i in survivors)
+    if recorded:
+        assert transcript.parity_rounds() == queries
+    assert rng.uniform() == reference_rng.uniform()
 
 
 @pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)

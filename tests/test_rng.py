@@ -134,3 +134,25 @@ def test_bulk_draw_of_zero_consumes_nothing():
 def test_bulk_draw_rejects_negative_count():
     with pytest.raises(ValueError):
         RandomSource(0).uniform_array(-1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4097, 10**6])
+def test_skip_leaves_the_stream_where_a_discarded_draw_would(k):
+    a = RandomSource(404)
+    b = RandomSource(404)
+    assert a.uniform() == b.uniform()
+    a.skip(k)
+    assert a.uniform_array(7).tolist() == b.uniform_array(k + 7)[k:].tolist()
+    assert a.uniform() == b.uniform()
+    a.skip(k)
+    b.uniform_array(k)
+    assert a.uniform() == b.uniform()
+    assert uniforms(a, 300) == uniforms(b, 300)
+
+
+def test_skip_rejects_negative_count_as_a_draw_does():
+    with pytest.raises(ValueError) as draw:
+        RandomSource(0).uniform_array(-1)
+    with pytest.raises(ValueError) as skip:
+        RandomSource(0).skip(-1)
+    assert str(skip.value) == str(draw.value)
