@@ -13,12 +13,11 @@ with :data:`qkdsim.photons.BB84`); this module holds the parity rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from .rng import RandomSource
-from .transcript import Transcript
 
 
 class KeyTooShort(ValueError):
@@ -66,7 +65,7 @@ def parity_certify(
     bob_key: Sequence[int],
     m: int,
     rng: RandomSource,
-    transcript: Optional[Transcript] = None,
+    transcript: Optional[list[dict[str, Any]]] = None,
 ) -> CertificationResult:
     """Compare odd parities of m random key subsets, discarding one bit each.
 
@@ -87,6 +86,10 @@ def parity_certify(
     neither a transcript nor a disagreeing survivor reads only its first
     chosen position (see :func:`_draw_subset`) and skips the rest of its
     variates unread, leaving ``rng`` where the full draw would.
+
+    ``transcript`` is the session's published list of entry dicts (see
+    :attr:`qkdsim.session.Session.transcript`); each round appends its
+    query, with the subset's positions ascending, and the response.
     """
     if m < 0:
         raise ValueError("round count must be non-negative")
@@ -107,8 +110,10 @@ def parity_certify(
             chosen = _draw_subset(rng, len(survivors), whole)
         if transcript is not None:
             subset = survivors[chosen]
-            transcript.parity_query(round_number, subset.tolist())
-            transcript.parity_response(round_number, int(bob[subset].sum()) & 1)
+            query = {"round": round_number, "positions": subset.tolist()}
+            response = {"round": round_number, "parity": int(bob[subset].sum()) & 1}
+            transcript.append({"sender": "alice", "kind": "parity_query", "payload": query})
+            transcript.append({"sender": "bob", "kind": "parity_response", "payload": response})
         # survivors ascend, so the first chosen one is the lowest index
         first = int(np.argmax(chosen))
         if errors.size:
@@ -116,7 +121,9 @@ def parity_certify(
             if np.count_nonzero(chosen[rank]) & 1 and detection_round is None:
                 detection_round = round_number
             errors = errors[errors != survivors[first]]
-        survivors = np.delete(survivors, first)
+        # discard survivors[first]: shift the ones before it up by one
+        survivors[1 : first + 1] = survivors[:first]
+        survivors = survivors[1:]
     return CertificationResult(
         rounds=m,
         mismatch_detected=detection_round is not None,

@@ -45,6 +45,7 @@ from .photons import (
     resend_table,
 )
 from .rng import RandomSource
+from .transcript import Transcript
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ def intercept_session(
     return Interception(arrival, filters >= 0, filters, detected, tuple(alphabet))
 
 
-def passive_infer(transcript, protocol: Protocol) -> list[EveRecord]:
+def passive_infer(transcript: Sequence[dict], protocol: Protocol) -> list[EveRecord]:
     """Everything a transcript-only attacker can claim about the key material.
 
     For each position she knows the receiver's announced filter and whether
@@ -262,6 +263,10 @@ def passive_infer(transcript, protocol: Protocol) -> list[EveRecord]:
     Discarded positions yield no ``known_bit``: they carry no key or
     authentication material, so the attacker's knowledge of them is
     irrelevant to the session (deliberately not claimed here).
+
+    ``transcript`` is the published list of entry dicts, as a report carries
+    it and :attr:`qkdsim.session.Session.transcript` returns it; it is read
+    with :class:`~qkdsim.transcript.Transcript`.
     """
     alphabet = protocol.alphabet
     states = [POLARIZATIONS.index(s) for s in alphabet]
@@ -269,8 +274,9 @@ def passive_infer(transcript, protocol: Protocol) -> list[EveRecord]:
     for f, angle in enumerate(POLARIZATIONS):
         candidates = [alphabet[i] for i, keeps in enumerate(DETERMINISTIC[states, f]) if keeps]
         pinned[angle] = candidates[0] if len(candidates) == 1 else None
-    kept = set(transcript.kept_positions())
+    published = Transcript.from_jsonable(transcript)
+    kept = set(published.kept_positions())
     return [
         EveRecord(i, EveSource.TRANSCRIPT, f, None, pinned[f] if i in kept else None)
-        for i, f in enumerate(transcript.announced_filters())
+        for i, f in enumerate(published.announced_filters())
     ]

@@ -11,8 +11,9 @@ document per invocation, schema-versioned, keys sorted, no timestamps.
 ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, which formats
 one integer per call once ``indent`` is set.  ``to_json`` is a small
 recursive encoder that renders a list of exact ``int`` items (transcripts
-are mostly such lists) in one ``join`` and everything else as the standard
-library does.
+are mostly such lists) in one ``join``, reading the decimal text of items
+below 4096 off a fixed table, renders a dict's ``str`` and ``int`` values
+inline, and everything else as the standard library does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -219,6 +220,7 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
     trial_seed = derive_child_seed(config.seed, trial)
     rng = RandomSource(trial_seed)
     session = run_session(PROTOCOLS[config.protocol], config.n, rng, config.attack)
+    transcript = session.transcript if config.include_transcripts else None
     counts = {"sent": config.n, "confirmed": session.confirmed}
     status: Optional[str] = None
     if session.protocol.auth_filter is not None:
@@ -235,7 +237,7 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
                 session.bob_bits,
                 config.m,
                 rng.child(3),
-                transcript=session.transcript if config.include_transcripts else None,
+                transcript=transcript,
             )
         except KeyTooShort:
             cert = _NOT_CERTIFIED
@@ -263,7 +265,7 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
         tamper=tamper,
         aborted=aborted,
         key_agreement=None if aborted or status is not None else _key_agreement(*agreement),
-        transcript=session.transcript.to_jsonable() if config.include_transcripts else None,
+        transcript=transcript,
         status=status,
     )
 
@@ -338,6 +340,8 @@ def to_json(document: dict[str, Any]) -> str:
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+# Decimal text of the small non-negative ints: transcript positions and degrees.
+_DECIMAL = [int.__repr__(i) for i in range(4096)]
 
 
 def _encode(obj: Any, newline: str) -> str:
@@ -360,17 +364,31 @@ def _encode(obj: Any, newline: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (_ESCAPE(k) + ": " + _encode(obj[k], inner) for k in sorted(obj))
+        items = _members(obj, inner)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if set(map(type, obj)) == {int}:
-            items = map(int.__repr__, obj)
+            small = 0 <= min(obj) and max(obj) < len(_DECIMAL)
+            items = map(_DECIMAL.__getitem__ if small else int.__repr__, obj)
         else:
             items = (_encode(x, inner) for x in obj)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _members(obj: dict, inner: str) -> Iterator[str]:
+    """A dict's ``"key": value`` lines in key order; ``str`` and ``int`` values inline."""
+    for k in sorted(obj):
+        value = obj[k]
+        kind = type(value)
+        if kind is str:
+            yield _ESCAPE(k) + ": " + _ESCAPE(value)
+        elif kind is int:
+            yield _ESCAPE(k) + ": " + int.__repr__(value)
+        else:
+            yield _ESCAPE(k) + ": " + _encode(value, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -48,21 +48,28 @@ class RandomSource:
 
     Scalar and bulk draws interleave in one well-defined order; replaying a
     seed reproduces the identical sequence bit for bit.  Instances are not
-    thread-safe; give each concurrent worker its own ``child``.
+    thread-safe; give each concurrent worker its own ``child``.  The PCG64
+    generator is built on the first draw or skip, so a source that is only
+    split into children costs no generator.
     """
 
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        return self._gen
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
 
     def uniform(self) -> float:
         """Next uniform variate in [0, 1)."""
-        return self._gen.random()
+        return self._generator().random()
 
     def uniform_array(self, k: int) -> np.ndarray:
         """Next ``k`` variates as a float64 array, in :meth:`uniform` order.
@@ -72,7 +79,7 @@ class RandomSource:
         """
         if k < 0:
             raise ValueError(f"variate count must be >= 0, got {k}")
-        return self._gen.random(k)
+        return self._generator().random(k)
 
     def skip(self, k: int) -> None:
         """Move past the next ``k`` variates unread, as ``uniform_array(k)`` would.
@@ -82,7 +89,7 @@ class RandomSource:
         """
         if k < 0:
             raise ValueError(f"variate count must be >= 0, got {k}")
-        self._gen.bit_generator.advance(k)
+        self._generator().bit_generator.advance(k)
 
     def child(self, index: int) -> "RandomSource":
         """Derive an independent stream from (seed, index).

@@ -52,7 +52,6 @@ from .photons import (
     transmit,
 )
 from .rng import RandomSource
-from .transcript import Transcript
 
 
 # A tick falls in one cell per (sent state, receiver filter, reading), laid
@@ -200,11 +199,18 @@ class Session:
         return self.table.read_bit.take(self._key_cells)
 
     @cached_property
-    def transcript(self) -> Transcript:
-        transcript = Transcript()
-        transcript.announce_filters(DEGREES[self.filter_index].tolist())
-        transcript.announce_kept(self.kept_index.tolist())
-        return transcript
+    def transcript(self) -> list[dict]:
+        """The public discussion as the report publishes it: a list of entry dicts.
+
+        The receiver announces his filter angles, then the sender the kept
+        positions, in ascending order; BB84's parity rounds append to it
+        (see :mod:`qkdsim.transcript` for the reader).
+        """
+        filters, kept = DEGREES[self.filter_index].tolist(), self.kept_index.tolist()
+        return [
+            {"sender": "bob", "kind": "filter_announcement", "payload": {"filters": filters}},
+            {"sender": "alice", "kind": "confirmation_announcement", "payload": {"kept": kept}},
+        ]
 
     @cached_property
     def sent(self) -> list[Polarization]:

@@ -1,9 +1,13 @@
-"""The public classical discussion between the two parties.
+"""Reading the public classical discussion between the two parties.
 
-Everything spoken over the authenticated classical channel is recorded as an
-ordered list of :class:`TranscriptEntry`.  The transcript is exactly what a
-passive eavesdropper gets to see, so the session code treats it as
-write-once and the tests enforce two hygiene rules:
+Everything spoken over the authenticated classical channel is published as
+the report's list of entry dicts, ``{"sender", "kind", "payload"}``.  The
+sessions build that list straight from their index arrays
+(:attr:`qkdsim.session.Session.transcript` and
+:func:`qkdsim.bb84.parity_certify`).  The list is exactly what a passive
+eavesdropper gets to see.  :class:`Transcript` reads it back into views
+and checks the two hygiene rules, which the tests run on every emitted
+transcript:
 
 * wire order -- filter announcement, then keep/discard announcement, then
   parity traffic in alternating query/response pairs;
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .photons import Polarization
 
@@ -61,80 +65,25 @@ class TranscriptEntry:
     kind: EntryKind
     payload: dict[str, Any]
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"sender": self.sender.value, "kind": self.kind.value, "payload": self.payload}
-
     @classmethod
     def from_jsonable(cls, obj: dict[str, Any]) -> "TranscriptEntry":
-        return cls(Party(obj["sender"]), EntryKind(obj["kind"]), dict(obj["payload"]))
-
-
-class Transcript:
-    """Ordered, validated record of one session's public discussion."""
-
-    def __init__(self, entries: Optional[Sequence[TranscriptEntry]] = None) -> None:
-        self.entries: list[TranscriptEntry] = []
-        for entry in entries or ():
-            self.append(entry)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[TranscriptEntry]:
-        return iter(self.entries)
-
-    def append(self, entry: TranscriptEntry) -> None:
+        entry = cls(Party(obj["sender"]), EntryKind(obj["kind"]), dict(obj["payload"]))
         extra = set(entry.payload) - _ALLOWED_KEYS[entry.kind]
         if extra:
             raise ValueError(f"{entry.kind.value} payload has unexpected keys {sorted(extra)}")
-        if self.entries and _PHASE[entry.kind] < _PHASE[self.entries[-1].kind]:
-            raise TranscriptOrderError(
-                f"{entry.kind.value} may not follow {self.entries[-1].kind.value}"
-            )
-        self.entries.append(entry)
+        return entry
 
-    # -- recording helpers used by the session drivers -------------------
 
-    def announce_filters(self, degrees: Sequence[int]) -> None:
-        """The receiver publishes the filter angle, in degrees, used at every clock tick."""
-        unknown = set(degrees) - _BY_DEGREES.keys()
-        if unknown:
-            raise ValueError(f"filter announcement has no polarization at {sorted(unknown)} degrees")
-        self.append(
-            TranscriptEntry(Party.BOB, EntryKind.FILTER_ANNOUNCEMENT, {"filters": list(degrees)})
-        )
+class Transcript:
+    """Views of one session's published discussion, and its wire-order check."""
 
-    def announce_kept(self, kept_positions: Sequence[int]) -> None:
-        """The sender publishes which positions survive the keep/discard rule."""
-        self.append(
-            TranscriptEntry(
-                Party.ALICE,
-                EntryKind.CONFIRMATION_ANNOUNCEMENT,
-                {"kept": sorted(map(int, kept_positions))},
-            )
-        )
+    def __init__(self, entries: Sequence[TranscriptEntry]) -> None:
+        self.entries = list(entries)
 
-    def parity_query(self, round_number: int, positions: Sequence[int]) -> None:
-        self.append(
-            TranscriptEntry(
-                Party.ALICE,
-                EntryKind.PARITY_QUERY,
-                {"round": round_number, "positions": sorted(map(int, positions))},
-            )
-        )
-
-    def parity_response(self, round_number: int, parity: int) -> None:
-        if parity not in (0, 1):
-            raise ValueError("a parity is a single bit")
-        self.append(
-            TranscriptEntry(
-                Party.BOB,
-                EntryKind.PARITY_RESPONSE,
-                {"round": round_number, "parity": parity},
-            )
-        )
-
-    # -- read-side views (what an eavesdropper extracts) ------------------
+    @classmethod
+    def from_jsonable(cls, obj: Sequence[dict[str, Any]]) -> "Transcript":
+        """Read a published list of entry dicts; unknown payload keys raise ``ValueError``."""
+        return cls([TranscriptEntry.from_jsonable(e) for e in obj])
 
     def announced_filters(self) -> list[Polarization]:
         for entry in self.entries:
@@ -164,8 +113,6 @@ class Transcript:
                 responses[entry.payload["round"]] = entry.payload["parity"]
         return [(r, queries[r], responses.get(r)) for r in sorted(queries)]
 
-    # -- validation and serialization -------------------------------------
-
     def check_wire_order(self) -> None:
         """Raise :class:`TranscriptOrderError` unless phases are in order and
         parity traffic alternates query/response with matching rounds."""
@@ -181,10 +128,3 @@ class Transcript:
                 raise TranscriptOrderError("parity rounds must be numbered consecutively")
         if len(parity) % 2:
             raise TranscriptOrderError("final parity query got no response")
-
-    def to_jsonable(self) -> list[dict[str, Any]]:
-        return [entry.to_jsonable() for entry in self.entries]
-
-    @classmethod
-    def from_jsonable(cls, obj: Sequence[dict[str, Any]]) -> "Transcript":
-        return cls([TranscriptEntry.from_jsonable(e) for e in obj])

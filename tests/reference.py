@@ -127,6 +127,30 @@ def intercept_resend(
     return resent, EveRecord(index, EveSource.PHOTON, filter_angle, outcome, known)
 
 
+def reference_parity_rounds(alice, bob, m, rng):
+    """BB84's m parity rounds, one ``below`` draw per survivor per subset.
+
+    Returns the surviving positions, the first round whose parities
+    differ (or ``None``), and each round's (round, subset, receiver parity).
+    """
+    survivors = list(range(len(alice)))
+    detection_round = None
+    queries = []
+    for round_number in range(1, m + 1):
+        subset = [i for i in survivors if below(rng, 0.5)]
+        while not subset:
+            subset = [i for i in survivors if below(rng, 0.5)]
+        parity_a = parity_b = 0
+        for i in subset:
+            parity_a ^= alice[i]
+            parity_b ^= bob[i]
+        queries.append((round_number, subset, parity_b))
+        if parity_a != parity_b and detection_round is None:
+            detection_round = round_number
+        survivors.remove(subset[0])
+    return survivors, detection_round, queries
+
+
 def arrival_law(sent: Polarization, attack, protocol) -> dict[Optional[Polarization], Fraction]:
     """What leaves the attacker's station, by exact branch enumeration."""
     attack = normalize_attack(attack)

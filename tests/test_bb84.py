@@ -13,6 +13,8 @@ from qkdsim.eavesdrop import InterceptResend
 from qkdsim.photons import BB84, ResendPolicy
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
+from qkdsim.transcript import Transcript
+from reference import reference_parity_rounds
 
 
 class ScriptedRng:
@@ -21,7 +23,7 @@ class ScriptedRng:
     Each flag stands for one variate: True for one below 1/2 (the position
     joins the subset), False for one above it.  Bulk draws consume the
     script in order, one flag per variate; a skip consumes its flags
-    unread.  The script must be used up.
+    unread, and a scalar ``uniform`` reads one.  The script must be used up.
     """
 
     def __init__(self, flags):
@@ -37,6 +39,9 @@ class ScriptedRng:
 
     def skip(self, k):
         self._take(k)
+
+    def uniform(self):
+        return self.uniform_array(1)[0]
 
 
 def test_honest_run_keys_agree():
@@ -65,9 +70,10 @@ def test_inferred_matches_sent_at_kept_positions():
 
 def test_transcript_structure():
     session = run_session(BB84, 100, RandomSource(9))
-    session.transcript.check_wire_order()
-    assert session.transcript.announced_filters() == session.filters
-    assert session.transcript.kept_positions() == session.kept_index.tolist()
+    transcript = Transcript.from_jsonable(session.transcript)
+    transcript.check_wire_order()
+    assert transcript.announced_filters() == session.filters
+    assert transcript.kept_positions() == session.kept_index.tolist()
 
 
 def test_run_reproducible():
@@ -168,6 +174,26 @@ def test_scripted_empty_round_is_redrawn_and_its_tail_skipped():
     assert not result.mismatch_detected
 
 
+@pytest.mark.parametrize("whole", [True, False], ids=["whole", "head"])
+def test_scripted_last_survivor_is_the_only_one_chosen(whole):
+    # Each of two rounds chooses only its last survivor, so the discard
+    # shifts every survivor before it.  An error at position 0 makes both
+    # rounds draw whole; equal keys longer than the head read the tail.
+    n = 10 if whole else _HEAD + 6
+    alice = [0] * n
+    bob = [1] + [0] * (n - 1) if whole else list(alice)
+    script = [False] * (n - 1) + [True] + [False] * (n - 2) + [True] + [True]
+    rng, reference_rng = ScriptedRng(script), ScriptedRng(script)
+    survivors, detection_round, _ = reference_parity_rounds(alice, bob, 2, reference_rng)
+    result = parity_certify(alice, bob, 2, rng)
+    assert result.survivors.tolist() == survivors == list(range(n - 2))
+    assert result.final_key_length == len(survivors)
+    assert result.detection_round == detection_round is None
+    assert result.differing == int(whole)
+    assert rng.uniform() == reference_rng.uniform()
+    assert rng.flags == reference_rng.flags == []
+
+
 def test_single_difference_detection_rate_m1():
     alice = [0] * 12
     bob = list(alice)
@@ -189,13 +215,10 @@ def test_all_rounds_run_even_after_detection():
 
 
 def test_transcript_records_each_round():
-    from qkdsim.transcript import Transcript
-
-    t = Transcript()
-    t.announce_filters([0])
-    t.announce_kept([0])
     key = [0, 1, 0, 1, 1, 0]
-    parity_certify(key, key, 3, RandomSource(2), transcript=t)
+    entries = run_session(BB84, 12, RandomSource(2)).transcript
+    parity_certify(key, key, 3, RandomSource(2), transcript=entries)
+    t = Transcript.from_jsonable(entries)
     t.check_wire_order()
     assert [r for r, _, _ in t.parity_rounds()] == [1, 2, 3]
 

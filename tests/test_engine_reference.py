@@ -57,7 +57,7 @@ from qkdsim.photons import (
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.transcript import Transcript
-from reference import below, choice, intercept_resend, measure_arrival
+from reference import choice, intercept_resend, measure_arrival, reference_parity_rounds
 
 attacks = st.one_of(
     st.just(NoAttack()),
@@ -192,25 +192,6 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
         assert got.records() == [record for _, record in expected]
 
 
-def reference_parity_rounds(alice, bob, m, rng):
-    survivors = list(range(len(alice)))
-    detection_round = None
-    queries = []
-    for round_number in range(1, m + 1):
-        subset = [i for i in survivors if below(rng, 0.5)]
-        while not subset:
-            subset = [i for i in survivors if below(rng, 0.5)]
-        parity_a = parity_b = 0
-        for i in subset:
-            parity_a ^= alice[i]
-            parity_b ^= bob[i]
-        queries.append((round_number, subset, parity_b))
-        if parity_a != parity_b and detection_round is None:
-            detection_round = round_number
-        survivors.remove(subset[0])
-    return survivors, detection_round, queries
-
-
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
 @given(
     pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=80),
@@ -226,13 +207,13 @@ def test_parity_certify_matches_reference_loop(recorded, pairs, m, seed):
     survivors, detection_round, queries = reference_parity_rounds(
         alice, bob, m, RandomSource(seed)
     )
-    transcript = Transcript() if recorded else None
+    transcript = [] if recorded else None
     result = parity_certify(alice, bob, m, RandomSource(seed), transcript=transcript)
     assert result.survivors.tolist() == survivors
     assert result.detection_round == detection_round
     assert result.differing == sum(alice[i] != bob[i] for i in survivors)
     if recorded:
-        assert transcript.parity_rounds() == queries
+        assert Transcript.from_jsonable(transcript).parity_rounds() == queries
 
 
 @st.composite
@@ -255,13 +236,13 @@ def test_parity_certify_with_few_errors_matches_reference_loop(recorded, keys, s
     alice, bob, m = keys
     reference_rng, rng = RandomSource(seed), RandomSource(seed)
     survivors, detection_round, queries = reference_parity_rounds(alice, bob, m, reference_rng)
-    transcript = Transcript() if recorded else None
+    transcript = [] if recorded else None
     result = parity_certify(alice, bob, m, rng, transcript=transcript)
     assert result.survivors.tolist() == survivors
     assert result.detection_round == detection_round
     assert result.differing == sum(alice[i] != bob[i] for i in survivors)
     if recorded:
-        assert transcript.parity_rounds() == queries
+        assert Transcript.from_jsonable(transcript).parity_rounds() == queries
     assert rng.uniform() == reference_rng.uniform()
 
 

@@ -133,7 +133,7 @@ def render_session(protocol, attack, n, seed) -> str:
             r.bob_bits.tolist(),
         )
     lines = [repr(f) for f in fields]
-    lines.append(json.dumps(r.transcript.to_jsonable(), sort_keys=True))
+    lines.append(json.dumps(r.transcript, sort_keys=True))
     lines.append(str(r.photons_intercepted))
     lines.extend(repr(record) for record in r.eve_records)
     return "\n".join(lines) + "\n"
@@ -187,6 +187,52 @@ def test_report_documents_render_as_stdlib_with_valid_transcripts(protocol):
             session = run_session(PROTOCOLS[protocol], n, RandomSource(trial["seed"]), attack)
             assert transcript.announced_filters() == session.filters
             assert transcript.kept_positions() == session.kept_index.tolist()
+
+
+# Who speaks each kind of entry, and the only payload keys it may carry.
+PUBLISHED = {
+    "filter_announcement": ("bob", {"filters"}),
+    "confirmation_announcement": ("alice", {"kept"}),
+    "parity_query": ("alice", {"round", "positions"}),
+    "parity_response": ("bob", {"round", "parity"}),
+}
+
+
+def assert_hygienic(entries, protocol, n, rounds):
+    """The hygiene rules on one published transcript of an n-photon session."""
+    Transcript.from_jsonable(entries).check_wire_order()
+    kept = None
+    for entry in entries:
+        assert set(entry) == {"sender", "kind", "payload"}
+        kind, payload = entry["kind"], entry["payload"]
+        assert (entry["sender"], set(payload)) == PUBLISHED[kind]
+        if kind == "filter_announcement":
+            assert len(payload["filters"]) == n
+            assert set(payload["filters"]) <= {p.degrees for p in PROTOCOLS[protocol].filters}
+        elif kind == "confirmation_announcement":
+            kept = payload["kept"]
+            assert all(a < b for a, b in zip(kept, kept[1:]))
+            assert all(0 <= i < n for i in kept)
+        elif kind == "parity_query":
+            # Queried positions index the sifted key, which is as long as kept.
+            positions = payload["positions"]
+            assert positions and all(a < b for a, b in zip(positions, positions[1:]))
+            assert all(0 <= i < len(kept) for i in positions)
+        else:
+            assert payload["parity"] in (0, 1)
+    assert sum(e["kind"] == "parity_query" for e in entries) == rounds
+
+
+@pytest.mark.parametrize("protocol", ["three_state", "bb84"])
+def test_emitted_transcripts_keep_the_hygiene_rules(protocol):
+    cases = [a for _, a in report_cases() if a[0] == protocol and a[3]]
+    for _, attack, n, _ in cases:
+        m = BB84_M if protocol == "bb84" else None
+        config = SessionConfig(
+            protocol, n, m, attack=attack, seed=SEED, trials=TRIALS, include_transcripts=True
+        )
+        for report in run(config):
+            assert_hygienic(report.transcript, protocol, n, report.counts["auth"] if m else 0)
 
 
 def test_sweep_digest():

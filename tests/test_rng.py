@@ -156,3 +156,21 @@ def test_skip_rejects_negative_count_as_a_draw_does():
     with pytest.raises(ValueError) as skip:
         RandomSource(0).skip(-1)
     assert str(skip.value) == str(draw.value)
+
+
+def test_split_source_builds_no_generator():
+    # A trial source is only split into children; its generator is built on
+    # the first draw or skip, and the children's streams do not depend on it.
+    parent = RandomSource(42)
+    children = [parent.child(i) for i in range(3)]
+    assert parent._gen is None
+    assert all(child._gen is None for child in children)
+    assert [child.uniform_array(2).tolist() for child in children] == [
+        [0.5860378445322234, 0.2550673877749484],
+        [0.9421072277626058, 0.8269711560940048],
+        [0.23375976098214946, 0.36056198459052213],
+    ]
+    assert parent._gen is None
+    first_skip = RandomSource(42)
+    first_skip.skip(3)
+    assert first_skip.uniform() == RandomSource(42).uniform_array(4)[3]

@@ -18,6 +18,7 @@ from qkdsim.photons import (
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.three_state import tamper_report
+from qkdsim.transcript import Transcript
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 
@@ -105,7 +106,7 @@ def test_run_reproducible():
     b = run_session(THREE_STATE, 400, RandomSource(123))
     assert a.sent == b.sent
     assert a.bob_bits.tolist() == b.bob_bits.tolist()
-    assert a.transcript.to_jsonable() == b.transcript.to_jsonable()
+    assert a.transcript == b.transcript
 
 
 def test_stuck_rectilinear_reader_corrupts_nothing_but_alarms():
@@ -121,5 +122,6 @@ def test_stuck_rectilinear_reader_corrupts_nothing_but_alarms():
 
 def test_transcript_matches_confirmation():
     session = run_session(THREE_STATE, 300, RandomSource(8))
-    assert session.transcript.kept_positions() == session.kept_index.tolist()
-    assert session.transcript.announced_filters() == session.filters
+    transcript = Transcript.from_jsonable(session.transcript)
+    assert transcript.kept_positions() == session.kept_index.tolist()
+    assert transcript.announced_filters() == session.filters

@@ -50,6 +50,14 @@ TREES = st.recursive(
 @example([True, 1, 2])
 @example([1, 2.0, None])
 @example({"big": [-(2**100), 2**64, -1, 0]})
+# Edges of the decimal table for small non-negative ints.
+@example([4095, 4096])
+@example([-1, 0, 1])
+@example([0, 4095])
+@example([i % 4096 for i in range(9_999)] + [4096])
+@example([3, True])
+# Dict values rendered inline, and those that are not.
+@example({"s": "é", "i": -7, "b": True, "f": 0.5, "n": None, "l": [1]})
 def test_to_json_matches_stdlib(document):
     assert to_json(document) == stdlib(document)
 
