@@ -32,16 +32,13 @@ import numpy as np
 
 from .photons import (
     DETERMINISTIC,
-    OUTCOME_CLASSES,
     POLARIZATIONS,
     MeasurementOutcome,
     Polarization,
     Protocol,
     ResendPolicy,
-    consistent_inputs,
     detects,
     option_index,
-    outcome_class,
     resend_table,
 )
 from .rng import RandomSource
@@ -144,18 +141,6 @@ class Interception:
     intercepted: np.ndarray
     filters: np.ndarray
     detected: np.ndarray
-    alphabet: tuple[Polarization, ...]
-
-    def records(self) -> list[EveRecord]:
-        """Her log, one :class:`EveRecord` per photon, from her filter and reading alone."""
-        logged = {(-1, 0): (None, None, None)}
-        for f, angle in enumerate(POLARIZATIONS):
-            for c in (0, f + 1):
-                outcome = OUTCOME_CLASSES[c]
-                candidates = consistent_inputs(angle, outcome, self.alphabet)
-                logged[f, c] = (angle, outcome, candidates[0] if len(candidates) == 1 else None)
-        keys = zip(self.filters.tolist(), outcome_class(self.filters, self.detected).tolist())
-        return [EveRecord(i, EveSource.PHOTON, *logged[key]) for i, key in enumerate(keys)]
 
 
 def _walk(u, gate, photon_filter, measure_at: int, resends: int, sent: np.ndarray):
@@ -205,7 +190,6 @@ def intercept_session(
     if not isinstance(attack, InterceptResend):
         return None
     choose = attack.filter_choice is None
-    options = filter_set if choose else (attack.filter_choice,)
     resend = resend_table(attack.resend, alphabet)
     width = resend.shape[1]
     resends = int(width > 1)  # variates an erasure spends to pick its resend
@@ -223,10 +207,13 @@ def intercept_session(
     for lo in range(0, len(sent_index), _CHUNK):
         sent = sent_index[lo : lo + _CHUNK]
         u = np.concatenate((u, rng.uniform_array(max(0, len(sent) * most - len(u)))))
-        # Each position read as a gate and as a uniform filter choice;
-        # a photon starting at q reads its filter at q + choose.
+        # Each position read as a gate and, unless her filter is fixed, as a
+        # uniform filter choice; a photon starting at q reads it at q + choose.
         gate = u < attack.fraction
-        filter_at = option_index(options, (u * len(options)).astype(np.int8))
+        if choose:
+            filter_at = option_index(filter_set, (u * len(filter_set)).astype(np.int8))
+        else:
+            filter_at = np.broadcast_to(np.int8(POLARIZATIONS.index(attack.filter_choice)), u.shape)
         if stride:
             starts, end = np.arange(0, len(sent) * stride, stride), len(sent) * stride
         else:
@@ -241,7 +228,7 @@ def intercept_session(
         photon = lo + np.flatnonzero(hit)
         arrival[photon], filters[photon], detected[photon] = resent, eve_filter, det
         u = u[end:]
-    return Interception(arrival, filters >= 0, filters, detected, tuple(alphabet))
+    return Interception(arrival, filters >= 0, filters, detected)
 
 
 def passive_infer(transcript: Sequence[dict], protocol: Protocol) -> list[EveRecord]:

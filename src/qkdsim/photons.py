@@ -172,21 +172,6 @@ def bit_map(polarization: Polarization) -> int:
     return 0 if polarization.value in (0, 45) else 1
 
 
-def infer_polarization(
-    filter_angle: Polarization, outcome: MeasurementOutcome
-) -> Polarization:
-    """The receiver's estimate of the sent state from one clocked reading.
-
-    A detection collapses the photon to the filter angle, so that is the
-    estimate; an erasure is read as the state orthogonal to the filter.  The
-    estimate is guaranteed correct only at positions where the sender later
-    vouches that (sent, filter) had a deterministic outcome.
-    """
-    if outcome.is_detected:
-        return outcome.detected_as  # type: ignore[return-value]
-    return filter_angle.orthogonal
-
-
 class ResendPolicy(Enum):
     """What an interceptor retransmits when her own filter shows an erasure.
 
@@ -205,23 +190,6 @@ class ResendPolicy(Enum):
     ORTHOGONAL_INFERENCE = "orthogonal"
     SEND_NOTHING = "nothing"
     UNIFORM_RANDOM = "random"
-
-
-def consistent_inputs(
-    filter_angle: Polarization,
-    outcome: MeasurementOutcome,
-    alphabet: tuple[Polarization, ...],
-) -> tuple[Polarization, ...]:
-    """All alphabet states that could have produced ``outcome`` under this filter.
-
-    Used to ask whether a measurement record pins down the sender's state:
-    it does exactly when one state remains.
-    """
-    if outcome.is_detected and outcome.detected_as is not filter_angle:
-        raise ValueError("a detection always matches the filter that produced it")
-    if outcome.is_detected:
-        return tuple(p for p in alphabet if detection_probability(p, filter_angle) > 0)
-    return tuple(p for p in alphabet if detection_probability(p, filter_angle) < 1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +218,6 @@ DEGREES = np.array([p.degrees for p in POLARIZATIONS])
 
 # Outcome class c: 0 is an erasure, 1 + i a detection at POLARIZATIONS[i].
 OUTCOME_CLASSES = (ERASURE,) + tuple(detected(p) for p in POLARIZATIONS)
-_POLARIZATION_OBJECTS = np.array(POLARIZATIONS, dtype=object)
-_OUTCOME_OBJECTS = np.array(OUTCOME_CLASSES, dtype=object)
 
 
 def resend_table(policy: ResendPolicy, alphabet: Sequence[Polarization]) -> np.ndarray:
@@ -270,23 +236,11 @@ def resend_table(policy: ResendPolicy, alphabet: Sequence[Polarization]) -> np.n
     return np.tile(np.array([_INDEX[p] for p in alphabet], dtype=np.int8), (len(POLARIZATIONS), 1))
 
 
-def as_polarizations(index: np.ndarray) -> list[Polarization]:
-    """The polarization at each position of an index array, as a list."""
-    return _POLARIZATION_OBJECTS[index].tolist()
-
-
-def outcome_class(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray:
-    """Outcome class per tick: 0 for an erasure, 1 + filter index for a detection."""
-    return np.where(detected_mask, filters + 1, 0)
-
-
-def as_outcomes(filters: np.ndarray, detected_mask: np.ndarray) -> list[MeasurementOutcome]:
-    """The receiver's reading at each tick, as interned outcome objects."""
-    return _OUTCOME_OBJECTS[outcome_class(filters, detected_mask)].tolist()
-
-
 def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray:
-    """Array form of :func:`infer_polarization`: the filter angle, or its orthogonal."""
+    """The receiver's estimate of the sent state at each tick.
+
+    A detection reads as the filter angle, an erasure as its orthogonal.
+    """
     return np.where(detected_mask, filters, ORTHOGONAL[filters])
 
 

@@ -22,7 +22,8 @@ failure, key error, and the bit each party holds there.  The confirmed,
 key and auth counts, the auth failures, the key errors and the outcome
 tallies are each a sum of the histogram over marked cells, and the
 histograms of two runs add cell by cell.  Positions and key bits are read
-through the same table, tick by tick, only when asked for.  The exact
+through the same table, tick by tick, only when asked for.  A session
+holds index arrays only: no per-photon object is ever built.  The exact
 oracles sum :func:`qkdsim.analysis.cell_probabilities` over the same marks.
 :func:`outcome_rows` folds 32 cell values, a histogram or that exact law,
 to (sent state, reading) rows: the reports' outcome tallies and the exact
@@ -37,20 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eavesdrop import Attack, EveRecord, Interception, NoAttack, intercept_session
-from .photons import (
-    BITS,
-    DEGREES,
-    DETERMINISTIC,
-    POLARIZATIONS,
-    MeasurementOutcome,
-    Polarization,
-    Protocol,
-    as_outcomes,
-    as_polarizations,
-    inferred_index,
-    transmit,
-)
+from .eavesdrop import Attack, Interception, NoAttack, intercept_session
+from .photons import BITS, DEGREES, DETERMINISTIC, POLARIZATIONS, Protocol, inferred_index, transmit
 from .rng import RandomSource
 
 
@@ -115,7 +104,7 @@ class Session:
     """Everything one session produced, as index arrays over its ticks.
 
     Counts are read off :attr:`cells`, the session's cell histogram;
-    positions, bits and per-photon lists are derived on first read.
+    positions, bits and the transcript are derived on first read.
     """
 
     protocol: Protocol
@@ -212,30 +201,9 @@ class Session:
             {"sender": "alice", "kind": "confirmation_announcement", "payload": {"kept": kept}},
         ]
 
-    @cached_property
-    def sent(self) -> list[Polarization]:
-        return as_polarizations(self.sent_index)
-
-    @cached_property
-    def filters(self) -> list[Polarization]:
-        return as_polarizations(self.filter_index)
-
-    @cached_property
-    def outcomes(self) -> list[MeasurementOutcome]:
-        return as_outcomes(self.filter_index, self.detected)
-
-    @cached_property
-    def inferred(self) -> list[Polarization]:
-        return as_polarizations(inferred_index(self.filter_index, self.detected))
-
     @property
     def photons_intercepted(self) -> int:
         return 0 if self.interception is None else int(self.interception.intercepted.sum())
-
-    @cached_property
-    def eve_records(self) -> list[EveRecord]:
-        """The attacker's per-photon log; empty when she touched no photon."""
-        return [] if self.interception is None else self.interception.records()
 
 
 def run_session(

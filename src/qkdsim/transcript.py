@@ -5,8 +5,9 @@ the report's list of entry dicts, ``{"sender", "kind", "payload"}``.  The
 sessions build that list straight from their index arrays
 (:attr:`qkdsim.session.Session.transcript` and
 :func:`qkdsim.bb84.parity_certify`).  The list is exactly what a passive
-eavesdropper gets to see.  :class:`Transcript` reads it back into views
-and checks the two hygiene rules, which the tests run on every emitted
+eavesdropper gets to see.  :class:`Transcript` reads it back into views,
+holding each entry's sender and payload keys to one table per kind, and
+checks the two hygiene rules, which the tests run on every emitted
 transcript:
 
 * wire order -- filter announcement, then keep/discard announcement, then
@@ -44,15 +45,14 @@ _PHASE = {
     EntryKind.PARITY_RESPONSE: 2,
 }
 
-_ALLOWED_KEYS = {
-    EntryKind.FILTER_ANNOUNCEMENT: {"filters"},
-    EntryKind.CONFIRMATION_ANNOUNCEMENT: {"kept"},
-    EntryKind.PARITY_QUERY: {"round", "positions"},
-    EntryKind.PARITY_RESPONSE: {"round", "parity"},
+_ENTRY_KEYS = {"sender", "kind", "payload"}
+# Who speaks each kind of entry, and the exact keys of its payload.
+_SCHEMA = {
+    EntryKind.FILTER_ANNOUNCEMENT: (Party.BOB, {"filters"}),
+    EntryKind.CONFIRMATION_ANNOUNCEMENT: (Party.ALICE, {"kept"}),
+    EntryKind.PARITY_QUERY: (Party.ALICE, {"round", "positions"}),
+    EntryKind.PARITY_RESPONSE: (Party.BOB, {"round", "parity"}),
 }
-
-
-_BY_DEGREES = {p.degrees: p for p in Polarization}
 
 
 class TranscriptOrderError(Exception):
@@ -67,10 +67,19 @@ class TranscriptEntry:
 
     @classmethod
     def from_jsonable(cls, obj: dict[str, Any]) -> "TranscriptEntry":
+        """Read one entry dict; a wrong key, sender or payload key raises ``ValueError``."""
+        if obj.keys() != _ENTRY_KEYS:
+            raise ValueError(f"entry keys {sorted(obj)}; expected {sorted(_ENTRY_KEYS)}")
         entry = cls(Party(obj["sender"]), EntryKind(obj["kind"]), dict(obj["payload"]))
-        extra = set(entry.payload) - _ALLOWED_KEYS[entry.kind]
-        if extra:
-            raise ValueError(f"{entry.kind.value} payload has unexpected keys {sorted(extra)}")
+        sender, keys = _SCHEMA[entry.kind]
+        if entry.sender is not sender:
+            raise ValueError(
+                f"{entry.kind.value} sender is {entry.sender.value}; expected {sender.value}"
+            )
+        if entry.payload.keys() != keys:
+            raise ValueError(
+                f"{entry.kind.value} payload keys {sorted(entry.payload)}; expected {sorted(keys)}"
+            )
         return entry
 
 
@@ -82,18 +91,16 @@ class Transcript:
 
     @classmethod
     def from_jsonable(cls, obj: Sequence[dict[str, Any]]) -> "Transcript":
-        """Read a published list of entry dicts; unknown payload keys raise ``ValueError``."""
+        """Read a published list of entry dicts; a malformed entry raises ``ValueError``."""
         return cls([TranscriptEntry.from_jsonable(e) for e in obj])
 
     def announced_filters(self) -> list[Polarization]:
         for entry in self.entries:
             if entry.kind is EntryKind.FILTER_ANNOUNCEMENT:
-                try:
-                    return [_BY_DEGREES[d] for d in entry.payload["filters"]]
-                except KeyError as exc:
-                    raise ValueError(
-                        f"filter announcement has no polarization at {exc.args[0]} degrees"
-                    ) from None
+                degrees = entry.payload["filters"]
+                # Each distinct angle is read once; a session announces at most four.
+                by_degrees = {d: Polarization.from_degrees(d) for d in set(degrees)}
+                return [by_degrees[d] for d in degrees]
         raise LookupError("no filter announcement in transcript")
 
     def kept_positions(self) -> list[int]:

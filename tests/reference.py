@@ -11,6 +11,10 @@ enumerates the same branches with exact rationals, as the reference for
 :func:`qkdsim.analysis.cell_probabilities`, and :func:`joint_law` the
 honest (sent state, reading) pairs, as the reference for
 :func:`qkdsim.analysis.joint_distribution`.
+
+The engine keeps index arrays only.  :func:`states`, :func:`readings` and
+:func:`eve_log` turn them back into the objects these loops speak in, for
+the golden session records, whose pinned text is their ``repr``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from qkdsim.photons import (
     MeasurementOutcome,
     Polarization,
     ResendPolicy,
-    consistent_inputs,
     detected,
     detection_probability,
 )
@@ -76,6 +79,38 @@ def measure_arrival(
     return measure(photon, filter_angle, rng)
 
 
+def infer_polarization(
+    filter_angle: Polarization, outcome: MeasurementOutcome
+) -> Polarization:
+    """The receiver's estimate of the sent state from one clocked reading.
+
+    A detection collapses the photon to the filter angle, so that is the
+    estimate; an erasure is read as the state orthogonal to the filter.  The
+    estimate is guaranteed correct only at positions where the sender later
+    vouches that (sent, filter) had a deterministic outcome.
+    """
+    if outcome.is_detected:
+        return outcome.detected_as  # type: ignore[return-value]
+    return filter_angle.orthogonal
+
+
+def consistent_inputs(
+    filter_angle: Polarization,
+    outcome: MeasurementOutcome,
+    alphabet: tuple[Polarization, ...],
+) -> tuple[Polarization, ...]:
+    """All alphabet states that could have produced ``outcome`` under this filter.
+
+    Used to ask whether a measurement record pins down the sender's state:
+    it does exactly when one state remains.
+    """
+    if outcome.is_detected and outcome.detected_as is not filter_angle:
+        raise ValueError("a detection always matches the filter that produced it")
+    if outcome.is_detected:
+        return tuple(p for p in alphabet if detection_probability(p, filter_angle) > 0)
+    return tuple(p for p in alphabet if detection_probability(p, filter_angle) < 1)
+
+
 def collapse_and_resend(
     outcome: MeasurementOutcome,
     filter_angle: Polarization,
@@ -122,9 +157,37 @@ def intercept_resend(
         filter_angle = choice(rng, tuple(filter_set))
     outcome = measure_arrival(photon, filter_angle, rng)
     resent = collapse_and_resend(outcome, filter_angle, strategy.resend, rng, tuple(alphabet))
+    return resent, eve_record(index, filter_angle, outcome, alphabet)
+
+
+def eve_record(index, filter_angle, outcome, alphabet) -> EveRecord:
+    """Her record of one measured photon; ``known_bit`` only if one state stays consistent."""
     candidates = consistent_inputs(filter_angle, outcome, tuple(alphabet))
     known = candidates[0] if len(candidates) == 1 else None
-    return resent, EveRecord(index, EveSource.PHOTON, filter_angle, outcome, known)
+    return EveRecord(index, EveSource.PHOTON, filter_angle, outcome, known)
+
+
+def states(index) -> list[Polarization]:
+    """The polarization at each position of an index array."""
+    return [POLARIZATIONS[i] for i in index.tolist()]
+
+
+def readings(filters, detected_mask) -> list[MeasurementOutcome]:
+    """Each tick's reading: a detection at its filter, or an erasure."""
+    ticks = zip(filters.tolist(), detected_mask.tolist())
+    return [detected(POLARIZATIONS[f]) if hit else ERASURE for f, hit in ticks]
+
+
+def eve_log(interception, alphabet) -> list[EveRecord]:
+    """The attacker's log of a session, one record per tick; empty if she touched none."""
+    if interception is None:
+        return []
+    filters = interception.filters
+    ticks = enumerate(zip(filters.tolist(), readings(filters, interception.detected)))
+    return [
+        EveRecord(i, EveSource.PHOTON) if f < 0 else eve_record(i, POLARIZATIONS[f], o, alphabet)
+        for i, (f, o) in ticks
+    ]
 
 
 def reference_parity_rounds(alice, bob, m, rng):

@@ -19,7 +19,7 @@ from qkdsim.bb84 import parity_certify
 from qkdsim.cli import main
 from qkdsim.eavesdrop import passive_infer
 from qkdsim.harness import SessionConfig, attack_sweep, run
-from qkdsim.photons import BB84, ERASURE, THREE_STATE, Polarization, detected
+from qkdsim.photons import BB84, ERASURE, POLARIZATIONS, THREE_STATE, Polarization, detected
 from qkdsim.rng import RandomSource, derive_child_seed
 from qkdsim.session import run_session
 
@@ -183,17 +183,15 @@ def test_criterion_8_passive_eavesdropper_bound():
     ok = True
     for seed in range(sessions):
         session = run_session(THREE_STATE, n, RandomSource(derive_child_seed(500, seed)))
-        confirmed_k = {
-            i
-            for i in session.kept_index.tolist()
-            if session.filters[i] is Polarization.D45
-        }
+        kept = session.kept_index
+        diagonal = session.filter_index[kept] == POLARIZATIONS.index(Polarization.D45)
+        confirmed_k = set(kept[diagonal].tolist())
         for record in passive_infer(session.transcript, THREE_STATE):
             if record.known_bit is not None:
                 known_total += 1
                 ok = (
                     ok
-                    and record.known_bit is session.sent[record.index]
+                    and record.known_bit is POLARIZATIONS[session.sent_index[record.index]]
                     and record.index in confirmed_k
                 )
     fraction = known_total / (sessions * n)

@@ -6,10 +6,13 @@ the attacker's draws (:func:`reference.intercept_resend`) and one
 measurement if anything arrives; and per parity round, one draw per
 surviving position.
 The engine draws the same variates in whole arrays, so for any photon
-count, seed and attack both must agree exactly.  The keep rule, the
+count, seed and attack both must agree exactly.  The engine keeps index
+arrays only, so the loops' polarizations and readings are mapped to
+indices and compared with ``sent_index``, ``filter_index``, ``detected``
+and the attacker's ``filters`` and ``detected``.  The keep rule, the
 key/auth split and the receiver's key bits are checked against a loop over
 the scalar rules (:func:`has_deterministic_outcome`,
-:func:`infer_polarization`, :func:`bit_map`).
+:func:`reference.infer_polarization`, :func:`bit_map`).
 """
 
 import itertools
@@ -51,13 +54,13 @@ from qkdsim.photons import (
     ResendPolicy,
     bit_map,
     has_deterministic_outcome,
-    infer_polarization,
     inferred_index,
 )
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.transcript import Transcript
-from reference import choice, intercept_resend, measure_arrival, reference_parity_rounds
+from reference import choice, infer_polarization, intercept_resend, measure_arrival
+from reference import readings, reference_parity_rounds, states
 
 attacks = st.one_of(
     st.just(NoAttack()),
@@ -99,16 +102,30 @@ def reference_split(protocol, sent, filters, outcomes):
     return kept, key, auth, bob_bits
 
 
+def indices(polarizations):
+    return [POLARIZATIONS.index(p) for p in polarizations]
+
+
+def attacker_arrays(records):
+    """Her filter index per tick (-1 where she let the photon pass) and her reading."""
+    filters = [-1 if r.filter_used is None else POLARIZATIONS.index(r.filter_used) for r in records]
+    return filters, [r.outcome is not None and r.outcome.is_detected for r in records]
+
+
 def check_against_reference(protocol, n, seed, attack):
     sent, filters, outcomes, records, intercepted = reference_transmission(
         protocol, n, RandomSource(seed), attack
     )
     session = run_session(protocol, n, RandomSource(seed), attack)
-    assert session.sent == sent
-    assert session.filters == filters
-    assert session.outcomes == outcomes
+    assert session.sent_index.tolist() == indices(sent)
+    assert session.filter_index.tolist() == indices(filters)
+    assert session.detected.tolist() == [o.is_detected for o in outcomes]
     assert session.photons_intercepted == intercepted
-    assert session.eve_records == records
+    eve = session.interception
+    if records:
+        assert (eve.filters.tolist(), eve.detected.tolist()) == attacker_arrays(records)
+    else:
+        assert eve is None
     kept, key, auth, bob_bits = reference_split(protocol, sent, filters, outcomes)
     assert session.kept.tolist() == kept
     assert session.key_index.tolist() == key
@@ -172,7 +189,7 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
     monkeypatch.setattr(eavesdrop, "_CHUNK", 37)
     grid = itertools.product(
         [(THREE_STATE_ALPHABET, THREE_STATE_FILTERS), (BB84_ALPHABET, BB84_FILTERS)],
-        [None, Polarization.Z0, Polarization.D45],
+        [None, Polarization.Z0, Polarization.D45, Polarization.Z90],
         list(ResendPolicy),
         [0.0, 0.3, 1.0],
     )
@@ -185,11 +202,12 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
             intercept_resend(p, attack, eve_rng, filter_set, alphabet, i)
             for i, p in enumerate(sent)
         ]
-        sent_index = np.array([POLARIZATIONS.index(p) for p in sent])
+        sent_index = np.array(indices(sent))
         got = intercept_session(attack, filter_set, alphabet, RandomSource(3), sent_index)
         arrivals = [None if a < 0 else POLARIZATIONS[a] for a in got.arrival.tolist()]
         assert arrivals == [photon for photon, _ in expected]
-        assert got.records() == [record for _, record in expected]
+        records = [record for _, record in expected]
+        assert (got.filters.tolist(), got.detected.tolist()) == attacker_arrays(records)
 
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
@@ -277,10 +295,10 @@ def test_report_counts_match_session_index_arrays(protocol, n, seed, attack, m):
     alice = BITS[sent[key]]
     bob = BITS[inferred_index(filters[key], detected[key])]
 
-    labels = [outcome_label(o) for o in session.outcomes]
+    labels = [outcome_label(o) for o in readings(filters, detected)]
     assert report.outcome_counts == dict(Counter(labels))
     joint = {}
-    for s, label in zip(session.sent, labels):
+    for s, label in zip(states(sent), labels):
         row = joint.setdefault(s.name, {})
         row[label] = row.get(label, 0) + 1
     assert report.joint_counts == joint

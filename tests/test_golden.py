@@ -32,11 +32,12 @@ from qkdsim.harness import (
     sweep_to_csv,
     to_json,
 )
-from qkdsim.photons import Polarization, ResendPolicy, bit_map
+from qkdsim.photons import Polarization, ResendPolicy, bit_map, inferred_index
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.three_state import tamper_report
 from qkdsim.transcript import Transcript
+from reference import eve_log, readings, states
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 2026
@@ -107,13 +108,15 @@ RECORD_ATTACKS = (
 
 
 def render_session(protocol, attack, n, seed) -> str:
-    """Every per-photon record a direct session call exposes, plus Eve's log."""
+    """A direct session's per-photon records, rebuilt from its arrays, plus Eve's log."""
     r = run_session(PROTOCOLS[protocol], n, RandomSource(seed), attack)
+    sent, filters = states(r.sent_index), states(r.filter_index)
+    outcomes = readings(r.filter_index, r.detected)
     if protocol == "three_state":
         fields = (
-            r.sent,
-            r.filters,
-            r.outcomes,
+            sent,
+            filters,
+            outcomes,
             r.kept.tolist(),
             r.key_index.tolist(),
             r.bob_bits.tolist(),
@@ -123,11 +126,11 @@ def render_session(protocol, attack, n, seed) -> str:
         )
     else:
         fields = (
-            r.sent,
-            [bit_map(p) for p in r.sent],
-            r.filters,
-            r.outcomes,
-            r.inferred,
+            sent,
+            [bit_map(p) for p in sent],
+            filters,
+            outcomes,
+            states(inferred_index(r.filter_index, r.detected)),
             r.kept_index.tolist(),
             r.alice_bits.tolist(),
             r.bob_bits.tolist(),
@@ -135,7 +138,7 @@ def render_session(protocol, attack, n, seed) -> str:
     lines = [repr(f) for f in fields]
     lines.append(json.dumps(r.transcript, sort_keys=True))
     lines.append(str(r.photons_intercepted))
-    lines.extend(repr(record) for record in r.eve_records)
+    lines.extend(repr(record) for record in eve_log(r.interception, PROTOCOLS[protocol].alphabet))
     return "\n".join(lines) + "\n"
 
 
@@ -185,7 +188,7 @@ def test_report_documents_render_as_stdlib_with_valid_transcripts(protocol):
             transcript = Transcript.from_jsonable(trial["transcript"])
             transcript.check_wire_order()
             session = run_session(PROTOCOLS[protocol], n, RandomSource(trial["seed"]), attack)
-            assert transcript.announced_filters() == session.filters
+            assert transcript.announced_filters() == states(session.filter_index)
             assert transcript.kept_positions() == session.kept_index.tolist()
 
 

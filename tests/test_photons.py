@@ -1,11 +1,13 @@
 """Physical layer: exact transition table, sampling, collapse, consistency.
 
-Sampling and collapse are checked on the photon-by-photon reference path
-(``tests/reference.py``), which the array engine is held to draw for draw.
+Sampling, collapse and the scalar inference and consistency rules are
+checked on the photon-by-photon reference path (``tests/reference.py``),
+which the array engine is held to draw for draw.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,20 +16,21 @@ from qkdsim.photons import (
     BB84_ALPHABET,
     BB84_FILTERS,
     ERASURE,
+    POLARIZATIONS,
     THREE_STATE_ALPHABET,
     THREE_STATE_FILTERS,
     MeasurementOutcome,
     Polarization,
     ResendPolicy,
     bit_map,
-    consistent_inputs,
     detected,
     detection_probability,
     has_deterministic_outcome,
-    infer_polarization,
+    inferred_index,
 )
 from qkdsim.rng import RandomSource
-from reference import collapse_and_resend, measure, measure_arrival, uniforms
+from reference import collapse_and_resend, consistent_inputs, infer_polarization
+from reference import measure, measure_arrival, uniforms
 
 ALL = tuple(Polarization)
 polarizations = st.sampled_from(ALL)
@@ -117,6 +120,9 @@ def test_bit_map_values():
 
 @given(polarizations)
 def test_infer_polarization_two_branches(filt):
+    # The engine's array rule and the reference loop's scalar rule agree.
+    inferred = inferred_index(np.array([POLARIZATIONS.index(filt)] * 2), np.array([True, False]))
+    assert [POLARIZATIONS[i] for i in inferred.tolist()] == [filt, filt.orthogonal]
     assert infer_polarization(filt, detected(filt)) is filt
     assert infer_polarization(filt, ERASURE) is filt.orthogonal
 

@@ -46,10 +46,22 @@ def test_phase_order_is_enforced():
             Transcript.from_jsonable(make_basic() + tail + [late]).check_wire_order()
 
 
-def test_unknown_payload_keys_rejected():
-    entry = {"sender": "bob", "kind": "filter_announcement", "payload": {"filters": [], "sent": []}}
-    with pytest.raises(ValueError, match="sent"):
-        Transcript.from_jsonable([entry])
+# Each malformed entry, and the field its error must name.
+MALFORMED = {
+    "unknown_payload_key": ({**filters(), "payload": {"filters": [], "sent": []}}, "sent"),
+    "empty_filter_payload": ({**filters(), "payload": {}}, "filters"),
+    "query_without_round": ({**query(1, 0), "payload": {"positions": [0]}}, "round"),
+    "alice_filter_announcement": ({**filters(0), "sender": "alice"}, "sender"),
+    "bob_confirmation": ({**kept(0), "sender": "bob"}, "sender"),
+    "no_payload": ({"sender": "bob", "kind": "filter_announcement"}, "payload"),
+}
+
+
+@pytest.mark.parametrize("entry, field", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_entries_rejected(entry, field):
+    # The reader names the field, before any view or the wire-order check runs.
+    with pytest.raises(ValueError, match=field):
+        Transcript.from_jsonable(make_basic() + [entry])
 
 
 def test_check_wire_order_catches_unbalanced_parity():
