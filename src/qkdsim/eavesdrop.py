@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .photons import (
+    DETECTS,
     DETERMINISTIC,
     POLARIZATIONS,
     MeasurementOutcome,
@@ -143,28 +145,49 @@ class Interception:
     detected: np.ndarray
 
 
-def _walk(u, gate, photon_filter, measure_at: int, resends: int, sent: np.ndarray):
-    """Each photon's first variate in ``u``, and the end of the last photon's draws.
+def _jump_walk(step: np.ndarray, n: int):
+    """The first n photons' starts in the chunk, and the end of the last one's draws.
 
-    Steps come from one ``bytes`` table per sent state, since whether an
-    erasure spends a resend variate depends on it.  Entries too near the
-    end to hold an interception go unread: the chunk draws enough for all.
+    For steps that ignore the photon.  The gaps ``step``, padded with zeros,
+    are squared 4 times (a gap plus the gap of the position it reaches); a
+    loop over every 16th photon reads the last level, and the lower ones
+    fill in the starts between.  Gaps are bytes, so steps stay below 16.
     """
-    steps = np.where(gate, np.uint8(measure_at + 1), np.uint8(1))
-    tables = [steps.tobytes()] * len(POLARIZATIONS)
-    if resends:
-        k = len(u) - measure_at
-        for s in range(len(POLARIZATIONS)):
-            table = steps.copy()
-            table[:k] += gate[:k] & ~detects(s * 4 + photon_filter[:k], u[measure_at:])
-            tables[s] = table.tobytes()
-    starts = []
-    record = starts.append
-    pos = 0
+    levels, here = [np.append(step, np.zeros(255, dtype=np.uint8))], np.arange(len(step) + 255)
+    for _ in range(4):
+        levels.append(levels[-1] + levels[-1].take(here + levels[-1]))
+    jump = levels.pop().tobytes()  # 16 photons at a time, from every 16th start
+    at = np.fromiter(accumulate(range(-(-n // 16)), lambda p, _: p + jump[p], initial=0), np.intp)
+    for gaps in reversed(levels):  # each level's gap interleaves a start between two
+        at = np.append(np.column_stack((at[:-1], at[:-1] + gaps.take(at[:-1]))), at[-1])
+    return at[:n], int(at[n])
+
+
+def _state_walk(key: bytes, measure_at: int, sent: np.ndarray, alphabet):
+    """Each photon's start in the chunk, and the end of the last one's draws.
+
+    For steps that depend on the sent state, as an erasure spends a resend
+    variate.  ``key`` holds ``gate * 8 + filter * 2 + (u < 1/2)`` at each
+    position a photon can start at, its low bits a state's row of
+    ``DETECTS``; each state of ``alphabet`` translates it to a step table.
+    """
+    tables = [b""] * len(POLARIZATIONS)
+    for s in {POLARIZATIONS.index(p) for p in alphabet}:
+        lut = np.append(np.ones(8, np.uint8), np.uint8(measure_at + 2) - DETECTS[8 * s : 8 * s + 8])
+        tables[s] = key.translate(lut.tobytes().ljust(256, b"\0"))
+    steps, pos = bytearray(), 0
+    add = steps.append
     for s in sent.tolist():
-        record(pos)
-        pos += tables[s][pos]
-    return np.array(starts, dtype=np.intp), pos
+        step = tables[s][pos]
+        add(step)
+        pos += step
+    steps = np.frombuffer(steps, dtype=np.uint8)
+    return np.cumsum(steps, dtype=np.intp) - steps, pos
+
+
+def _filter_at(filter_set: Sequence[Polarization], u: np.ndarray) -> np.ndarray:
+    """Her uniform filter choice, as a polarization index, from each variate of ``u``."""
+    return option_index(filter_set, (u * len(filter_set)).astype(np.int8))
 
 
 def intercept_session(
@@ -182,52 +205,58 @@ def intercept_session(
     detection is resent at her filter angle, an erasure as an equally
     likely entry of her filter's :func:`~qkdsim.photons.resend_table` row.
     Draw for draw the same as the photon-by-photon loop on ``rng``: each
-    chunk of photons draws the most it could spend, walks to each photon's
-    first variate, and carries the unused tail into the next chunk.
-    ``rng`` is left past what was used.
+    chunk of photons draws the most it could spend, finds each photon's
+    first variate (by stride, :func:`_jump_walk` or :func:`_state_walk`),
+    reads only the intercepted photons, and carries the unused tail into
+    the next chunk.  ``rng`` is left past what was used: the last tail is unread.
     """
     attack = normalize_attack(attack)
     if not isinstance(attack, InterceptResend):
         return None
     choose = attack.filter_choice is None
+    fixed = None if choose else np.int8(POLARIZATIONS.index(attack.filter_choice))
     resend = resend_table(attack.resend, alphabet)
     width = resend.shape[1]
     resends = int(width > 1)  # variates an erasure spends to pick its resend
     measure_at = 1 + choose  # offset of the measurement variate; a resend one follows
-    # Every photon spends the same count when none or all are intercepted
-    # and no erasure spends a resend variate; otherwise the starts are walked.
+    # A fixed stride when none or all are intercepted and no erasure spends a resend variate.
     stride = 1 if attack.fraction == 0 else 0
     if attack.fraction == 1 and not resends:
         stride = measure_at + 1
     most = stride or measure_at + 1 + resends
+    # What she resends per (filter, pick, detected): a detection at her filter.
+    leaves = np.dstack(np.broadcast_arrays(resend, np.arange(len(POLARIZATIONS))[:, None])).ravel()
 
     arrival, filters = sent_index.astype(np.int8), np.full(len(sent_index), -1, dtype=np.int8)
     detected = np.zeros(len(sent_index), dtype=bool)
     u = np.empty(0)
     for lo in range(0, len(sent_index), _CHUNK):
         sent = sent_index[lo : lo + _CHUNK]
-        u = np.concatenate((u, rng.uniform_array(max(0, len(sent) * most - len(u)))))
-        # Each position read as a gate and, unless her filter is fixed, as a
-        # uniform filter choice; a photon starting at q reads it at q + choose.
+        fresh = rng.uniform_array(max(0, len(sent) * most - len(u)))
+        u = np.concatenate((u, fresh)) if len(u) else fresh
+        # Each position read as a gate; a photon starting at q reads its
+        # filter choice at q + 1 if it has one, its measurement at q + measure_at.
         gate = u < attack.fraction
-        if choose:
-            filter_at = option_index(filter_set, (u * len(filter_set)).astype(np.int8))
-        else:
-            filter_at = np.broadcast_to(np.int8(POLARIZATIONS.index(attack.filter_choice)), u.shape)
         if stride:
             starts, end = np.arange(0, len(sent) * stride, stride), len(sent) * stride
+        elif resends:
+            k = len(u) - measure_at
+            eve_key = _filter_at(filter_set, u[1 : 1 + k]) if choose else fixed
+            key = gate[:k] * np.int8(8) + eve_key * np.int8(2) + (u[measure_at:] < 0.5)
+            starts, end = _state_walk(key.astype(np.uint8).tobytes(), measure_at, sent, alphabet)
         else:
-            starts, end = _walk(u, gate, filter_at[choose:], measure_at, resends, sent)
-        hit = gate[starts]
-        at = starts[hit]
-        eve_filter = filter_at[at + choose]
-        det = detects(sent[hit] * 4 + eve_filter, u[at + measure_at])
+            starts, end = _jump_walk(gate * np.uint8(measure_at) + np.uint8(1), len(sent))
+        photon = np.flatnonzero(gate.take(starts))
+        at = starts.take(photon)
+        eve_filter = _filter_at(filter_set, u.take(at + 1)) if choose else fixed
+        det = detects(sent.take(photon) * 4 + eve_filter, u.take(at + measure_at))
         # A detection spends no resend variate; its pick is read but unused.
-        pick = (u[at + measure_at + 1] * width).astype(np.int8) if resends else 0
-        resent = np.where(det, eve_filter, resend[eve_filter, pick])
-        photon = lo + np.flatnonzero(hit)
-        arrival[photon], filters[photon], detected[photon] = resent, eve_filter, det
+        pick = (u.take(at + measure_at + 1) * width).astype(np.int8) if resends else 0
+        photon += lo
+        arrival[photon] = leaves.take((eve_filter * width + pick) * 2 + det)
+        filters[photon], detected[photon] = eve_filter, det
         u = u[end:]
+    rng.unread(len(u))
     return Interception(arrival, filters >= 0, filters, detected)
 
 

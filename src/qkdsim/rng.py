@@ -14,7 +14,8 @@ whole arrays is therefore bit-for-bit identical to one that draws them one
 at a time.  A bulk draw of 0 consumes nothing.  :meth:`RandomSource.skip`
 moves past the next k variates unread: the stream is left exactly where a
 discarded ``uniform_array(k)`` would leave it, so a caller that reads only
-part of a block may skip the rest without changing any later draw.
+part of a block may skip the rest without changing any later draw, and
+:meth:`RandomSource.unread` moves back over the last k, which come again.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ class RandomSource:
         if k < 0:
             raise ValueError(f"variate count must be >= 0, got {k}")
         self._generator().bit_generator.advance(k)
+
+    def unread(self, k: int) -> None:
+        """Move back over the last ``k`` variates drawn, so that the next draws repeat them."""
+        if k < 0:
+            raise ValueError(f"variate count must be >= 0, got {k}")
+        self._generator().bit_generator.advance(-k)  # taken modulo PCG64's period, 2**128
 
     def child(self, index: int) -> "RandomSource":
         """Derive an independent stream from (seed, index).

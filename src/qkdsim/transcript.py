@@ -46,12 +46,15 @@ _PHASE = {
 }
 
 _ENTRY_KEYS = {"sender", "kind", "payload"}
-# Who speaks each kind of entry, and the exact keys of its payload.
+# Who speaks each kind of entry, and what each key of its payload holds.
+_INTS = ("a list of ints", lambda v: isinstance(v, list) and set(map(type, v)) <= {int})
+_ROUND = ("an int >= 1", lambda v: type(v) is int and v >= 1)
+_BIT = ("0 or 1", lambda v: type(v) is int and v in (0, 1))
 _SCHEMA = {
-    EntryKind.FILTER_ANNOUNCEMENT: (Party.BOB, {"filters"}),
-    EntryKind.CONFIRMATION_ANNOUNCEMENT: (Party.ALICE, {"kept"}),
-    EntryKind.PARITY_QUERY: (Party.ALICE, {"round", "positions"}),
-    EntryKind.PARITY_RESPONSE: (Party.BOB, {"round", "parity"}),
+    EntryKind.FILTER_ANNOUNCEMENT: (Party.BOB, {"filters": _INTS}),
+    EntryKind.CONFIRMATION_ANNOUNCEMENT: (Party.ALICE, {"kept": _INTS}),
+    EntryKind.PARITY_QUERY: (Party.ALICE, {"round": _ROUND, "positions": _INTS}),
+    EntryKind.PARITY_RESPONSE: (Party.BOB, {"round": _ROUND, "parity": _BIT}),
 }
 
 
@@ -67,19 +70,25 @@ class TranscriptEntry:
 
     @classmethod
     def from_jsonable(cls, obj: dict[str, Any]) -> "TranscriptEntry":
-        """Read one entry dict; a wrong key, sender or payload key raises ``ValueError``."""
-        if obj.keys() != _ENTRY_KEYS:
-            raise ValueError(f"entry keys {sorted(obj)}; expected {sorted(_ENTRY_KEYS)}")
+        """Read one entry dict; a wrong key, sender, payload key or value raises ``ValueError``."""
+        if not isinstance(obj, dict) or obj.keys() != _ENTRY_KEYS:
+            got = f"keys {sorted(obj)}" if isinstance(obj, dict) else f"type {type(obj).__name__}"
+            raise ValueError(f"entry has {got}; expected a dict with keys {sorted(_ENTRY_KEYS)}")
+        if not isinstance(obj["payload"], dict):
+            raise ValueError(f"entry payload is {type(obj['payload']).__name__}; expected a dict")
         entry = cls(Party(obj["sender"]), EntryKind(obj["kind"]), dict(obj["payload"]))
-        sender, keys = _SCHEMA[entry.kind]
+        sender, spec = _SCHEMA[entry.kind]
         if entry.sender is not sender:
             raise ValueError(
                 f"{entry.kind.value} sender is {entry.sender.value}; expected {sender.value}"
             )
-        if entry.payload.keys() != keys:
+        if entry.payload.keys() != spec.keys():
             raise ValueError(
-                f"{entry.kind.value} payload keys {sorted(entry.payload)}; expected {sorted(keys)}"
+                f"{entry.kind.value} payload keys {sorted(entry.payload)}; expected {sorted(spec)}"
             )
+        for key, (what, holds) in spec.items():
+            if not holds(entry.payload[key]):
+                raise ValueError(f"{entry.kind.value} payload {key} is not {what}")
         return entry
 
 

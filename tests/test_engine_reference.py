@@ -17,6 +17,7 @@ the scalar rules (:func:`has_deterministic_outcome`,
 
 import itertools
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
         [(THREE_STATE_ALPHABET, THREE_STATE_FILTERS), (BB84_ALPHABET, BB84_FILTERS)],
         [None, Polarization.Z0, Polarization.D45, Polarization.Z90],
         list(ResendPolicy),
-        [0.0, 0.3, 1.0],
+        [0.0, 0.3, 0.5, 1.0],
     )
     for (alphabet, filter_set), eve_filter, policy, fraction in grid:
         attack = InterceptResend(eve_filter, policy, fraction)
@@ -208,6 +209,64 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
         assert arrivals == [photon for photon, _ in expected]
         records = [record for _, record in expected]
         assert (got.filters.tolist(), got.detected.tolist()) == attacker_arrays(records)
+
+
+@given(
+    protocol=st.sampled_from([THREE_STATE, BB84]),
+    eve_filter=st.sampled_from([None, *Polarization]),
+    policy=st.sampled_from(list(ResendPolicy)),
+    fraction=st.one_of(st.just(0.5), st.floats(0, 1, exclude_min=True, exclude_max=True)),
+    n=st.integers(1, 300),
+    chunk=st.sampled_from([1, 2, 16, 17, 37]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(deadline=None)
+def test_intercept_session_matches_reference_loop(
+    protocol, eve_filter, policy, fraction, n, chunk, seed
+):
+    # Fractions inside (0, 1) walk the starts: by squared jumps, or under the
+    # random policy by a loop over per-state step tables.  Small chunks put
+    # chunk edges and carried tails all through the session.
+    attack = InterceptResend(eve_filter, policy, fraction)
+    sender = RandomSource(seed).child(0)
+    sent = [choice(sender, protocol.alphabet) for _ in range(n)]
+    reference_rng, rng = RandomSource(seed), RandomSource(seed)
+    expected = [
+        intercept_resend(p, attack, reference_rng, protocol.filters, protocol.alphabet, i)
+        for i, p in enumerate(sent)
+    ]
+    with mock.patch.object(eavesdrop, "_CHUNK", chunk):
+        got = intercept_session(
+            attack, protocol.filters, protocol.alphabet, rng, np.array(indices(sent))
+        )
+    arrivals = [None if a < 0 else POLARIZATIONS[a] for a in got.arrival.tolist()]
+    assert arrivals == [photon for photon, _ in expected]
+    records = [record for _, record in expected]
+    assert (got.filters.tolist(), got.detected.tolist()) == attacker_arrays(records)
+    assert rng.uniform() == reference_rng.uniform()
+
+
+def plain_walk(step, n):
+    """The first n starts of a walk that moves from p to p + step[p], and its end."""
+    starts, pos = [], 0
+    for _ in range(n):
+        starts.append(pos)
+        pos += int(step[pos])
+    return starts, pos
+
+
+# n = 1, n + 1 a multiple of 16 (15, 31, 47) and not.
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 47, 100, 257])
+@pytest.mark.parametrize("highest", [3, 15])
+def test_jump_walk_matches_plain_loop(n, highest):
+    rng = np.random.default_rng([n, highest])
+    for _ in range(20):
+        step = rng.integers(1, highest + 1, size=highest * n).astype(np.uint8)
+        starts, end = plain_walk(step, n)
+        # The whole table, and the table cut where the last photon's draws end.
+        for table in (step, step[:end]):
+            got, got_end = eavesdrop._jump_walk(table, n)
+            assert (got.tolist(), got_end) == (starts, end)
 
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])

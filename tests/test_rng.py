@@ -174,3 +174,20 @@ def test_split_source_builds_no_generator():
     first_skip = RandomSource(42)
     first_skip.skip(3)
     assert first_skip.uniform() == RandomSource(42).uniform_array(4)[3]
+
+
+@pytest.mark.parametrize("k", [0, 1, 4097])
+def test_unread_gives_back_the_last_draws(k):
+    a = RandomSource(404)
+    stream = RandomSource(404).uniform_array(k + 8).tolist()
+    assert a.uniform_array(k + 5).tolist() == stream[: k + 5]
+    a.unread(k)
+    assert a.uniform_array(k + 3).tolist() == stream[5:]
+
+
+def test_unread_rejects_negative_count_as_a_draw_does():
+    with pytest.raises(ValueError) as draw:
+        RandomSource(0).uniform_array(-1)
+    with pytest.raises(ValueError) as unread:
+        RandomSource(0).unread(-1)
+    assert str(unread.value) == str(draw.value)

@@ -54,6 +54,20 @@ MALFORMED = {
     "alice_filter_announcement": ({**filters(0), "sender": "alice"}, "sender"),
     "bob_confirmation": ({**kept(0), "sender": "bob"}, "sender"),
     "no_payload": ({"sender": "bob", "kind": "filter_announcement"}, "payload"),
+    "entry_not_a_dict": (list(filters(0).items()), "entry"),
+    "payload_none": ({**filters(), "payload": None}, "payload"),
+    "payload_a_list": ({**kept(), "payload": [["kept", [0]]]}, "payload"),
+    "kept_an_int": ({**kept(), "payload": {"kept": 5}}, "kept"),
+    "filters_with_a_bool": (filters(0, True), "filters"),
+    "filters_with_a_float": (filters(0, 45.0), "filters"),
+    "positions_a_string": ({**query(1), "payload": {"round": 1, "positions": "0"}}, "positions"),
+    "positions_of_strings": (query(1, "0"), "positions"),
+    "round_zero": (query(0, 0), "round"),
+    "round_a_bool": (query(True, 0), "round"),
+    "round_a_string": (response("1", 0), "round"),
+    "parity_two": (response(1, 2), "parity"),
+    "parity_a_bool": (response(1, False), "parity"),
+    "parity_none": (response(1, None), "parity"),
 }
 
 
