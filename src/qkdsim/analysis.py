@@ -437,12 +437,25 @@ def _mass(law: list[Fraction], mark) -> Fraction:
     return sum((p for p, marked in zip(law, mark.tolist()) if marked), Fraction(0))
 
 
+def _oracle_rates(
+    attack: Attack, protocol: Protocol = THREE_STATE
+) -> tuple[Optional[Fraction], Fraction]:
+    """:func:`auth_failure_probability` and :func:`key_error_probability`
+    off one exact cell law; the first is ``None`` for a spec without
+    authentication positions."""
+    law, table = cell_probabilities(protocol, attack), cell_table(protocol)
+    auth = _mass(law, table.auth)
+    failure = _mass(law, table.auth_failure) / auth if auth else None
+    return failure, _mass(law, table.key_error) / _mass(law, table.key)
+
+
 def auth_failure_probability(attack: Attack) -> Fraction:
     """Chance one three-state authentication position alarms (an erasure
     where a detection is forced), per the exact cell law.  Scales linearly
     with the attacked fraction, since untouched photons never alarm there."""
-    law, table = cell_probabilities(THREE_STATE, attack), cell_table(THREE_STATE)
-    return _mass(law, table.auth_failure) / _mass(law, table.auth)
+    failure, _ = _oracle_rates(attack)
+    assert failure is not None  # the three-state spec has auth positions
+    return failure
 
 
 def key_error_probability(attack: Attack, protocol: Protocol = THREE_STATE) -> Fraction:
@@ -454,8 +467,7 @@ def key_error_probability(attack: Attack, protocol: Protocol = THREE_STATE) -> F
     position itself — which is exactly why the three-state diagonal
     positions carry the tamper check.
     """
-    law, table = cell_probabilities(protocol, attack), cell_table(protocol)
-    return _mass(law, table.key_error) / _mass(law, table.key)
+    return _oracle_rates(attack, protocol)[1]
 
 
 def model_auth_failure_rate(fraction: Union[float, Fraction]) -> Fraction:

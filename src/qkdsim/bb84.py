@@ -17,6 +17,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from . import photons
 from .rng import RandomSource
 
 
@@ -42,16 +43,14 @@ class CertificationResult:
 _HEAD = 64
 
 
-def _draw_subset(rng: RandomSource, n: int, whole: bool) -> np.ndarray:
-    """One round's inclusion flags (variate below 1/2) over n survivors.
+def _draw_subset(rng: RandomSource, n: int) -> np.ndarray:
+    """One round's inclusion flags (variate below 1/2), as far as its first chosen position.
 
-    With ``whole`` all n flags are drawn.  Otherwise the flags come back
-    only as far as a head that holds the first chosen position: the first
-    ``_HEAD`` variates are drawn, and the rest of the round is skipped if
-    one of them is below 1/2 or drawn in full if none is.  Either way the
-    stream ends where n drawn variates leave it.
+    The first ``_HEAD`` variates are drawn, and the rest of the round is
+    skipped if one of them is below 1/2 or drawn in full if none is.  Either
+    way the stream ends where n drawn variates leave it.
     """
-    head = rng.uniform_array(n if whole else min(n, _HEAD)) < 0.5
+    head = rng.uniform_array(min(n, _HEAD)) < 0.5
     if len(head) == n:
         return head
     if head.any():
@@ -81,11 +80,15 @@ def parity_certify(
     A subset draw spends one variate per survivor, in position order; an
     empty subset is redrawn the same way.  The parities differ exactly when
     the subset holds an odd number of the positions where the keys
-    disagree, so only those positions are followed; the subset itself and
-    the receiver's parity are formed only for a transcript.  A round with
-    neither a transcript nor a disagreeing survivor reads only its first
-    chosen position (see :func:`_draw_subset`) and skips the rest of its
-    variates unread, leaving ``rng`` where the full draw would.
+    disagree, so only those positions are followed; the subsets and the
+    receiver's parities are formed only for a transcript.  A round with neither a transcript nor a disagreeing survivor
+    reads only its first chosen position (see :func:`_draw_subset`) and
+    skips the rest of its variates unread.  The other rounds are drawn in
+    full, in blocks: one draw covers as many consecutive rounds as fit in
+    :data:`qkdsim.photons._BLOCK` variates, and at least one.  An empty
+    subset ends its block, and the flags drawn after it carry over to the
+    next block, whose first round is its redraw.  Either way ``rng`` is
+    left where a round-by-round draw would leave it.
 
     ``transcript`` is the session's published list of entry dicts (see
     :attr:`qkdsim.session.Session.transcript`); each round appends its
@@ -100,30 +103,82 @@ def parity_certify(
             f"key of {len(alice_key)} bits cannot pay for {m} parity rounds"
         )
     bob = np.asarray(bob_key)
-    errors = np.flatnonzero(np.asarray(alice_key) != bob)
+    errors = np.flatnonzero(np.asarray(alice_key) != bob)  # among the survivors
     survivors = np.arange(len(bob))
     detection_round: Optional[int] = None
-    for round_number in range(1, m + 1):
-        whole = transcript is not None or errors.size > 0
-        chosen = _draw_subset(rng, len(survivors), whole)
-        while not chosen.any():
-            chosen = _draw_subset(rng, len(survivors), whole)
-        if transcript is not None:
-            subset = survivors[chosen]
-            query = {"round": round_number, "positions": subset.tolist()}
-            response = {"round": round_number, "parity": int(bob[subset].sum()) & 1}
-            transcript.append({"sender": "alice", "kind": "parity_query", "payload": query})
-            transcript.append({"sender": "bob", "kind": "parity_response", "payload": response})
-        # survivors ascend, so the first chosen one is the lowest index
-        first = int(np.argmax(chosen))
+    carried = np.empty(0, dtype=bool)  # flags drawn for the rounds ahead
+    done = 0
+    while done < m:
+        n = len(survivors)
+        if transcript is None and not errors.size and not carried.size:
+            chosen = _draw_subset(rng, n)
+            while not chosen.any():
+                chosen = _draw_subset(rng, n)
+            # survivors ascend, so the first chosen one is the lowest index;
+            # discard it: shift the ones before it up by one
+            first = int(np.argmax(chosen))
+            survivors[1 : first + 1] = survivors[:first]
+            survivors = survivors[1:]
+            done += 1
+            continue
+        # Round i of the block reads n - i flags, from offsets[i] on.
+        i = np.arange(m - done + 1)
+        offsets = i * n - i * (i - 1) // 2
+        size = max(1, int(np.searchsorted(offsets, photons._BLOCK, side="right")) - 1)
+        total = int(offsets[size])
+        # The carried flags, then the block's draw: one call unless a single
+        # round is longer than a block, whose draw comes in block-sized pieces.
+        flags = np.empty(total, dtype=bool)
+        flags[: len(carried)] = carried
+        for lo, u in photons._blocks(rng, total - len(carried)):
+            lo += len(carried)
+            np.less(u, 0.5, out=flags[lo : lo + len(u)])
+        # Each round's first chosen rank; the first empty round ends the block.
+        hits = np.flatnonzero(np.append(flags, True))
+        ranks = hits[np.searchsorted(hits, offsets[:size])] - offsets[:size]
+        empty = np.flatnonzero(ranks >= n - i[:size])
+        rounds = int(empty[0]) if empty.size else size
+        carried = flags[offsets[min(rounds + 1, size)] :]
+        if not rounds:
+            continue
+        # Round i's rank r falls on a column below r + i + 1, so the columns
+        # past every rank plus the round count are never discarded.
+        ranks = ranks[:rounds]
+        columns = list(range(min(n, int(ranks.max()) + rounds)))
+        discarded = [columns.pop(rank) for rank in ranks.tolist()]
+        # Row i: the survivors alive in round i, the last row those left after
+        # the block; a column is alive up to the round it is discarded in.
+        alive = np.ones((rounds + 1, n), dtype=bool)
+        alive[:, discarded] = np.tri(rounds, rounds + 1, dtype=bool).T
+        chosen = np.zeros((rounds, n), dtype=bool)
+        chosen[alive[:rounds]] = flags[: offsets[rounds]]
         if errors.size:
-            rank = np.searchsorted(survivors, errors)
-            if np.count_nonzero(chosen[rank]) & 1 and detection_round is None:
-                detection_round = round_number
-            errors = errors[errors != survivors[first]]
-        # discard survivors[first]: shift the ones before it up by one
-        survivors[1 : first + 1] = survivors[:first]
-        survivors = survivors[1:]
+            wrong = np.searchsorted(survivors, errors)
+            odd = np.count_nonzero(chosen.take(wrong, axis=1), axis=1) & 1
+            if detection_round is None and odd.any():
+                detection_round = done + 1 + int(np.argmax(odd))
+            errors = errors[alive[rounds].take(wrong)]
+        if transcript is not None:
+            # chosen in row order: each round's subset, positions ascending
+            picked = np.flatnonzero(chosen)
+            positions = np.tile(survivors, rounds).take(picked).tolist()
+            ends = np.count_nonzero(chosen, axis=1).cumsum().tolist()
+            parities = np.count_nonzero(chosen & (bob[survivors] != 0), axis=1) & 1
+            start = 0
+            for round_number, end, parity in zip(
+                range(done + 1, done + rounds + 1), ends, parities.tolist()
+            ):
+                query = {"round": round_number, "positions": positions[start:end]}
+                response = {"round": round_number, "parity": parity}
+                transcript.append({"sender": "alice", "kind": "parity_query", "payload": query})
+                transcript.append({"sender": "bob", "kind": "parity_response", "payload": response})
+                start = end
+        # discard in place: the survivors before the last discarded one move
+        # up past the discarded ones
+        last = max(discarded) + 1
+        survivors[rounds:last] = survivors[:last][alive[rounds, :last]]
+        survivors = survivors[rounds:]
+        done += rounds
     return CertificationResult(
         rounds=m,
         mismatch_detected=detection_round is not None,

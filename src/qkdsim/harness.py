@@ -10,26 +10,27 @@ document per invocation, schema-versioned, keys sorted, no timestamps.
 :func:`to_json` writes every document.  Its output is byte-identical to
 ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, which formats
 one integer per call once ``indent`` is set.  ``to_json`` is a small
-recursive encoder that renders a list of exact ``int`` items (transcripts
-are mostly such lists) in one ``join``, reading the decimal text of items
-below 4096 off a fixed table, renders a dict's ``str`` and ``int`` values
-inline, and everything else as the standard library does.
+recursive encoder that passes the text to one list in pieces and joins it
+once, so no level copies the text of the levels inside it.  It tests for
+the exact types of a report first.  A list of exact ``int`` items
+(transcripts are mostly such lists, found by one pass over the item
+types) is rendered in one ``join``, the decimal text of 0-4095 read off a
+dict and any other item's from ``int.__repr__``; a dict's ``str`` and
+``int`` values are rendered inline, and everything else as the standard
+library does.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from operator import countOf
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import (
-    auth_failure_probability,
-    key_error_probability,
-    model_auth_failure_rate,
-)
+from .analysis import _oracle_rates, model_auth_failure_rate
 from .bb84 import CertificationResult, KeyTooShort, parity_certify
 from .eavesdrop import (
     Attack,
@@ -226,7 +227,7 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
     if session.protocol.auth_filter is not None:
         report = tamper_report(session.auth_count, session.auth_failures)
         counts.update(key=session.key_count, auth=session.auth_count)
-        tamper: dict[str, Any] = {"method": "auth_positions", **asdict(report)}
+        tamper: dict[str, Any] = {"method": "auth_positions", **vars(report)}
         tampered = report.tamper_detected
         agreement = (session.key_count, session.key_errors)
     else:
@@ -335,60 +336,98 @@ def to_json(document: dict[str, Any]) -> str:
     floats, bools and ``None``; anything else, a non-``str`` key included,
     raises :class:`TypeError`.
     """
-    return _encode(document, "\n") + "\n"
+    chunks: list[str] = []
+    _write(document, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 # Decimal text of the small non-negative ints: transcript positions and degrees.
-_DECIMAL = [int.__repr__(i) for i in range(4096)]
+_DECIMAL = {i: int.__repr__(i) for i in range(4096)}
 
 
-def _encode(obj: Any, newline: str) -> str:
-    """``obj`` as indented JSON; ``newline`` is a line break plus its indent."""
-    if isinstance(obj, str):
-        return _ESCAPE(obj)
-    if obj is None or obj is True or obj is False:
-        return _CONSTANTS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+def _write(obj: Any, newline: str, out: Callable[[str], None]) -> None:
+    """Pass ``obj`` as indented JSON to ``out``, in pieces; ``newline`` is a
+    line break plus its indent.
+
+    The exact types of a report come first; subclasses and floats take the
+    ``isinstance`` chain below them.
+    """
+    kind = type(obj)
+    if kind is dict:
+        _write_object(obj, newline, out)
+    elif kind is list or kind is tuple:
+        _write_array(obj, newline, out)
+    elif kind is str:
+        out(_ESCAPE(obj))
+    elif kind is int:
+        out(int.__repr__(obj))
+    elif obj is None or obj is True or obj is False:
+        out(_CONSTANTS[obj])
+    elif isinstance(obj, str):
+        out(_ESCAPE(obj))
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
         if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = _members(obj, inner)
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {int}:
-            small = 0 <= min(obj) and max(obj) < len(_DECIMAL)
-            items = map(_DECIMAL.__getitem__ if small else int.__repr__, obj)
+            out("NaN")
+        elif obj == math.inf:
+            out("Infinity")
+        elif obj == -math.inf:
+            out("-Infinity")
         else:
-            items = (_encode(x, inner) for x in obj)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            out(float.__repr__(obj))
+    elif isinstance(obj, dict):
+        _write_object(obj, newline, out)
+    elif isinstance(obj, (list, tuple)):
+        _write_array(obj, newline, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _members(obj: dict, inner: str) -> Iterator[str]:
+def _write_object(obj: dict, newline: str, out: Callable[[str], None]) -> None:
     """A dict's ``"key": value`` lines in key order; ``str`` and ``int`` values inline."""
+    if not obj:
+        out("{}")
+        return
+    inner = newline + "  "
+    lead = "{" + inner
     for k in sorted(obj):
         value = obj[k]
         kind = type(value)
         if kind is str:
-            yield _ESCAPE(k) + ": " + _ESCAPE(value)
+            out(lead + _ESCAPE(k) + ": " + _ESCAPE(value))
         elif kind is int:
-            yield _ESCAPE(k) + ": " + int.__repr__(value)
+            out(lead + _ESCAPE(k) + ": " + int.__repr__(value))
         else:
-            yield _ESCAPE(k) + ": " + _encode(value, inner)
+            out(lead + _ESCAPE(k) + ": ")
+            _write(value, inner, out)
+        lead = "," + inner
+    out(newline + "}")
+
+
+def _write_array(obj: Sequence, newline: str, out: Callable[[str], None]) -> None:
+    """A list or tuple, one item per line; a list of exact ``int``s in one ``join``."""
+    if not obj:
+        out("[]")
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    if countOf(map(type, obj), int) == len(obj):
+        try:
+            body = comma.join(map(_DECIMAL.__getitem__, obj))
+        except KeyError:  # an item outside the table
+            body = comma.join(map(int.__repr__, obj))
+        out("[" + inner + body + newline + "]")
+        return
+    lead = "[" + inner
+    for item in obj:
+        out(lead)
+        _write(item, inner, out)
+        lead = comma
+    out(newline + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +516,18 @@ def attack_sweep(
                 )
                 config = replace(base, attack=attack, abort_on_tamper=False)
                 agg = aggregate(run(config))
+                oracle_failure, oracle_key_error = _oracle_rates(attack)
                 rows.append(
                     SweepRow(
                         policy=f"{filter_choice_label(choice)}/{policy.value}",
                         fraction=fraction,
                         empirical_failure=agg.get("auth_failure_rate", 0.0),
-                        oracle_failure=float(auth_failure_probability(attack)),
+                        oracle_failure=float(oracle_failure),
                         paper_model=float(model_auth_failure_rate(fraction)),
                         detection_rate=agg["detection_rate"],
                         key_error_rate=agg["key_error_rate"],
                         auth_positions=agg["totals"]["auth"],
-                        oracle_key_error=float(key_error_probability(attack)),
+                        oracle_key_error=float(oracle_key_error),
                     )
                 )
     return rows

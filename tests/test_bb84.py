@@ -1,12 +1,14 @@
 """Baseline protocol: sifting, parity certification, usable-key arithmetic."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import photons
 from qkdsim.analysis import compare
 from qkdsim.bb84 import _HEAD, KeyTooShort, parity_certify
 from qkdsim.eavesdrop import InterceptResend
@@ -184,6 +186,56 @@ def test_scripted_last_survivor_is_the_only_one_chosen(whole):
     assert result.final_key_length == len(survivors)
     assert result.detection_round == detection_round is None
     assert result.differing == int(whole)
+    assert rng.uniform() == reference_rng.uniform()
+    assert rng.flags == reference_rng.flags == []
+
+
+def test_scripted_empty_subset_inside_a_block_with_a_transcript():
+    # One block draws all three rounds (4 + 3 + 2 flags).  Round 2 comes up
+    # empty, so the block ends there, and its last 2 flags open the next
+    # block, whose first round is round 2's redraw.
+    alice = [0, 1, 1, 0]
+    bob = [0, 1, 1, 1]
+    script = [False, True, False, True]  # round 1: positions 1 and 3
+    script += [False, False, False]  # round 2: empty
+    script += [True, False, False]  # its redraw: position 0
+    script += [False, True]  # round 3: position 3
+    script += [True]  # the next draw after the rounds
+    rng, reference_rng = ScriptedRng(script), ScriptedRng(script)
+    survivors, detection_round, queries = reference_parity_rounds(alice, bob, 3, reference_rng)
+    entries = []
+    result = parity_certify(alice, bob, 3, rng, transcript=entries)
+    assert result.survivors.tolist() == survivors == [2]
+    assert result.detection_round == detection_round == 1
+    assert result.differing == 0
+    assert Transcript.from_jsonable(entries).parity_rounds() == queries
+    assert [subset for _, subset, _ in queries] == [[1, 3], [0], [3]]
+    assert rng.uniform() == reference_rng.uniform()
+    assert rng.flags == reference_rng.flags == []
+
+
+def test_scripted_last_error_discarded_before_a_carried_empty_subset():
+    # Blocks of 27 variates: rounds 1-3 of a 10-bit key (10 + 9 + 8 flags).
+    # Round 1 discards the only error; round 2 is empty, so round 3's flags
+    # carry over and open the next block (rounds 2-4).  Rounds 5 and 6 find
+    # no error and no carried flag left, so they read only their heads.
+    alice = [0] * 10
+    bob = [1] + [0] * 9
+    script = [True] + [False] * 9  # round 1: position 0, the error
+    script += [False] * 9  # round 2: empty
+    script += [False, True] + [False] * 7  # its redraw: position 2
+    script += [True] + [False] * 7  # round 3: position 1
+    script += [False, False, True] + [False] * 4  # round 4: position 5
+    script += [False] * 5 + [True]  # round 5 (head): position 9
+    script += [True] + [False] * 4  # round 6 (head): position 3
+    script += [False]  # the next draw after the rounds
+    rng, reference_rng = ScriptedRng(script), ScriptedRng(script)
+    survivors, detection_round, _ = reference_parity_rounds(alice, bob, 6, reference_rng)
+    with mock.patch.object(photons, "_BLOCK", 27):
+        result = parity_certify(alice, bob, 6, rng)
+    assert result.survivors.tolist() == survivors == [4, 6, 7, 8]
+    assert result.detection_round == detection_round == 1
+    assert result.differing == 0
     assert rng.uniform() == reference_rng.uniform()
     assert rng.flags == reference_rng.flags == []
 

@@ -59,7 +59,6 @@ from qkdsim.photons import (
 )
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
-from qkdsim.transcript import Transcript
 from reference import choice, infer_polarization, intercept_resend, measure_arrival
 from reference import readings, reference_parity_rounds, states
 
@@ -269,28 +268,52 @@ def test_jump_walk_matches_plain_loop(n, highest):
             assert (got.tolist(), got_end) == (starts, end)
 
 
+# Block sizes in variates: a round per block, blocks that split a key's
+# rounds, carry flags over and end mid-key, and the engine's own size.
+BLOCKS = (1, 2, 7, 64, photons._BLOCK)
+
+
+def parity_entries(queries):
+    """The transcript entries of the reference loop's (round, subset, parity) triples."""
+    entries = []
+    for round_number, subset, parity in queries:
+        query = {"round": round_number, "positions": subset}
+        response = {"round": round_number, "parity": parity}
+        entries.append({"sender": "alice", "kind": "parity_query", "payload": query})
+        entries.append({"sender": "bob", "kind": "parity_response", "payload": response})
+    return entries
+
+
+def assert_parity_rounds_match_reference(alice, bob, m, seed, recorded):
+    """parity_certify at every size in BLOCKS against the round-by-round loop."""
+    reference_rng = RandomSource(seed)
+    survivors, detection_round, queries = reference_parity_rounds(alice, bob, m, reference_rng)
+    following = reference_rng.uniform()
+    for block in BLOCKS:
+        rng = RandomSource(seed)
+        transcript = [] if recorded else None
+        with mock.patch.object(photons, "_BLOCK", block):
+            result = parity_certify(alice, bob, m, rng, transcript=transcript)
+        assert result.survivors.tolist() == survivors, block
+        assert result.detection_round == detection_round, block
+        assert result.differing == sum(alice[i] != bob[i] for i in survivors), block
+        if recorded:
+            assert transcript == parity_entries(queries), block
+        assert rng.uniform() == following, block
+
+
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
 @given(
     pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=80),
     m=st.integers(0, 79),
     seed=st.integers(0, 2**64 - 1),
 )
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 def test_parity_certify_matches_reference_loop(recorded, pairs, m, seed):
     # Without a transcript, mismatches are found from the error positions alone.
     alice = [a for a, _ in pairs]
     bob = [b for _, b in pairs]
-    m = min(m, len(pairs) - 1)
-    survivors, detection_round, queries = reference_parity_rounds(
-        alice, bob, m, RandomSource(seed)
-    )
-    transcript = [] if recorded else None
-    result = parity_certify(alice, bob, m, RandomSource(seed), transcript=transcript)
-    assert result.survivors.tolist() == survivors
-    assert result.detection_round == detection_round
-    assert result.differing == sum(alice[i] != bob[i] for i in survivors)
-    if recorded:
-        assert Transcript.from_jsonable(transcript).parity_rounds() == queries
+    assert_parity_rounds_match_reference(alice, bob, min(m, len(pairs) - 1), seed, recorded)
 
 
 @st.composite
@@ -306,21 +329,12 @@ def keys_with_few_errors(draw):
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
 @given(keys=keys_with_few_errors(), seed=st.integers(0, 2**64 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 def test_parity_certify_with_few_errors_matches_reference_loop(recorded, keys, seed):
     # Rounds with no error left read only a head of their variates and skip
     # the rest; the certifier stream must still end where the loop's does.
     alice, bob, m = keys
-    reference_rng, rng = RandomSource(seed), RandomSource(seed)
-    survivors, detection_round, queries = reference_parity_rounds(alice, bob, m, reference_rng)
-    transcript = [] if recorded else None
-    result = parity_certify(alice, bob, m, rng, transcript=transcript)
-    assert result.survivors.tolist() == survivors
-    assert result.detection_round == detection_round
-    assert result.differing == sum(alice[i] != bob[i] for i in survivors)
-    if recorded:
-        assert Transcript.from_jsonable(transcript).parity_rounds() == queries
-    assert rng.uniform() == reference_rng.uniform()
+    assert_parity_rounds_match_reference(alice, bob, m, seed, recorded)
 
 
 @pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)

@@ -1,5 +1,6 @@
 """The canonical encoder against the standard library's indented json.dumps."""
 
+import enum
 import json
 import math
 
@@ -10,6 +11,11 @@ from hypothesis import strategies as st
 
 from qkdsim.cli import main
 from qkdsim.harness import to_json
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 4097
 
 
 def stdlib(document) -> str:
@@ -56,6 +62,14 @@ TREES = st.recursive(
 @example([0, 4095])
 @example([i % 4096 for i in range(9_999)] + [4096])
 @example([3, True])
+# Past the table's end, below its start, and items equal to an int in the
+# table that are not exact ints.
+@example([4095, 4096, 8191])
+@example([-1, 0, 4095])
+@example([1, True, 0])
+@example([0, 1.0])
+@example([Level.LOW, Level.HIGH, 0])
+@example((7, "seven"))
 # Dict values rendered inline, and those that are not.
 @example({"s": "é", "i": -7, "b": True, "f": 0.5, "n": None, "l": [1]})
 def test_to_json_matches_stdlib(document):
