@@ -227,17 +227,17 @@ def entropy_report(
 
 def kept_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Probability a uniform (sent, filter) position survives keep/discard."""
-    return _mass(cell_probabilities(protocol), cell_table(protocol).kept)
+    return _mass(protocol, cell_table(protocol).kept)
 
 
 def key_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Kept positions off the authentication filter: the secret-bit rate."""
-    return _mass(cell_probabilities(protocol), cell_table(protocol).key)
+    return _mass(protocol, cell_table(protocol).key)
 
 
 def auth_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Kept positions under the authentication filter: the tamper-evidence rate."""
-    return _mass(cell_probabilities(protocol), cell_table(protocol).auth)
+    return _mass(protocol, cell_table(protocol).auth)
 
 
 @dataclass(frozen=True)
@@ -406,6 +406,22 @@ def arrival_distribution(
     return {a: p for a, p in law.items() if p}
 
 
+def _cell_counts(protocol: Protocol, attack: Attack = NoAttack()) -> tuple[list[int], int]:
+    """:func:`cell_probabilities` as integer numerators over one common denominator."""
+    share, counts, scale = _interception(attack, protocol)
+    # Detections of an intercepted photon, in units of 1 / (2 * scale).
+    hits = (counts[:, : len(POLARIZATIONS)] @ _PASS_HALVES).tolist()
+    untouched = (share.denominator - share.numerator) * scale
+    whole = 2 * scale * share.denominator
+    law = [0] * CELLS
+    for s in map(POLARIZATIONS.index, protocol.alphabet):
+        for f in map(POLARIZATIONS.index, protocol.filters):
+            detections = untouched * int(_PASS_HALVES[s, f]) + share.numerator * hits[s][f]
+            cell = (4 * s + f) * 2
+            law[cell], law[cell + 1] = whole - detections, detections
+    return law, whole * len(protocol.alphabet) * len(protocol.filters)
+
+
 def cell_probabilities(protocol: Protocol, attack: Attack = NoAttack()) -> list[Fraction]:
     """Exact law of one tick over the 32 cells of :attr:`Session.cells`.
 
@@ -416,25 +432,19 @@ def cell_probabilities(protocol: Protocol, attack: Attack = NoAttack()) -> list[
     :func:`arrival_distribution`.  Cells outside the spec have mass 0.
     Counted in integers over one common denominator, then reduced.
     """
-    share, counts, scale = _interception(attack, protocol)
-    # Detections of an intercepted photon, in units of 1 / (2 * scale).
-    hits = (counts[:, : len(POLARIZATIONS)] @ _PASS_HALVES).tolist()
-    untouched = (share.denominator - share.numerator) * scale
-    whole = 2 * scale * share.denominator
-    denominator = whole * len(protocol.alphabet) * len(protocol.filters)
-    law = [Fraction(0)] * CELLS
-    for s in map(POLARIZATIONS.index, protocol.alphabet):
-        for f in map(POLARIZATIONS.index, protocol.filters):
-            detections = untouched * int(_PASS_HALVES[s, f]) + share.numerator * hits[s][f]
-            cell = (4 * s + f) * 2
-            law[cell] = Fraction(whole - detections, denominator)
-            law[cell + 1] = Fraction(detections, denominator)
-    return law
+    law, denominator = _cell_counts(protocol, attack)
+    return [Fraction(count, denominator) for count in law]
 
 
-def _mass(law: list[Fraction], mark) -> Fraction:
-    """Total probability of the cells ``mark`` flags."""
-    return sum((p for p, marked in zip(law, mark.tolist()) if marked), Fraction(0))
+def _total(law: list[int], mark) -> int:
+    """Sum of the cell counts ``mark`` flags."""
+    return sum(count for count, marked in zip(law, mark.tolist()) if marked)
+
+
+def _mass(protocol: Protocol, mark) -> Fraction:
+    """Honest probability of the cells ``mark`` flags."""
+    law, denominator = _cell_counts(protocol)
+    return Fraction(_total(law, mark), denominator)
 
 
 def _oracle_rates(
@@ -442,11 +452,12 @@ def _oracle_rates(
 ) -> tuple[Optional[Fraction], Fraction]:
     """:func:`auth_failure_probability` and :func:`key_error_probability`
     off one exact cell law; the first is ``None`` for a spec without
-    authentication positions."""
-    law, table = cell_probabilities(protocol, attack), cell_table(protocol)
-    auth = _mass(law, table.auth)
-    failure = _mass(law, table.auth_failure) / auth if auth else None
-    return failure, _mass(law, table.key_error) / _mass(law, table.key)
+    authentication positions.  Both are ratios of cell masses, so the law's
+    integer counts are summed and the common denominator cancels."""
+    (law, _), table = _cell_counts(protocol, attack), cell_table(protocol)
+    auth = _total(law, table.auth)
+    failure = Fraction(_total(law, table.auth_failure), auth) if auth else None
+    return failure, Fraction(_total(law, table.key_error), _total(law, table.key))
 
 
 def auth_failure_probability(attack: Attack) -> Fraction:

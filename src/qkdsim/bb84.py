@@ -8,12 +8,21 @@ is guaranteed there.  Tampering is caught afterwards by comparing odd
 parities of random key subsets, paying one discarded bit per round.  The
 session itself runs on the shared engine (:func:`qkdsim.session.run_session`
 with :data:`qkdsim.photons.BB84`); this module holds the parity rounds.
+
+The rounds read only what decides them: a :class:`SiftedKey`, that is the
+key length, the ranks at which the two keys differ and, for a transcript
+only, the receiver's bits.  Each round takes one of four paths, chosen from
+its survivor count and error count (see :func:`parity_certify`): *head*
+(no error), *sparse* (few errors), *lean* (dense errors on a long key) and
+*block* (a transcript, carried flags, or dense errors on a short key).
+Every path draws the same variates, in the same order, as a round-by-round
+draw of one variate per survivor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,26 +51,73 @@ class CertificationResult:
 # chosen position matters: all of them are at least 1/2 with chance 2^-64.
 _HEAD = 64
 
+# A round with errors and no transcript draws sparsely while it has more
+# than this many survivors per error: one skip and one scalar draw per
+# error cost about as much as this many variates drawn in bulk.
+_SPARSE = 400
 
-def _draw_subset(rng: RandomSource, n: int) -> np.ndarray:
-    """One round's inclusion flags (variate below 1/2), as far as its first chosen position.
 
-    The first ``_HEAD`` variates are drawn, and the rest of the round is
-    skipped if one of them is below 1/2 or drawn in full if none is.  Either
-    way the stream ends where n drawn variates leave it.
+@dataclass(frozen=True, eq=False)
+class SiftedKey:
+    """What the parity rounds read of a sifted key pair.
+
+    ``length`` is the key's bit count (also its ``len``), ``errors`` the
+    ranks at which the two parties' keys differ, ascending, and
+    ``receiver_bits`` the receiver's key, which only a transcript's
+    parities read.
+    """
+
+    length: int
+    errors: np.ndarray
+    receiver_bits: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def _fill_flags(rng: RandomSource, flags: np.ndarray) -> None:
+    """Draw ``flags`` in stream order, one variate each: True below 1/2."""
+    for lo, u in photons._blocks(rng, len(flags)):
+        np.less(u, 0.5, out=flags[lo : lo + len(u)])
+
+
+def _one_round(rng: RandomSource, n: int, wrong: np.ndarray, sparse: bool) -> tuple[int, int]:
+    """A round over n survivors without a transcript: its first chosen rank,
+    and 1 if it chose an odd number of the error ranks ``wrong``, else 0.
+
+    The first ``_HEAD`` flags are drawn.  If the round is ``sparse`` and
+    one of them is chosen, only the flags at the error ranks past the head
+    are drawn, one variate each, and the rest of the round is skipped;
+    with no error that is a head round, which reads nothing past its head.
+    Otherwise all n flags are drawn, an empty subset is redrawn whole, and
+    the flags are read at the error ranks.  Either way the stream ends
+    where a round-by-round draw of n flags per subset leaves it.
     """
     head = rng.uniform_array(min(n, _HEAD)) < 0.5
-    if len(head) == n:
-        return head
-    if head.any():
-        rng.skip(n - len(head))
-        return head
-    return np.concatenate((head, rng.uniform_array(n - len(head)) < 0.5))
+    if sparse and head.any():
+        first, odd, at = int(np.argmax(head)), 0, len(head)
+        if wrong.size:
+            near = int(np.searchsorted(wrong, at))
+            odd = int(np.count_nonzero(head.take(wrong[:near])))
+            for rank in wrong[near:].tolist():
+                if rank > at:
+                    rng.skip(rank - at)
+                odd += rng.uniform() < 0.5
+                at = rank + 1
+        if n > at:
+            rng.skip(n - at)
+        return first, odd & 1
+    flags = np.empty(n, dtype=bool)
+    flags[: len(head)] = head
+    _fill_flags(rng, flags[len(head) :])
+    while not flags.any():
+        _fill_flags(rng, flags)
+    return int(np.argmax(flags)), int(np.count_nonzero(flags.take(wrong))) & 1
 
 
 def parity_certify(
-    alice_key: Sequence[int],
-    bob_key: Sequence[int],
+    alice_key: Union[SiftedKey, Sequence[int]],
+    bob_key: Optional[Sequence[int]],
     m: int,
     rng: RandomSource,
     transcript: Optional[list[dict[str, Any]]] = None,
@@ -77,18 +133,33 @@ def parity_certify(
     fail with probability exactly 1/2, which is what gives m rounds their
     1 - 2^-m detection power.
 
+    The keys come either as two bit sequences or as one :class:`SiftedKey`
+    with ``bob_key`` ``None``.  The parities differ exactly when the subset
+    holds an odd number of the positions where the keys disagree, so only
+    the ranks of those positions among the survivors are followed; the
+    subsets and the receiver's parities are formed only for a transcript.
+
     A subset draw spends one variate per survivor, in position order; an
-    empty subset is redrawn the same way.  The parities differ exactly when
-    the subset holds an odd number of the positions where the keys
-    disagree, so only those positions are followed; the subsets and the
-    receiver's parities are formed only for a transcript.  A round with neither a transcript nor a disagreeing survivor
-    reads only its first chosen position (see :func:`_draw_subset`) and
-    skips the rest of its variates unread.  The other rounds are drawn in
-    full, in blocks: one draw covers as many consecutive rounds as fit in
-    :data:`qkdsim.photons._BLOCK` variates, and at least one.  An empty
-    subset ends its block, and the flags drawn after it carry over to the
-    next block, whose first round is its redraw.  Either way ``rng`` is
-    left where a round-by-round draw would leave it.
+    empty subset is redrawn the same way.  Each round takes one of four
+    paths, chosen from its survivor count L_r and error count K_r:
+
+    - *head*: no transcript, no error left and no flag carried over.  Only
+      the first chosen position matters, so the round reads a head of its
+      variates and skips the rest (see :func:`_one_round`).
+    - *sparse*: the same, with errors, while K_r * ``_SPARSE`` < L_r.  After
+      the head it draws one variate at each error rank and skips between
+      them, O(1 + K_r) generator calls instead of L_r variates.
+    - *lean*: denser errors, no transcript or carried flag, and a round too
+      long for two of them to share a block of :data:`qkdsim.photons._BLOCK`
+      variates.  All L_r flags are drawn, in block-sized pieces, and read at
+      the first chosen rank and the error ranks.
+    - *block*: every other round (a transcript, carried flags, or dense
+      errors on a short key).  One draw covers as many consecutive rounds
+      as fit in a block, and at least one.  An empty subset ends its block,
+      and the flags drawn after it carry over to the next block, whose
+      first round is its redraw.
+
+    Every path leaves ``rng`` where a round-by-round draw would leave it.
 
     ``transcript`` is the session's published list of entry dicts (see
     :attr:`qkdsim.session.Session.transcript`); each round appends its
@@ -96,30 +167,40 @@ def parity_certify(
     """
     if m < 0:
         raise ValueError("round count must be non-negative")
-    if len(alice_key) != len(bob_key):
-        raise ValueError("keys must have equal length")
-    if len(alice_key) <= m:
-        raise KeyTooShort(
-            f"key of {len(alice_key)} bits cannot pay for {m} parity rounds"
-        )
-    bob = np.asarray(bob_key)
-    errors = np.flatnonzero(np.asarray(alice_key) != bob)  # among the survivors
-    survivors = np.arange(len(bob))
+    if isinstance(alice_key, SiftedKey):
+        if bob_key is not None:
+            raise ValueError("a sifted key already holds both parties' keys")
+        key = alice_key
+    else:
+        if len(alice_key) != len(bob_key):
+            raise ValueError("keys must have equal length")
+        bob = np.asarray(bob_key)
+        key = SiftedKey(len(bob), np.flatnonzero(np.asarray(alice_key) != bob), bob)
+    if len(key) <= m:
+        raise KeyTooShort(f"key of {len(key)} bits cannot pay for {m} parity rounds")
+    bob = key.receiver_bits
+    if transcript is not None and bob is None:
+        raise ValueError("a transcript needs the receiver's key bits")
+    wrong = key.errors  # ranks among the survivors
+    survivors = np.arange(len(key))
     detection_round: Optional[int] = None
     carried = np.empty(0, dtype=bool)  # flags drawn for the rounds ahead
     done = 0
     while done < m:
         n = len(survivors)
-        if transcript is None and not errors.size and not carried.size:
-            chosen = _draw_subset(rng, n)
-            while not chosen.any():
-                chosen = _draw_subset(rng, n)
+        sparse = wrong.size * _SPARSE < n
+        if transcript is None and not carried.size and (sparse or n + n - 1 > photons._BLOCK):
+            first, odd = _one_round(rng, n, wrong, sparse)
+            done += 1
+            if odd and detection_round is None:
+                detection_round = done
+            if wrong.size:
+                wrong = wrong[wrong != first]
+                wrong -= wrong > first
             # survivors ascend, so the first chosen one is the lowest index;
             # discard it: shift the ones before it up by one
-            first = int(np.argmax(chosen))
             survivors[1 : first + 1] = survivors[:first]
             survivors = survivors[1:]
-            done += 1
             continue
         # Round i of the block reads n - i flags, from offsets[i] on.
         i = np.arange(m - done + 1)
@@ -130,9 +211,7 @@ def parity_certify(
         # round is longer than a block, whose draw comes in block-sized pieces.
         flags = np.empty(total, dtype=bool)
         flags[: len(carried)] = carried
-        for lo, u in photons._blocks(rng, total - len(carried)):
-            lo += len(carried)
-            np.less(u, 0.5, out=flags[lo : lo + len(u)])
+        _fill_flags(rng, flags[len(carried) :])
         # Each round's first chosen rank; the first empty round ends the block.
         hits = np.flatnonzero(np.append(flags, True))
         ranks = hits[np.searchsorted(hits, offsets[:size])] - offsets[:size]
@@ -152,12 +231,13 @@ def parity_certify(
         alive[:, discarded] = np.tri(rounds, rounds + 1, dtype=bool).T
         chosen = np.zeros((rounds, n), dtype=bool)
         chosen[alive[:rounds]] = flags[: offsets[rounds]]
-        if errors.size:
-            wrong = np.searchsorted(survivors, errors)
+        if wrong.size:
             odd = np.count_nonzero(chosen.take(wrong, axis=1), axis=1) & 1
             if detection_round is None and odd.any():
                 detection_round = done + 1 + int(np.argmax(odd))
-            errors = errors[alive[rounds].take(wrong)]
+            # the errors left, ranked among the survivors left
+            wrong = wrong[alive[rounds].take(wrong)]
+            wrong -= np.searchsorted(sorted(discarded), wrong)
         if transcript is not None:
             # chosen in row order: each round's subset, positions ascending
             picked = np.flatnonzero(chosen)
@@ -186,5 +266,5 @@ def parity_certify(
         final_key_length=len(survivors),
         detection_round=detection_round,
         survivors=survivors,
-        differing=len(errors),
+        differing=len(wrong),
     )

@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import _oracle_rates, model_auth_failure_rate
-from .bb84 import CertificationResult, KeyTooShort, parity_certify
+from .bb84 import CertificationResult, KeyTooShort, SiftedKey, parity_certify
 from .eavesdrop import (
     Attack,
     InterceptResend,
@@ -233,13 +233,11 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
     else:
         assert config.m is not None  # validate() guarantees it
         try:
-            cert = parity_certify(
-                session.alice_bits,
-                session.bob_bits,
-                config.m,
-                rng.child(3),
-                transcript=transcript,
-            )
+            # The rounds read the key length and the error ranks, and the
+            # receiver's bits only for a transcript.
+            bits = None if transcript is None else session.bob_bits
+            key = SiftedKey(session.key_count, session.key_error_ranks, bits)
+            cert = parity_certify(key, None, config.m, rng.child(3), transcript=transcript)
         except KeyTooShort:
             cert = _NOT_CERTIFIED
             status = STATUS_KEY_TOO_SHORT

@@ -188,6 +188,18 @@ class Session:
         return self.table.read_bit.take(self._key_cells)
 
     @cached_property
+    def key_error_ranks(self) -> np.ndarray:
+        """Ranks in the key at which the two parties' bits differ, ascending.
+
+        Equal to ``flatnonzero(alice_bits != bob_bits)``, but read off the key
+        cells' marks; a session whose histogram holds no key error builds no
+        per-key-bit array for it.
+        """
+        if not self.key_errors:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(self.table.key_error.take(self._key_cells))
+
+    @cached_property
     def transcript(self) -> list[dict]:
         """The public discussion as the report publishes it: a list of entry dicts.
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim import photons
+from qkdsim import bb84, photons
 from qkdsim.analysis import compare
-from qkdsim.bb84 import _HEAD, KeyTooShort, parity_certify
+from qkdsim.bb84 import _HEAD, KeyTooShort, SiftedKey, parity_certify
 from qkdsim.eavesdrop import InterceptResend
 from qkdsim.photons import BB84, ResendPolicy, inferred_index
 from qkdsim.rng import RandomSource
@@ -118,6 +118,23 @@ def test_zero_rounds_is_a_no_op():
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError):
         parity_certify([0, 1], [0, 1, 1], 1, RandomSource(0))
+
+
+def test_sifted_key_matches_the_two_key_form():
+    alice = [0, 1, 1, 0, 1, 0, 0, 1]
+    bob = [0, 1, 0, 0, 1, 0, 1, 1]
+    key = SiftedKey(len(alice), np.array([2, 6]))
+    expected = parity_certify(alice, bob, 3, RandomSource(5))
+    result = parity_certify(key, None, 3, RandomSource(5))
+    assert result.survivors.tolist() == expected.survivors.tolist()
+    assert (result.detection_round, result.differing) == (
+        expected.detection_round,
+        expected.differing,
+    )
+    with pytest.raises(ValueError):
+        parity_certify(key, bob, 3, RandomSource(5))  # the key already holds both
+    with pytest.raises(ValueError):
+        parity_certify(key, None, 3, RandomSource(5), transcript=[])  # no receiver bits
 
 
 def test_scripted_round_discards_lowest_queried_index():
@@ -238,6 +255,81 @@ def test_scripted_last_error_discarded_before_a_carried_empty_subset():
     assert result.differing == 0
     assert rng.uniform() == reference_rng.uniform()
     assert rng.flags == reference_rng.flags == []
+
+
+def assert_scripted_rounds_match_reference(alice, bob, m, script, sparse):
+    """parity_certify on ``script`` at the sparse ratio ``sparse`` against the
+    round-by-round loop on the same script; returns the result."""
+    rng, reference_rng = ScriptedRng(script), ScriptedRng(script)
+    survivors, detection_round, _ = reference_parity_rounds(alice, bob, m, reference_rng)
+    with mock.patch.object(bb84, "_SPARSE", sparse):
+        result = parity_certify(alice, bob, m, rng)
+    assert result.survivors.tolist() == survivors
+    assert result.detection_round == detection_round
+    assert result.differing == sum(alice[i] != bob[i] for i in survivors)
+    assert rng.uniform() == reference_rng.uniform()
+    assert rng.flags == reference_rng.flags == []
+    return result
+
+
+# A ratio of 0 sends every round with errors down the sparse path; at the
+# engine's own ratio these 70-bit keys' rounds take the block path.
+SPARSE_RATIOS = pytest.mark.parametrize(
+    "sparse", [0, bb84._SPARSE], ids=["sparse", "block"]
+)
+
+
+@SPARSE_RATIOS
+def test_scripted_error_at_the_first_chosen_rank_is_discarded(sparse):
+    # Errors at positions 3 and 67 of a 70-bit key.  Round 1 chooses 3 first
+    # and not 67, so its parities differ; position 3 goes.  Round 2 chooses
+    # 0 first and 67 too, so they differ again.  The sparse path reads
+    # position 67 alone past each head and skips the flags around it.
+    n = _HEAD + 6
+    alice = [0] * n
+    bob = [int(i in (3, 67)) for i in range(n)]
+    script = [False] * 3 + [True] + [False] * 60  # round 1, head: position 3
+    script += [True, False, False, False, True, True]  # 64-69: 67 not chosen
+    script += [True] + [False] * 63  # round 2, head: position 0
+    script += [False, False, True, False, True]  # 65-69: 67 chosen
+    script += [False]  # the next draw after the rounds
+    result = assert_scripted_rounds_match_reference(alice, bob, 2, script, sparse)
+    assert result.survivors.tolist() == [i for i in range(n) if i not in (0, 3)]
+    assert result.detection_round == 1
+    assert result.differing == 1
+
+
+@SPARSE_RATIOS
+def test_scripted_errors_only_below_the_first_chosen_rank(sparse):
+    # Errors at positions 0 and 1; the round first chooses 5, so it holds no
+    # error and both survive.
+    n = _HEAD + 6
+    alice = [1] * n
+    bob = [0, 0] + [1] * (n - 2)
+    script = [False] * 5 + [True] + [True, False] * 29  # head: position 5 first
+    script += [True] * 6  # the flags past the head
+    script += [True]  # the next draw after the rounds
+    result = assert_scripted_rounds_match_reference(alice, bob, 1, script, sparse)
+    assert result.survivors.tolist() == [i for i in range(n) if i != 5]
+    assert result.detection_round is None
+    assert result.differing == 2
+
+
+@SPARSE_RATIOS
+def test_scripted_empty_head_with_errors_left_reads_the_tail(sparse):
+    # An error at position 66.  No flag of the head is chosen, so the round
+    # is drawn in full: it first chooses 66 and nothing after, so the parities
+    # differ and the error goes.  Round 2 reads only its head.
+    n = _HEAD + 6
+    alice = [0] * n
+    bob = [int(i == 66) for i in range(n)]
+    script = [False] * _HEAD + [False, False, True, False, False, False]  # round 1
+    script += [False, True] + [False] * 62 + [True] * 5  # round 2: position 1
+    script += [True]  # the next draw after the rounds
+    result = assert_scripted_rounds_match_reference(alice, bob, 2, script, sparse)
+    assert result.survivors.tolist() == [0] + [i for i in range(2, n) if i != 66]
+    assert result.detection_round == 1
+    assert result.differing == 0
 
 
 def test_single_difference_detection_rate_m1():

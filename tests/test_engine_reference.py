@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim import eavesdrop, photons
+from qkdsim import bb84, eavesdrop, photons
 from qkdsim.bb84 import _HEAD, KeyTooShort, parity_certify
 from qkdsim.eavesdrop import (
     InterceptResend,
@@ -272,6 +272,12 @@ def test_jump_walk_matches_plain_loop(n, highest):
 # rounds, carry flags over and end mid-key, and the engine's own size.
 BLOCKS = (1, 2, 7, 64, photons._BLOCK)
 
+# (block size, survivors per error below which a round stops drawing
+# sparsely) pairs.  At the engine's own ratio these short keys' rounds with
+# errors take the lean path in blocks too small for two rounds and the block
+# path in the others; at 0 every round without a transcript is sparse.
+PATHS = tuple((block, bb84._SPARSE) for block in BLOCKS) + ((photons._BLOCK, 0),)
+
 
 def parity_entries(queries):
     """The transcript entries of the reference loop's (round, subset, parity) triples."""
@@ -284,22 +290,25 @@ def parity_entries(queries):
     return entries
 
 
-def assert_parity_rounds_match_reference(alice, bob, m, seed, recorded):
-    """parity_certify at every size in BLOCKS against the round-by-round loop."""
+def assert_parity_rounds_match_reference(alice, bob, m, seed, recorded, paths=PATHS):
+    """parity_certify at every (block, sparse ratio) pair of ``paths`` against
+    the round-by-round loop."""
     reference_rng = RandomSource(seed)
     survivors, detection_round, queries = reference_parity_rounds(alice, bob, m, reference_rng)
     following = reference_rng.uniform()
-    for block in BLOCKS:
+    for path in paths:
+        block, sparse = path
         rng = RandomSource(seed)
         transcript = [] if recorded else None
         with mock.patch.object(photons, "_BLOCK", block):
-            result = parity_certify(alice, bob, m, rng, transcript=transcript)
-        assert result.survivors.tolist() == survivors, block
-        assert result.detection_round == detection_round, block
-        assert result.differing == sum(alice[i] != bob[i] for i in survivors), block
+            with mock.patch.object(bb84, "_SPARSE", sparse):
+                result = parity_certify(alice, bob, m, rng, transcript=transcript)
+        assert result.survivors.tolist() == survivors, path
+        assert result.detection_round == detection_round, path
+        assert result.differing == sum(alice[i] != bob[i] for i in survivors), path
         if recorded:
-            assert transcript == parity_entries(queries), block
-        assert rng.uniform() == following, block
+            assert transcript == parity_entries(queries), path
+        assert rng.uniform() == following, path
 
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
@@ -337,6 +346,35 @@ def test_parity_certify_with_few_errors_matches_reference_loop(recorded, keys, s
     assert_parity_rounds_match_reference(alice, bob, m, seed, recorded)
 
 
+@st.composite
+def keys_longer_than_a_block(draw, dense):
+    """Keys of 65 to 400 bits with 1 to 5 errors, or about one in four
+    (``dense``), and a round count of at most 24."""
+    length = draw(st.integers(_HEAD + 1, 400))
+    alice = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+    if dense:
+        flips = draw(st.lists(st.sampled_from((1, 0, 0, 0)), min_size=length, max_size=length))
+    else:
+        errors = draw(st.sets(st.integers(0, length - 1), min_size=1, max_size=5))
+        flips = [i in errors for i in range(length)]
+    bob = [bit ^ flip for bit, flip in zip(alice, flips)]
+    return alice, bob, draw(st.integers(0, 24))
+
+
+# Blocks of 64 variates, shorter than the keys: rounds with errors are sparse
+# at a ratio of 0, lean at the engine's ratio, and switch from lean to sparse
+# at 40 once enough errors are discarded.
+LONG_KEY_PATHS = ((64, 0), (64, 40), (64, bb84._SPARSE), (photons._BLOCK, bb84._SPARSE))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["few_errors", "dense_errors"])
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+@settings(deadline=None)
+def test_parity_certify_on_keys_longer_than_a_block_matches_reference_loop(dense, data, seed):
+    alice, bob, m = data.draw(keys_longer_than_a_block(dense))
+    assert_parity_rounds_match_reference(alice, bob, m, seed, False, LONG_KEY_PATHS)
+
+
 @pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
 @given(
     n=st.integers(1, 300),
@@ -367,6 +405,7 @@ def test_report_counts_match_session_index_arrays(protocol, n, seed, attack, m):
     key, auth = np.flatnonzero(kept & ~at_auth), np.flatnonzero(kept & at_auth)
     alice = BITS[sent[key]]
     bob = BITS[inferred_index(filters[key], detected[key])]
+    assert session.key_error_ranks.tolist() == np.flatnonzero(alice != bob).tolist()
 
     labels = [outcome_label(o) for o in readings(filters, detected)]
     assert report.outcome_counts == dict(Counter(labels))

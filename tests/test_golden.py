@@ -80,15 +80,32 @@ def report_cases():
         yield f"report/bb84/{attack_label(attack)}/n=5000/bare", ("bb84", attack, 5000, False)
 
 
-def render_report(protocol, attack, n, transcripts) -> str:
+# Sifted keys of about 20,000 bits, longer than photons._BLOCK, that still
+# hold errors when the rounds start: a few-error cell and a dense one, bare
+# and without aborting, so that each trial reports its key agreement.
+LONG_KEY_N, LONG_KEY_M = 40_000, 20
+LONG_KEY_ATTACKS = (
+    InterceptResend(resend=ResendPolicy.SEND_NOTHING, fraction=0.01),
+    InterceptResend(fraction=1.0),
+)
+
+
+def long_key_cases():
+    for attack in LONG_KEY_ATTACKS:
+        key = f"report/bb84/{attack_label(attack)}/n={LONG_KEY_N}/m={LONG_KEY_M}/bare"
+        yield key, ("bb84", attack, LONG_KEY_N, False, LONG_KEY_M, False)
+
+
+def render_report(protocol, attack, n, transcripts, m=BB84_M, abort=True) -> str:
     config = SessionConfig(
         protocol=protocol,
         n=n,
-        m=BB84_M if protocol == "bb84" else None,
+        m=m if protocol == "bb84" else None,
         attack=attack,
         seed=SEED,
         trials=TRIALS,
         include_transcripts=transcripts,
+        abort_on_tamper=abort,
     )
     return to_json(report_document(config, run(config)))
 
@@ -151,6 +168,7 @@ def session_cases():
 
 def all_digests() -> dict[str, str]:
     out = {key: digest(render_report(*args)) for key, args in report_cases()}
+    out.update({key: digest(render_report(*args)) for key, args in long_key_cases()})
     out["sweep/three_state/n=900"] = digest(render_sweep())
     out.update({key: digest(render_session(*args)) for key, args in session_cases()})
     return out
@@ -238,6 +256,12 @@ def test_emitted_transcripts_keep_the_hygiene_rules(protocol):
             assert_hygienic(report.transcript, protocol, n, report.counts["auth"] if m else 0)
 
 
+def test_long_key_report_digests():
+    expected = _expected()
+    changed = [k for k, args in long_key_cases() if digest(render_report(*args)) != expected[k]]
+    assert not changed, f"long-key reports changed: {changed}"
+
+
 def test_sweep_digest():
     assert digest(render_sweep()) == _expected()["sweep/three_state/n=900"]
 
@@ -251,6 +275,7 @@ def test_session_record_digests():
 
 def test_golden_file_covers_the_grid():
     keys = {k for k, _ in report_cases()} | {k for k, _ in session_cases()}
+    keys |= {k for k, _ in long_key_cases()}
     keys.add("sweep/three_state/n=900")
     assert set(_expected()) == keys
 

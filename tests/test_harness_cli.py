@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
 from qkdsim.cli import main
-from qkdsim.eavesdrop import InterceptResend, StuckFilter
+from qkdsim.eavesdrop import InterceptResend, NoAttack, StuckFilter
 from qkdsim.harness import (
     SWEEP_HEADER,
     InvalidConfig,
@@ -15,10 +16,12 @@ from qkdsim.harness import (
     attack_sweep,
     report_document,
     run,
+    run_trial,
     sweep_to_csv,
     to_json,
 )
 from qkdsim.photons import Polarization, ResendPolicy
+from qkdsim.session import Session
 
 THREE_STATE = "three_state"
 
@@ -71,6 +74,27 @@ def test_honest_trials_agree_and_do_not_abort():
         assert report.key_agreement["keys_match"]
         assert not report.aborted
         assert not report.tamper["tamper_detected"]
+
+
+def _unread(session):
+    raise AssertionError("a per-key-bit array was built")
+
+
+@pytest.mark.parametrize(
+    "attack", [NoAttack(), InterceptResend(fraction=0.5)], ids=["honest", "attacked"]
+)
+def test_bb84_trial_without_transcript_reads_no_key_bits(attack):
+    # The parity rounds read the key length and the error ranks; the parties'
+    # key bits are built only for a transcript.
+    config = SessionConfig(
+        protocol="bb84", n=3000, m=8, attack=attack, seed=4, abort_on_tamper=False
+    )
+    expected = to_json(run_trial(config, 0).to_jsonable())
+    unread = property(_unread)
+    with mock.patch.object(Session, "alice_bits", unread), mock.patch.object(
+        Session, "bob_bits", unread
+    ):
+        assert to_json(run_trial(config, 0).to_jsonable()) == expected
 
 
 def test_trials_get_distinct_derived_seeds():
