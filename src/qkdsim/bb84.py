@@ -11,10 +11,9 @@ with :data:`qkdsim.photons.BB84`); this module holds the parity rounds.
 
 The rounds read only what decides them: a :class:`SiftedKey`, that is the
 key length, the ranks at which the two keys differ and, for a transcript
-only, the receiver's bits.  Each round takes one of four paths, chosen from
-its survivor count and error count (see :func:`parity_certify`): *head*
-(no error), *sparse* (few errors), *lean* (dense errors on a long key) and
-*block* (a transcript, carried flags, or dense errors on a short key).
+only, the receiver's bits.  Each round takes one of four paths (see
+:func:`parity_certify`): without a transcript, *head* (no error), *sparse*
+(few errors for its survivors) or *lean* (more errors); with one, *block*.
 Every path draws the same variates, in the same order, as a round-by-round
 draw of one variate per survivor.
 """
@@ -140,22 +139,20 @@ def parity_certify(
     subsets and the receiver's parities are formed only for a transcript.
 
     A subset draw spends one variate per survivor, in position order; an
-    empty subset is redrawn the same way.  Each round takes one of four
-    paths, chosen from its survivor count L_r and error count K_r:
+    empty subset is redrawn the same way.  A round without a transcript
+    takes one of three paths, chosen from its survivor count L_r and error
+    count K_r (see :func:`_one_round`); a round with one takes the fourth:
 
-    - *head*: no transcript, no error left and no flag carried over.  Only
-      the first chosen position matters, so the round reads a head of its
-      variates and skips the rest (see :func:`_one_round`).
-    - *sparse*: the same, with errors, while K_r * ``_SPARSE`` < L_r.  After
-      the head it draws one variate at each error rank and skips between
-      them, O(1 + K_r) generator calls instead of L_r variates.
-    - *lean*: denser errors, no transcript or carried flag, and a round too
-      long for two of them to share a block of :data:`qkdsim.photons._BLOCK`
-      variates.  All L_r flags are drawn, in block-sized pieces, and read at
-      the first chosen rank and the error ranks.
-    - *block*: every other round (a transcript, carried flags, or dense
-      errors on a short key).  One draw covers as many consecutive rounds
-      as fit in a block, and at least one.  An empty subset ends its block,
+    - *head*: no error left.  Only the first chosen position matters, so
+      the round reads a head of its variates and skips the rest.
+    - *sparse*: errors, while K_r * ``_SPARSE`` < L_r.  After the head it
+      draws one variate at each error rank and skips between them,
+      O(1 + K_r) generator calls instead of L_r variates.
+    - *lean*: denser errors.  All L_r flags are drawn, in pieces of at most
+      :data:`qkdsim.photons._BLOCK` variates, and read at the first chosen
+      rank and the error ranks.
+    - *block*: a transcript.  One draw covers as many consecutive rounds as
+      fit in a block, and at least one.  An empty subset ends its block,
       and the flags drawn after it carry over to the next block, whose
       first round is its redraw.
 
@@ -188,9 +185,8 @@ def parity_certify(
     done = 0
     while done < m:
         n = len(survivors)
-        sparse = wrong.size * _SPARSE < n
-        if transcript is None and not carried.size and (sparse or n + n - 1 > photons._BLOCK):
-            first, odd = _one_round(rng, n, wrong, sparse)
+        if transcript is None:
+            first, odd = _one_round(rng, n, wrong, wrong.size * _SPARSE < n)
             done += 1
             if odd and detection_round is None:
                 detection_round = done
@@ -202,7 +198,8 @@ def parity_certify(
             survivors[1 : first + 1] = survivors[:first]
             survivors = survivors[1:]
             continue
-        # Round i of the block reads n - i flags, from offsets[i] on.
+        # A transcript's rounds: round i of the block reads n - i flags, from
+        # offsets[i] on.
         i = np.arange(m - done + 1)
         offsets = i * n - i * (i - 1) // 2
         size = max(1, int(np.searchsorted(offsets, photons._BLOCK, side="right")) - 1)

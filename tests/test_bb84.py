@@ -232,10 +232,11 @@ def test_scripted_empty_subset_inside_a_block_with_a_transcript():
 
 
 def test_scripted_last_error_discarded_before_a_carried_empty_subset():
-    # Blocks of 27 variates: rounds 1-3 of a 10-bit key (10 + 9 + 8 flags).
-    # Round 1 discards the only error; round 2 is empty, so round 3's flags
-    # carry over and open the next block (rounds 2-4).  Rounds 5 and 6 find
-    # no error and no carried flag left, so they read only their heads.
+    # With a transcript, blocks of 27 variates: rounds 1-3 of a 10-bit key
+    # (10 + 9 + 8 flags).  Round 1 discards the only error; round 2 is empty,
+    # so round 3's flags carry over and open the next block (rounds 2-4).
+    # Without one, each round is drawn alone: in full while the error is
+    # left, then, from round 2 on, only their heads.
     alice = [0] * 10
     bob = [1] + [0] * 9
     script = [True] + [False] * 9  # round 1: position 0, the error
@@ -246,15 +247,18 @@ def test_scripted_last_error_discarded_before_a_carried_empty_subset():
     script += [False] * 5 + [True]  # round 5 (head): position 9
     script += [True] + [False] * 4  # round 6 (head): position 3
     script += [False]  # the next draw after the rounds
-    rng, reference_rng = ScriptedRng(script), ScriptedRng(script)
-    survivors, detection_round, _ = reference_parity_rounds(alice, bob, 6, reference_rng)
-    with mock.patch.object(photons, "_BLOCK", 27):
-        result = parity_certify(alice, bob, 6, rng)
-    assert result.survivors.tolist() == survivors == [4, 6, 7, 8]
-    assert result.detection_round == detection_round == 1
-    assert result.differing == 0
-    assert rng.uniform() == reference_rng.uniform()
-    assert rng.flags == reference_rng.flags == []
+    for transcript in (None, []):
+        rng, reference_rng = ScriptedRng(script), ScriptedRng(script)
+        survivors, detection_round, queries = reference_parity_rounds(alice, bob, 6, reference_rng)
+        with mock.patch.object(photons, "_BLOCK", 27):
+            result = parity_certify(alice, bob, 6, rng, transcript=transcript)
+        assert result.survivors.tolist() == survivors == [4, 6, 7, 8]
+        assert result.detection_round == detection_round == 1
+        assert result.differing == 0
+        if transcript is not None:
+            assert Transcript.from_jsonable(transcript).parity_rounds() == queries
+        assert rng.uniform() == reference_rng.uniform()
+        assert rng.flags == reference_rng.flags == []
 
 
 def assert_scripted_rounds_match_reference(alice, bob, m, script, sparse):
@@ -273,10 +277,8 @@ def assert_scripted_rounds_match_reference(alice, bob, m, script, sparse):
 
 
 # A ratio of 0 sends every round with errors down the sparse path; at the
-# engine's own ratio these 70-bit keys' rounds take the block path.
-SPARSE_RATIOS = pytest.mark.parametrize(
-    "sparse", [0, bb84._SPARSE], ids=["sparse", "block"]
-)
+# engine's own ratio these 70-bit keys' rounds with errors take the lean path.
+SPARSE_RATIOS = pytest.mark.parametrize("sparse", [0, bb84._SPARSE], ids=["sparse", "lean"])
 
 
 @SPARSE_RATIOS

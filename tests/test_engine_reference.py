@@ -273,9 +273,9 @@ def test_jump_walk_matches_plain_loop(n, highest):
 BLOCKS = (1, 2, 7, 64, photons._BLOCK)
 
 # (block size, survivors per error below which a round stops drawing
-# sparsely) pairs.  At the engine's own ratio these short keys' rounds with
-# errors take the lean path in blocks too small for two rounds and the block
-# path in the others; at 0 every round without a transcript is sparse.
+# sparsely) pairs.  The block size sets the transcript rounds' blocks and the
+# lean path's pieces.  At the engine's own ratio these short keys' rounds with
+# errors and no transcript take the lean path; at 0 they are sparse.
 PATHS = tuple((block, bb84._SPARSE) for block in BLOCKS) + ((photons._BLOCK, 0),)
 
 
@@ -362,8 +362,9 @@ def keys_longer_than_a_block(draw, dense):
 
 
 # Blocks of 64 variates, shorter than the keys: rounds with errors are sparse
-# at a ratio of 0, lean at the engine's ratio, and switch from lean to sparse
-# at 40 once enough errors are discarded.
+# at a ratio of 0, lean at the engine's ratio, drawn in 64-variate pieces or
+# in one, and switch from lean to sparse at 40 once enough errors are
+# discarded.
 LONG_KEY_PATHS = ((64, 0), (64, 40), (64, bb84._SPARSE), (photons._BLOCK, bb84._SPARSE))
 
 
