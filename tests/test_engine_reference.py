@@ -396,7 +396,7 @@ def test_report_counts_match_session_index_arrays(protocol, n, seed, attack, m):
         abort_on_tamper=False,
     ).validate()
     report = run_trial(config, 0)
-    rng = RandomSource(report.seed)
+    rng = RandomSource(report["seed"])
     session = run_session(protocol, n, rng, attack)
     sent, filters, detected = session.sent_index, session.filter_index, session.detected
     kept = DETERMINISTIC[sent, filters]
@@ -409,28 +409,28 @@ def test_report_counts_match_session_index_arrays(protocol, n, seed, attack, m):
     assert session.key_error_ranks.tolist() == np.flatnonzero(alice != bob).tolist()
 
     labels = [outcome_label(o) for o in readings(filters, detected)]
-    assert report.outcome_counts == dict(Counter(labels))
+    assert report["outcome_counts"] == dict(Counter(labels))
     joint = {}
     for s, label in zip(states(sent), labels):
         row = joint.setdefault(s.name, {})
         row[label] = row.get(label, 0) + 1
-    assert report.joint_counts == joint
-    assert report.counts["confirmed"] == np.count_nonzero(kept)
+    assert report["joint_counts"] == joint
+    assert report["counts"]["confirmed"] == np.count_nonzero(kept)
     if bb84:
         try:
             cert = parity_certify(alice, bob, m, rng.child(3))
         except KeyTooShort:
-            assert report.status == STATUS_KEY_TOO_SHORT and report.key_agreement is None
+            assert report["status"] == STATUS_KEY_TOO_SHORT and report["key_agreement"] is None
             return
         survivors = cert.survivors
-        assert report.counts["key"] == len(survivors)
-        assert report.key_agreement["length"] == len(survivors)
-        assert report.key_agreement["differing"] == np.count_nonzero(
+        assert report["counts"]["key"] == len(survivors)
+        assert report["key_agreement"]["length"] == len(survivors)
+        assert report["key_agreement"]["differing"] == np.count_nonzero(
             alice[survivors] != bob[survivors]
         )
     else:
-        assert (report.counts["key"], report.counts["auth"]) == (len(key), len(auth))
-        assert report.tamper["auth_checked"] == len(auth)
-        assert report.tamper["auth_failures"] == np.count_nonzero(~detected[auth])
-        assert report.key_agreement["length"] == len(key)
-        assert report.key_agreement["differing"] == np.count_nonzero(alice != bob)
+        assert (report["counts"]["key"], report["counts"]["auth"]) == (len(key), len(auth))
+        assert report["tamper"]["auth_checked"] == len(auth)
+        assert report["tamper"]["auth_failures"] == np.count_nonzero(~detected[auth])
+        assert report["key_agreement"]["length"] == len(key)
+        assert report["key_agreement"]["differing"] == np.count_nonzero(alice != bob)

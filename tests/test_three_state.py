@@ -1,8 +1,10 @@
 """Three-state protocol: keep rule, key/auth split, tamper evidence."""
 
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ from qkdsim.photons import THREE_STATE, Polarization, has_deterministic_outcome
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.three_state import tamper_report
-from reference import states
+from reference import states, tamper_verdict
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 
@@ -28,23 +30,35 @@ def test_confirm_truth_table():
 
 def test_authenticate_clean():
     report = tamper_report(checked=8, failures=0)
-    assert report.auth_checked == 8
-    assert report.auth_failures == 0
-    assert not report.tamper_detected
-    assert report.model_certification == 1.0 - 3.0**-8
+    assert report["auth_checked"] == 8
+    assert report["auth_failures"] == 0
+    assert not report["tamper_detected"]
+    assert report["model_certification"] == 1.0 - 3.0**-8
 
 
 def test_authenticate_single_erasure_alarms():
     report = tamper_report(checked=3, failures=1)
-    assert report.auth_failures == 1
-    assert report.tamper_detected
+    assert report["auth_failures"] == 1
+    assert report["tamper_detected"]
 
 
 def test_authenticate_empty():
     report = tamper_report(checked=0, failures=0)
-    assert report.auth_checked == 0
-    assert not report.tamper_detected
-    assert report.model_certification == 0.0
+    assert report["auth_checked"] == 0
+    assert not report["tamper_detected"]
+    assert report["model_certification"] == 0.0
+
+
+@pytest.mark.parametrize("checked", [0, 1, 2, 3, 8, 40])
+def test_tamper_block_is_the_reference_verdict(checked):
+    for failures in sorted({0, min(1, checked), checked}):
+        block = tamper_report(checked, failures)
+        want = asdict(tamper_verdict(checked, failures))
+        # The float curve may sit an ulp from the exactly rounded value.
+        assert block.pop("model_certification") == pytest.approx(
+            want.pop("model_certification"), rel=1e-15
+        )
+        assert block == {"method": "auth_positions", **want}
 
 
 def test_key_count_examples():
