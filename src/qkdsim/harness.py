@@ -12,12 +12,16 @@ document per invocation, schema-versioned, keys sorted, no timestamps.
 one integer per call once ``indent`` is set.  ``to_json`` is a small
 recursive encoder that passes the text to one list in pieces and joins it
 once, so no level copies the text of the levels inside it.  It tests for
-the exact types of a report first.  A list of exact ``int`` items
-(transcripts are mostly such lists, found by one pass over the item
-types) is rendered in one ``join``, the decimal text of 0-4095 read off a
-dict and any other item's from ``int.__repr__``; a dict's ``str`` and
-``int`` values are rendered inline, and everything else as the standard
-library does.
+the exact types of a report first.  A report repeats a few dict shapes
+many times, so a dict's sorted keys and its key lines (``{`` or ``,``,
+the indent and ``"key": ``) are built once per shape (its line break plus
+indent and its keys in insertion order) and read from a table that stops
+storing at ``_SHAPE_LIMIT`` shapes; its ``str`` and ``int`` values are
+rendered inline.  A list of exact ``int`` items (transcripts are mostly
+such lists, found by one pass over the item types) is rendered in one
+``join``: one ``operator.itemgetter`` call reads the decimal text of
+0-4095 off a dict, and a list with any other item takes ``int.__repr__``.
+Everything else is rendered as the standard library does.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from operator import countOf
-from typing import Any, Callable, Optional, Sequence
+from operator import countOf, itemgetter
+from typing import Any, Callable, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -75,10 +79,23 @@ class SessionConfig:
     include_transcripts: bool = False
 
     def validate(self) -> "SessionConfig":
-        if self.protocol not in PROTOCOLS:
+        if not isinstance(self.protocol, str) or self.protocol not in PROTOCOLS:
             raise InvalidConfig(
                 f"protocol: expected one of {tuple(PROTOCOLS)}, got {self.protocol!r}"
             )
+        # Exact types: a bool is an int and "false" is truthy, so a looser
+        # check would run a mistyped config rather than reject it.
+        for name in ("n", "m", "seed", "trials"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "m" and value is None):
+                raise InvalidConfig(f"{name}: expected an integer, got {value!r}")
+        for name in ("abort_on_tamper", "include_transcripts"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise InvalidConfig(f"{name}: expected true or false, got {value!r}")
+        if not isinstance(self.attack, Attack):
+            kinds = ", ".join(kind.__name__ for kind in get_args(Attack))
+            raise InvalidConfig(f"attack: expected one of {kinds}, got {self.attack!r}")
         if self.n < 1:
             raise InvalidConfig(f"n: need at least one photon, got {self.n}")
         if self.trials < 1:
@@ -298,7 +315,9 @@ def to_json(document: dict[str, Any]) -> str:
 
     Takes a tree of ``str``-keyed dicts, lists, tuples, strings, ints,
     floats, bools and ``None``; anything else, a non-``str`` key included,
-    raises :class:`TypeError`.
+    raises :class:`TypeError`, and a dict with such a key leaves nothing in
+    the shape table.  The table holds at most ``_SHAPE_LIMIT`` shapes; a
+    shape past the bound renders the same, its key lines built again.
     """
     chunks: list[str] = []
     _write(document, "\n", chunks.append)
@@ -310,6 +329,11 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 # Decimal text of the small non-negative ints: transcript positions and degrees.
 _DECIMAL = {i: int.__repr__(i) for i in range(4096)}
+# Key lines per dict shape, keyed by (line break plus indent, keys in insertion
+# order).  Reports repeat a few shapes many times; the table stops storing at
+# this many, so an arbitrary document cannot grow it without limit.
+_SHAPE_LIMIT = 1024
+_SHAPES: dict[tuple, tuple] = {}
 
 
 def _write(obj: Any, newline: str, out: Callable[[str], None]) -> None:
@@ -351,25 +375,42 @@ def _write(obj: Any, newline: str, out: Callable[[str], None]) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _shape(newline: str, obj: dict) -> tuple:
+    """A dict shape's (key, key line) pairs in key order, inner indent and closing line.
+
+    A key line is ``{`` or ``,``, the inner indent and ``"key": ``.  A
+    non-``str`` key raises :class:`TypeError`.
+    """
+    inner = newline + "  "
+    keys = sorted(obj)
+    leads = ["{" + inner] + ["," + inner] * (len(keys) - 1)
+    lines = tuple((k, lead + _ESCAPE(k) + ": ") for k, lead in zip(keys, leads))
+    return lines, inner, newline + "}"
+
+
 def _write_object(obj: dict, newline: str, out: Callable[[str], None]) -> None:
     """A dict's ``"key": value`` lines in key order; ``str`` and ``int`` values inline."""
     if not obj:
         out("{}")
         return
-    inner = newline + "  "
-    lead = "{" + inner
-    for k in sorted(obj):
+    shape = (newline, *obj)
+    entry = _SHAPES.get(shape)
+    if entry is None:
+        entry = _shape(newline, obj)
+        if len(_SHAPES) < _SHAPE_LIMIT:
+            _SHAPES[shape] = entry
+    lines, inner, close = entry
+    for k, line in lines:
         value = obj[k]
         kind = type(value)
         if kind is str:
-            out(lead + _ESCAPE(k) + ": " + _ESCAPE(value))
+            out(line + _ESCAPE(value))
         elif kind is int:
-            out(lead + _ESCAPE(k) + ": " + int.__repr__(value))
+            out(line + int.__repr__(value))
         else:
-            out(lead + _ESCAPE(k) + ": ")
+            out(line)
             _write(value, inner, out)
-        lead = "," + inner
-    out(newline + "}")
+    out(close)
 
 
 def _write_array(obj: Sequence, newline: str, out: Callable[[str], None]) -> None:
@@ -380,11 +421,16 @@ def _write_array(obj: Sequence, newline: str, out: Callable[[str], None]) -> Non
     inner = newline + "  "
     comma = "," + inner
     if countOf(map(type, obj), int) == len(obj):
-        try:
-            body = comma.join(map(_DECIMAL.__getitem__, obj))
-        except KeyError:  # an item outside the table
-            body = comma.join(map(int.__repr__, obj))
-        out("[" + inner + body + newline + "]")
+        if len(obj) == 1:
+            body = int.__repr__(obj[0])
+        else:
+            try:  # one lookup call for all the items; itemgetter returns a tuple
+                body = comma.join(itemgetter(*obj)(_DECIMAL))
+            except KeyError:  # an item outside the table
+                body = comma.join(map(int.__repr__, obj))
+        out("[" + inner)
+        out(body)
+        out(newline + "]")
         return
     lead = "[" + inner
     for item in obj:

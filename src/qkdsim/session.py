@@ -20,7 +20,8 @@ protocol, from the exact tables (``DETERMINISTIC``, ``BITS``,
 ``ORTHOGONAL``) and the spec's ``auth_filter``: kept, key, auth, auth
 failure, key error, and the bit each party holds there.  The confirmed,
 key and auth counts, the auth failures, the key errors and the outcome
-tallies are each a sum of the histogram over marked cells, and the
+tallies are each a sum of the histogram over marked cells (the first five
+one product of the table's ``marks`` matrix with the histogram), and the
 histograms of two runs add cell by cell.  Positions and key bits are read
 through the same table, tick by tick, only when asked for.  A session
 holds index arrays only: no per-photon object is ever built.  The exact
@@ -72,7 +73,9 @@ class CellTable:
     erasure.  ``key_error``: a key cell whose reading infers a bit other
     than the sender's, which only an attacker's resent photon can reach.
     ``sent_bit`` and ``read_bit`` are the sender's bit and the bit the
-    receiver infers from his reading, per cell.
+    receiver infers from his reading, per cell.  ``marks`` stacks the kept,
+    key, auth, auth failure and key error marks as a 5 × 32 integer
+    matrix, so one product with a histogram gives all five counts.
     """
 
     kept: np.ndarray
@@ -82,6 +85,7 @@ class CellTable:
     key_error: np.ndarray
     sent_bit: np.ndarray
     read_bit: np.ndarray
+    marks: np.ndarray
 
 
 @cache
@@ -94,9 +98,9 @@ def cell_table(protocol: Protocol) -> CellTable:
         auth = kept & (filters == POLARIZATIONS.index(protocol.auth_filter))
     key = kept & ~auth
     sent_bit, read_bit = BITS[sent], BITS[inferred_index(filters, detected)]
-    return CellTable(
-        kept, key, auth, auth & ~detected, key & (sent_bit != read_bit), sent_bit, read_bit
-    )
+    auth_failure, key_error = auth & ~detected, key & (sent_bit != read_bit)
+    marks = np.array([kept, key, auth, auth_failure, key_error], dtype=np.int64)
+    return CellTable(kept, key, auth, auth_failure, key_error, sent_bit, read_bit, marks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,31 +131,33 @@ class Session:
     def table(self) -> CellTable:
         return cell_table(self.protocol)
 
-    def _count(self, mark: np.ndarray) -> int:
-        return int(self.cells[mark].sum())
+    @cached_property
+    def _counts(self) -> list[int]:
+        """The kept, key, auth, auth failure and key error counts, as Python ints."""
+        return (self.table.marks @ self.cells).tolist()
 
     @property
     def confirmed(self) -> int:
         """Kept positions: those whose reading was deterministic."""
-        return self._count(self.table.kept)
+        return self._counts[0]
 
     @property
     def key_count(self) -> int:
-        return self._count(self.table.key)
+        return self._counts[1]
 
     @property
     def auth_count(self) -> int:
-        return self._count(self.table.auth)
+        return self._counts[2]
 
     @property
     def auth_failures(self) -> int:
         """Erasures at authentication positions, where honest physics forces a detection."""
-        return self._count(self.table.auth_failure)
+        return self._counts[3]
 
     @property
     def key_errors(self) -> int:
         """Key positions where the receiver's bit differs from the sender's."""
-        return self._count(self.table.key_error)
+        return self._counts[4]
 
     def _positions(self, mark: np.ndarray) -> np.ndarray:
         return np.flatnonzero(mark.take(self.cell_index))

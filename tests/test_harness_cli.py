@@ -43,6 +43,16 @@ def test_validate_accepts_minimal_configs():
         (dict(protocol="bb84", n=10), "m:"),
         (dict(protocol="bb84", n=10, m=-1), "m:"),
         (dict(protocol=THREE_STATE, n=10, m=3), "m:"),
+        # Exact types: each would otherwise fail deep in numpy, or run.
+        (dict(protocol=THREE_STATE, n=54.9), "n:"),
+        (dict(protocol=THREE_STATE, n=True), "n:"),
+        (dict(protocol="bb84", n=10, m=2.0), "m:"),
+        (dict(protocol=THREE_STATE, n=10, seed="7"), "seed:"),
+        (dict(protocol=THREE_STATE, n=10, trials=2.0), "trials:"),
+        (dict(protocol=THREE_STATE, n=10, abort_on_tamper="false"), "abort_on_tamper:"),
+        (dict(protocol=THREE_STATE, n=10, include_transcripts=1), "include_transcripts:"),
+        (dict(protocol=THREE_STATE, n=10, attack="intercept"), "attack:"),
+        (dict(protocol=["bb84"], n=10), "protocol"),
     ],
 )
 def test_validate_rejects_with_field_name(kwargs, needle):

@@ -3,12 +3,14 @@
 import enum
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qkdsim import harness
 from qkdsim.cli import main
 from qkdsim.harness import to_json
 
@@ -16,6 +18,10 @@ from qkdsim.harness import to_json
 class Level(enum.IntEnum):
     LOW = 1
     HIGH = 4097
+
+
+class Key(str):
+    pass
 
 
 def stdlib(document) -> str:
@@ -70,6 +76,18 @@ TREES = st.recursive(
 @example([0, 1.0])
 @example([Level.LOW, Level.HIGH, 0])
 @example((7, "seven"))
+# Single items: itemgetter with one key returns the item, not a tuple.
+@example([5])
+@example((5,))
+@example([4096])
+@example([-1])
+@example([True])
+@example([5.0])
+# One key set in two insertion orders, and at two depths: each is its own shape.
+@example({"a": {"x": 1, "y": [2, 3]}, "b": {"y": [4], "x": "z"}})
+@example({"x": 0, "y": {"x": 1, "y": {"x": 2, "y": None}}})
+# A str-subclass key renders as the equal plain key, before or after it.
+@example([{"k": 1, "j": 2}, {Key("k"): 3, "j": 4}, {Key("j"): 5}, {"j": 6}])
 # Dict values rendered inline, and those that are not.
 @example({"s": "é", "i": -7, "b": True, "f": 0.5, "n": None, "l": [1]})
 def test_to_json_matches_stdlib(document):
@@ -89,6 +107,25 @@ def test_int_subclasses_leave_the_fast_path():
 def test_to_json_rejects_what_it_cannot_render(document):
     with pytest.raises(TypeError):
         to_json(document)
+
+
+def test_non_str_key_leaves_nothing_in_the_shape_table():
+    with mock.patch.dict(harness._SHAPES, clear=True):
+        assert to_json({"1": 0}) == stdlib({"1": 0})
+        shapes = dict(harness._SHAPES)
+        for document in ({1: 0}, {"1": 0, 2: 0}):
+            with pytest.raises(TypeError):
+                to_json(document)
+        assert harness._SHAPES == shapes
+
+
+def test_shape_table_holds_its_bound():
+    documents = [{f"k{i}": i, "nested": {f"j{i}": [i, i + 1]}} for i in range(12)]
+    with mock.patch.object(harness, "_SHAPE_LIMIT", 5), mock.patch.dict(harness._SHAPES, clear=True):
+        for document in documents + documents:
+            assert to_json(document) == stdlib(document)
+            assert len(harness._SHAPES) <= 5
+        assert len(harness._SHAPES) == 5
 
 
 @pytest.mark.parametrize(
