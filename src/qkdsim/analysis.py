@@ -36,7 +36,7 @@ from .eavesdrop import Attack, InterceptResend, NoAttack, normalize_attack
 from .photons import (
     ERASURE,
     OUTCOME_CLASSES,
-    PASS_PROBABILITY,
+    PASS_HALVES,
     POLARIZATIONS,
     THREE_STATE,
     MeasurementOutcome,
@@ -364,10 +364,6 @@ def compare(n: int, m: int) -> RateComparison:
 # ---------------------------------------------------------------------------
 
 
-# Pass chances in halves (0, 1 or 2), so the attacked channel counts in integers.
-_PASS_HALVES = (2 * PASS_PROBABILITY).astype(np.int64)
-
-
 def _interception(attack: Attack, protocol: Protocol) -> tuple[Fraction, np.ndarray, int]:
     """The attacked share of photons, and what an attacked photon becomes.
 
@@ -386,8 +382,8 @@ def _interception(attack: Attack, protocol: Protocol) -> tuple[Fraction, np.ndar
     resend = resend_table(attack.resend, protocol.alphabet)
     width = resend.shape[1]
     for e in map(POLARIZATIONS.index, options):
-        counts[:, e] += width * _PASS_HALVES[:, e]
-        counts[:, resend[e]] += (2 - _PASS_HALVES[:, e])[:, None]
+        counts[:, e] += width * PASS_HALVES[:, e]
+        counts[:, resend[e]] += (2 - PASS_HALVES[:, e])[:, None]
     return Fraction(attack.fraction), counts, 2 * width * len(options)
 
 
@@ -410,13 +406,13 @@ def _cell_counts(protocol: Protocol, attack: Attack = NoAttack()) -> tuple[list[
     """:func:`cell_probabilities` as integer numerators over one common denominator."""
     share, counts, scale = _interception(attack, protocol)
     # Detections of an intercepted photon, in units of 1 / (2 * scale).
-    hits = (counts[:, : len(POLARIZATIONS)] @ _PASS_HALVES).tolist()
+    hits = (counts[:, : len(POLARIZATIONS)] @ PASS_HALVES).tolist()
     untouched = (share.denominator - share.numerator) * scale
     whole = 2 * scale * share.denominator
     law = [0] * CELLS
     for s in map(POLARIZATIONS.index, protocol.alphabet):
         for f in map(POLARIZATIONS.index, protocol.filters):
-            detections = untouched * int(_PASS_HALVES[s, f]) + share.numerator * hits[s][f]
+            detections = untouched * int(PASS_HALVES[s, f]) + share.numerator * hits[s][f]
             cell = (4 * s + f) * 2
             law[cell], law[cell + 1] = whole - detections, detections
     return law, whole * len(protocol.alphabet) * len(protocol.filters)

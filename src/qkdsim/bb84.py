@@ -11,17 +11,17 @@ with :data:`qkdsim.photons.BB84`); this module holds the parity rounds.
 
 The rounds read only what decides them: a :class:`SiftedKey`, that is the
 key length, the ranks at which the two keys differ and, for a transcript
-only, the receiver's bits.  Each round takes one of four paths (see
-:func:`parity_certify`): without a transcript, *head* (no error), *sparse*
-(few errors for its survivors) or *lean* (more errors); with one, *block*.
-Every path draws the same variates, in the same order, as a round-by-round
-draw of one variate per survivor.
+only, the receiver's bits.  Each round takes one of two paths (see
+:func:`parity_certify`): *sparse*, a round without a transcript and with
+few errors for its survivors (often none), or *block*, one draw of several
+rounds read one at a time.  Both draw the same variates, in the same order,
+as a round-by-round draw of one variate per survivor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,44 +73,57 @@ class SiftedKey:
         return self.length
 
 
-def _fill_flags(rng: RandomSource, flags: np.ndarray) -> None:
-    """Draw ``flags`` in stream order, one variate each: True below 1/2."""
-    for lo, u in photons._blocks(rng, len(flags)):
-        np.less(u, 0.5, out=flags[lo : lo + len(u)])
+def _sparse_round(rng: RandomSource, n: int, wrong: np.ndarray) -> Optional[tuple[int, int]]:
+    """A round over n survivors drawn sparsely: its first chosen rank, and 1
+    if it chose an odd number of the error ranks ``wrong``, else 0.
 
-
-def _one_round(rng: RandomSource, n: int, wrong: np.ndarray, sparse: bool) -> tuple[int, int]:
-    """A round over n survivors without a transcript: its first chosen rank,
-    and 1 if it chose an odd number of the error ranks ``wrong``, else 0.
-
-    The first ``_HEAD`` flags are drawn.  If the round is ``sparse`` and
-    one of them is chosen, only the flags at the error ranks past the head
-    are drawn, one variate each, and the rest of the round is skipped;
-    with no error that is a head round, which reads nothing past its head.
-    Otherwise all n flags are drawn, an empty subset is redrawn whole, and
-    the flags are read at the error ranks.  Either way the stream ends
-    where a round-by-round draw of n flags per subset leaves it.
+    The first ``_HEAD`` flags are drawn; past them only the flags at the
+    error ranks, one variate each, and the rest of the round is skipped.
+    With no error left that is a head round, which reads nothing past its
+    head.  If no flag of the head is chosen, the head is given back and
+    ``None`` returned, for the round to be drawn in full.
     """
     head = rng.uniform_array(min(n, _HEAD)) < 0.5
-    if sparse and head.any():
-        first, odd, at = int(np.argmax(head)), 0, len(head)
-        if wrong.size:
-            near = int(np.searchsorted(wrong, at))
-            odd = int(np.count_nonzero(head.take(wrong[:near])))
-            for rank in wrong[near:].tolist():
-                if rank > at:
-                    rng.skip(rank - at)
-                odd += rng.uniform() < 0.5
-                at = rank + 1
-        if n > at:
-            rng.skip(n - at)
-        return first, odd & 1
-    flags = np.empty(n, dtype=bool)
-    flags[: len(head)] = head
-    _fill_flags(rng, flags[len(head) :])
-    while not flags.any():
-        _fill_flags(rng, flags)
-    return int(np.argmax(flags)), int(np.count_nonzero(flags.take(wrong))) & 1
+    if not head.any():
+        rng.unread(len(head))
+        return None
+    first, odd, at = int(np.argmax(head)), 0, len(head)
+    if wrong.size:
+        near = int(np.searchsorted(wrong, at))
+        odd = int(np.count_nonzero(head.take(wrong[:near])))
+        for rank in wrong[near:].tolist():
+            if rank > at:
+                rng.skip(rank - at)
+            odd += rng.uniform() < 0.5
+            at = rank + 1
+    if n > at:
+        rng.skip(n - at)
+    return first, odd & 1
+
+
+def _block_rounds(rng: RandomSource, n: int, rounds: int) -> Iterator[np.ndarray]:
+    """The subset flags of up to ``rounds`` consecutive rounds over n survivors.
+
+    One draw covers as many rounds as fit in ``photons._BLOCK`` variates,
+    and at least one (a longer round is drawn in block-sized pieces); round
+    i of it reads n - i flags, each True for a variate below 1/2.  An empty
+    subset ends the rounds: the flags drawn after it are given back, so that
+    the next draw starts with its redraw.
+    """
+    offsets = [0, n]  # round i reads flags offsets[i] to offsets[i + 1]
+    for i in range(1, rounds):
+        if offsets[-1] + n - i > photons._BLOCK:
+            break
+        offsets.append(offsets[-1] + n - i)
+    flags = np.empty(offsets[-1], dtype=bool)
+    for lo, u in photons._blocks(rng, len(flags)):
+        np.less(u, 0.5, out=flags[lo : lo + len(u)])
+    for lo, hi in zip(offsets, offsets[1:]):
+        subset = flags[lo:hi]
+        if not subset.any():
+            rng.unread(offsets[-1] - hi)
+            return
+        yield subset
 
 
 def parity_certify(
@@ -138,22 +151,17 @@ def parity_certify(
     subsets and the receiver's parities are formed only for a transcript.
 
     A subset draw spends one variate per survivor, in position order; an
-    empty subset is redrawn the same way.  A round without a transcript
-    takes one of three paths, chosen from its survivor count L_r and error
-    count K_r (see :func:`_one_round`); a round with one takes the fourth:
+    empty subset is redrawn the same way.  A round takes one of two paths,
+    chosen from its survivor count L_r and error count K_r:
 
-    - *head*: no error left.  Only the first chosen position matters, so
-      the round reads a head of its variates and skips the rest.
-    - *sparse*: errors, while K_r * ``_SPARSE`` < L_r.  After the head it
-      draws one variate at each error rank and skips between them,
-      O(1 + K_r) generator calls instead of L_r variates.
-    - *lean*: denser errors.  All L_r flags are drawn, in pieces of at most
-      :data:`qkdsim.photons._BLOCK` variates, and read at the first chosen
-      rank and the error ranks.
-    - *block*: a transcript.  One draw covers as many consecutive rounds as
-      fit in a block, and at least one.  An empty subset ends its block,
-      and the flags drawn after it carry over to the next block, whose
-      first round is its redraw.
+    - *sparse*: no transcript, and K_r * ``_SPARSE`` < L_r
+      (:func:`_sparse_round`).  It reads a head of its variates, then one
+      variate at each error rank, and skips the rest: O(1 + K_r) generator
+      calls instead of L_r variates.  With no error left only the head is
+      read.  An empty head sends the round to the block path.
+    - *block*: every other round (:func:`_block_rounds`).  One draw covers
+      as many consecutive rounds as fit in :data:`qkdsim.photons._BLOCK`
+      variates, and at least one; the rounds are then read one at a time.
 
     Every path leaves ``rng`` where a round-by-round draw would leave it.
 
@@ -180,13 +188,29 @@ def parity_certify(
     wrong = key.errors  # ranks among the survivors
     survivors = np.arange(len(key))
     detection_round: Optional[int] = None
-    carried = np.empty(0, dtype=bool)  # flags drawn for the rounds ahead
     done = 0
     while done < m:
         n = len(survivors)
-        if transcript is None:
-            first, odd = _one_round(rng, n, wrong, wrong.size * _SPARSE < n)
+        sparse = None
+        if transcript is None and wrong.size * _SPARSE < n:
+            sparse = _sparse_round(rng, n, wrong)
+        # One sparse round, or the rounds of one block draw, one at a time.
+        for subset in (None,) if sparse else _block_rounds(rng, n, m - done):
             done += 1
+            if subset is None:
+                first, odd = sparse
+            else:
+                first = int(np.argmax(subset))
+                odd = wrong.size and np.count_nonzero(subset.take(wrong)) & 1
+                if transcript is not None:
+                    picked = survivors[subset]
+                    parity = int(np.count_nonzero(bob.take(picked))) & 1
+                    query = {"round": done, "positions": picked.tolist()}
+                    response = {"round": done, "parity": parity}
+                    transcript += (
+                        {"sender": "alice", "kind": "parity_query", "payload": query},
+                        {"sender": "bob", "kind": "parity_response", "payload": response},
+                    )
             if odd and detection_round is None:
                 detection_round = done
             if wrong.size:
@@ -196,64 +220,6 @@ def parity_certify(
             # discard it: shift the ones before it up by one
             survivors[1 : first + 1] = survivors[:first]
             survivors = survivors[1:]
-            continue
-        # A transcript's rounds: round i of the block reads n - i flags, from
-        # offsets[i] on.
-        i = np.arange(m - done + 1)
-        offsets = i * n - i * (i - 1) // 2
-        size = max(1, int(np.searchsorted(offsets, photons._BLOCK, side="right")) - 1)
-        total = int(offsets[size])
-        # The carried flags, then the block's draw: one call unless a single
-        # round is longer than a block, whose draw comes in block-sized pieces.
-        flags = np.empty(total, dtype=bool)
-        flags[: len(carried)] = carried
-        _fill_flags(rng, flags[len(carried) :])
-        # Each round's first chosen rank; the first empty round ends the block.
-        hits = np.flatnonzero(np.append(flags, True))
-        ranks = hits[np.searchsorted(hits, offsets[:size])] - offsets[:size]
-        empty = np.flatnonzero(ranks >= n - i[:size])
-        rounds = int(empty[0]) if empty.size else size
-        carried = flags[offsets[min(rounds + 1, size)] :]
-        if not rounds:
-            continue
-        # Round i's rank r falls on a column below r + i + 1, so the columns
-        # past every rank plus the round count are never discarded.
-        ranks = ranks[:rounds]
-        columns = list(range(min(n, int(ranks.max()) + rounds)))
-        discarded = [columns.pop(rank) for rank in ranks.tolist()]
-        # Row i: the survivors alive in round i, the last row those left after
-        # the block; a column is alive up to the round it is discarded in.
-        alive = np.ones((rounds + 1, n), dtype=bool)
-        alive[:, discarded] = np.tri(rounds, rounds + 1, dtype=bool).T
-        chosen = np.zeros((rounds, n), dtype=bool)
-        chosen[alive[:rounds]] = flags[: offsets[rounds]]
-        if wrong.size:
-            odd = np.count_nonzero(chosen.take(wrong, axis=1), axis=1) & 1
-            if detection_round is None and odd.any():
-                detection_round = done + 1 + int(np.argmax(odd))
-            # the errors left, ranked among the survivors left
-            wrong = wrong[alive[rounds].take(wrong)]
-            wrong -= np.searchsorted(sorted(discarded), wrong)
-        # chosen in row order: each round's subset, positions ascending
-        picked = np.flatnonzero(chosen)
-        positions = np.tile(survivors, rounds).take(picked).tolist()
-        ends = np.count_nonzero(chosen, axis=1).cumsum().tolist()
-        parities = np.count_nonzero(chosen & (bob[survivors] != 0), axis=1) & 1
-        start = 0
-        for round_number, end, parity in zip(
-            range(done + 1, done + rounds + 1), ends, parities.tolist()
-        ):
-            query = {"round": round_number, "positions": positions[start:end]}
-            response = {"round": round_number, "parity": parity}
-            transcript.append({"sender": "alice", "kind": "parity_query", "payload": query})
-            transcript.append({"sender": "bob", "kind": "parity_response", "payload": response})
-            start = end
-        # discard in place: the survivors before the last discarded one move
-        # up past the discarded ones
-        last = max(discarded) + 1
-        survivors[rounds:last] = survivors[:last][alive[rounds, :last]]
-        survivors = survivors[rounds:]
-        done += rounds
     return CertificationResult(
         rounds=m,
         mismatch_detected=detection_round is not None,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import countOf, itemgetter
 from typing import Any, Callable, Optional, Sequence, get_args
 
@@ -487,17 +487,7 @@ class SweepRow:
         ]
 
     def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "policy": self.policy,
-            "fraction": self.fraction,
-            "empirical_failure": self.empirical_failure,
-            "oracle_failure": self.oracle_failure,
-            "paper_model": self.paper_model,
-            "detection_rate": self.detection_rate,
-            "key_error_rate": self.key_error_rate,
-            "auth_positions": self.auth_positions,
-            "oracle_key_error": self.oracle_key_error,
-        }
+        return asdict(self)
 
 
 def attack_sweep(

@@ -9,11 +9,12 @@ is observable as an *erasure*: a tick with no detection.
 For the 45-degree-spaced alphabet the pass probabilities are exactly 0, 1/2
 or 1, so the whole channel is enumerable with exact rationals.
 :func:`detection_probability` gives them, and the tables below read them
-off once: ``PASS_PROBABILITY`` and the keep rule ``DETERMINISTIC``, per
-(photon, filter) index, and ``DETECTS``, the pass chance read as a byte per
-side of 1/2 of the measurement variate.  The sampler and the exact oracles
-of :mod:`qkdsim.analysis` both read these tables; the channel law itself is
-enumerated once, in :func:`qkdsim.analysis.cell_probabilities`.
+off once: ``PASS_HALVES`` (the pass chance in halves) and the keep rule
+``DETERMINISTIC``, per (photon, filter) index, and ``DETECTS``, the pass
+chance read as a byte per side of 1/2 of the measurement variate.  The
+sampler and the exact oracles of :mod:`qkdsim.analysis` both read these
+tables; the channel law itself is enumerated once, in
+:func:`qkdsim.analysis.cell_probabilities`.
 
 The two protocols differ at this layer only in their :class:`Protocol`
 spec: sender alphabet, receiver filters and authentication filter.  Whole
@@ -200,14 +201,16 @@ class ResendPolicy(Enum):
 POLARIZATIONS = tuple(Polarization)
 _INDEX = {p: i for i, p in enumerate(POLARIZATIONS)}
 
-# Tables over (photon index, filter index), read off the exact law.
-PASS_PROBABILITY = np.array(
-    [[float(detection_probability(p, f)) for f in POLARIZATIONS] for p in POLARIZATIONS]
+# Tables over (photon index, filter index), read off the exact law.  Pass
+# chances in halves (0, 1 or 2), so the exact oracles count in integers.
+PASS_HALVES = np.array(
+    [[int(2 * detection_probability(p, f)) for f in POLARIZATIONS] for p in POLARIZATIONS],
+    dtype=np.int64,
 )
 # Whether a photon passes, per (4 * photon + filter) * 2 + (u < 1/2) for
 # its measurement variate u: u < p reads the same for every u on one side
 # of 1/2, since every pass chance p is 0, 1/2 or 1.
-DETECTS = (np.array([0.75, 0.25]) < PASS_PROBABILITY[..., None]).ravel()
+DETECTS = (np.array([1.5, 0.5]) < PASS_HALVES[..., None]).ravel()
 # The keep rule of both protocols, per (photon index, filter index).
 DETERMINISTIC = np.array(
     [[has_deterministic_outcome(p, f) for f in POLARIZATIONS] for p in POLARIZATIONS]
@@ -257,7 +260,7 @@ def option_index(options: Sequence[Polarization], slot: np.ndarray) -> np.ndarra
 
 
 def detects(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``u < PASS_PROBABILITY`` at each flat pair index ``4 * photon + filter``.
+    """``2 * u < PASS_HALVES`` at each flat pair index ``4 * photon + filter``.
 
     Read off the byte table ``DETECTS`` through an ``intp`` index, so no
     per-photon pass chance is formed.

@@ -25,15 +25,19 @@ class ScriptedRng:
     Each flag stands for one variate: True for one below 1/2 (the position
     joins the subset), False for one above it.  Bulk draws consume the
     script in order, one flag per variate; a skip consumes its flags
-    unread, and a scalar ``uniform`` reads one.  The script must be used up.
+    unread, a scalar ``uniform`` reads one, and ``unread(k)`` puts the last
+    k flags consumed back in front, as :meth:`RandomSource.unread` moves the
+    stream back.  The script must be used up.
     """
 
     def __init__(self, flags):
         self.flags = list(flags)
+        self.spent = []
 
     def _take(self, k):
         taken, self.flags = self.flags[:k], self.flags[k:]
         assert len(taken) == k, "script exhausted"
+        self.spent += taken
         return taken
 
     def uniform_array(self, k):
@@ -44,6 +48,14 @@ class ScriptedRng:
 
     def uniform(self):
         return self.uniform_array(1)[0]
+
+    def unread(self, k):
+        if k < 0:
+            raise ValueError(f"variate count must be >= 0, got {k}")
+        assert k <= len(self.spent), "unread past the script's start"
+        cut = len(self.spent) - k
+        self.flags = self.spent[cut:] + self.flags
+        del self.spent[cut:]
 
 
 def test_honest_run_keys_agree():
@@ -209,8 +221,8 @@ def test_scripted_last_survivor_is_the_only_one_chosen(whole):
 
 def test_scripted_empty_subset_inside_a_block_with_a_transcript():
     # One block draws all three rounds (4 + 3 + 2 flags).  Round 2 comes up
-    # empty, so the block ends there, and its last 2 flags open the next
-    # block, whose first round is round 2's redraw.
+    # empty, so the block ends there: its last 2 flags are given back, and
+    # the next block opens with round 2's redraw.
     alice = [0, 1, 1, 0]
     bob = [0, 1, 1, 1]
     script = [False, True, False, True]  # round 1: positions 1 and 3
@@ -232,11 +244,11 @@ def test_scripted_empty_subset_inside_a_block_with_a_transcript():
 
 
 def test_scripted_last_error_discarded_before_a_carried_empty_subset():
-    # With a transcript, blocks of 27 variates: rounds 1-3 of a 10-bit key
-    # (10 + 9 + 8 flags).  Round 1 discards the only error; round 2 is empty,
-    # so round 3's flags carry over and open the next block (rounds 2-4).
-    # Without one, each round is drawn alone: in full while the error is
-    # left, then, from round 2 on, only their heads.
+    # Blocks of 27 variates: rounds 1-3 of a 10-bit key (10 + 9 + 8 flags).
+    # Round 1 discards the only error; round 2 is empty, so round 3's flags
+    # are given back and the next draw opens with round 2's redraw.  With a
+    # transcript that draw is the next block (rounds 2-4); without one no
+    # error is left, so each round from the redraw on reads only its head.
     alice = [0] * 10
     bob = [1] + [0] * 9
     script = [True] + [False] * 9  # round 1: position 0, the error
@@ -277,8 +289,9 @@ def assert_scripted_rounds_match_reference(alice, bob, m, script, sparse):
 
 
 # A ratio of 0 sends every round with errors down the sparse path; at the
-# engine's own ratio these 70-bit keys' rounds with errors take the lean path.
-SPARSE_RATIOS = pytest.mark.parametrize("sparse", [0, bb84._SPARSE], ids=["sparse", "lean"])
+# engine's own ratio these 70-bit keys' rounds with errors take the block path,
+# which draws both rounds at once.
+SPARSE_RATIOS = pytest.mark.parametrize("sparse", [0, bb84._SPARSE], ids=["sparse", "block"])
 
 
 @SPARSE_RATIOS
@@ -321,7 +334,7 @@ def test_scripted_errors_only_below_the_first_chosen_rank(sparse):
 def test_scripted_empty_head_with_errors_left_reads_the_tail(sparse):
     # An error at position 66.  No flag of the head is chosen, so the round
     # is drawn in full: it first chooses 66 and nothing after, so the parities
-    # differ and the error goes.  Round 2 reads only its head.
+    # differ and the error goes.  Round 2 holds no error.
     n = _HEAD + 6
     alice = [0] * n
     bob = [int(i == 66) for i in range(n)]
@@ -332,6 +345,32 @@ def test_scripted_empty_head_with_errors_left_reads_the_tail(sparse):
     assert result.survivors.tolist() == [0] + [i for i in range(2, n) if i != 66]
     assert result.detection_round == 1
     assert result.differing == 0
+
+
+class CountingSource(RandomSource):
+    """A :class:`RandomSource` that counts its bulk draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bulk_draws = 0
+
+    def uniform_array(self, k):
+        self.bulk_draws += 1
+        return super().uniform_array(k)
+
+
+def test_dense_errors_on_a_short_key_draw_all_rounds_at_once():
+    # A 360-bit key with an error at every fourth position: no round is
+    # sparse, and the 20 rounds (360 + 359 + ... + 341 flags) fit in one block.
+    alice = [0] * 360
+    bob = [int(i % 4 == 0) for i in range(360)]
+    rng, reference_rng = CountingSource(8), RandomSource(8)
+    survivors, detection_round, _ = reference_parity_rounds(alice, bob, 20, reference_rng)
+    result = parity_certify(SiftedKey(360, np.arange(0, 360, 4)), None, 20, rng)
+    assert rng.bulk_draws == 1
+    assert result.survivors.tolist() == survivors
+    assert result.detection_round == detection_round
+    assert rng.uniform() == reference_rng.uniform()
 
 
 def test_single_difference_detection_rate_m1():

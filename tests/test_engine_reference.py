@@ -268,14 +268,16 @@ def test_jump_walk_matches_plain_loop(n, highest):
             assert (got.tolist(), got_end) == (starts, end)
 
 
-# Block sizes in variates: a round per block, blocks that split a key's
-# rounds, carry flags over and end mid-key, and the engine's own size.
+# Block sizes in variates: rounds longer than a block, drawn one per draw in
+# pieces; blocks that hold a few of a key's rounds, where an empty subset gives
+# back the rest of its draw; and the engine's own size.
 BLOCKS = (1, 2, 7, 64, photons._BLOCK)
 
 # (block size, survivors per error below which a round stops drawing
-# sparsely) pairs.  The block size sets the transcript rounds' blocks and the
-# lean path's pieces.  At the engine's own ratio these short keys' rounds with
-# errors and no transcript take the lean path; at 0 they are sparse.
+# sparsely) pairs.  The block size sets how many rounds one block-path draw
+# covers.  At the engine's own ratio these short keys' rounds with errors take
+# the block path, with or without a transcript; at 0, those without one are
+# sparse.
 PATHS = tuple((block, bb84._SPARSE) for block in BLOCKS) + ((photons._BLOCK, 0),)
 
 
@@ -362,9 +364,10 @@ def keys_longer_than_a_block(draw, dense):
 
 
 # Blocks of 64 variates, shorter than the keys: rounds with errors are sparse
-# at a ratio of 0, lean at the engine's ratio, drawn in 64-variate pieces or
-# in one, and switch from lean to sparse at 40 once enough errors are
-# discarded.
+# at a ratio of 0; at the engine's ratio they take the block path, one round
+# per draw in 64-variate pieces, or several rounds per draw at the engine's
+# own block size; at 40 they switch from the block path to sparse once enough
+# errors are discarded.
 LONG_KEY_PATHS = ((64, 0), (64, 40), (64, bb84._SPARSE), (photons._BLOCK, bb84._SPARSE))
 
 
