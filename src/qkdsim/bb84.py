@@ -13,9 +13,10 @@ The rounds read only what decides them: a :class:`SiftedKey`, that is the
 key length, the ranks at which the two keys differ and, for a transcript
 only, the receiver's bits.  Each round takes one of two paths (see
 :func:`parity_certify`): *sparse*, a round without a transcript and with
-few errors for its survivors (often none), or *block*, one draw of several
-rounds read one at a time.  Both draw the same variates, in the same order,
-as a round-by-round draw of one variate per survivor.
+few errors for its survivors (often none) or after a recorded mismatch,
+or *block*, one draw of several rounds read one at a time.  Both draw the
+same variates, in the same order, as a round-by-round draw of one variate
+per survivor.
 """
 
 from __future__ import annotations
@@ -154,11 +155,13 @@ def parity_certify(
     empty subset is redrawn the same way.  A round takes one of two paths,
     chosen from its survivor count L_r and error count K_r:
 
-    - *sparse*: no transcript, and K_r * ``_SPARSE`` < L_r
-      (:func:`_sparse_round`).  It reads a head of its variates, then one
-      variate at each error rank, and skips the rest: O(1 + K_r) generator
-      calls instead of L_r variates.  With no error left only the head is
-      read.  An empty head sends the round to the block path.
+    - *sparse*: no transcript, and K_r * ``_SPARSE`` < L_r or a mismatch
+      already recorded (:func:`_sparse_round`).  It reads a head of its
+      variates, then one variate at each error rank, and skips the rest:
+      O(1 + K_r) generator calls instead of L_r variates.  With no error
+      left, or once a mismatch is recorded, when only the first chosen
+      rank matters, only the head is read.  An empty head sends the round
+      to the block path.
     - *block*: every other round (:func:`_block_rounds`).  One draw covers
       as many consecutive rounds as fit in :data:`qkdsim.photons._BLOCK`
       variates, and at least one; the rounds are then read one at a time.
@@ -192,7 +195,9 @@ def parity_certify(
     while done < m:
         n = len(survivors)
         sparse = None
-        if transcript is None and wrong.size * _SPARSE < n:
+        if transcript is None and detection_round is not None:
+            sparse = _sparse_round(rng, n, wrong[:0])  # parities no longer matter
+        elif transcript is None and wrong.size * _SPARSE < n:
             sparse = _sparse_round(rng, n, wrong)
         # One sparse round, or the rounds of one block draw, one at a time.
         for subset in (None,) if sparse else _block_rounds(rng, n, m - done):

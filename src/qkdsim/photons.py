@@ -11,17 +11,19 @@ or 1, so the whole channel is enumerable with exact rationals.
 :func:`detection_probability` gives them, and the tables below read them
 off once: ``PASS_HALVES`` (the pass chance in halves) and the keep rule
 ``DETERMINISTIC``, per (photon, filter) index, and ``DETECTS``, the pass
-chance read as a byte per side of 1/2 of the measurement variate.  The
-sampler and the exact oracles of :mod:`qkdsim.analysis` both read these
-tables; the channel law itself is enumerated once, in
+chance read as a byte per side of 1/2 of the measurement variate, which
+``READING_DETECTS`` extends to the receiver's reading index.  The sampler
+and the exact oracles of :mod:`qkdsim.analysis` both read these tables;
+the channel law itself is enumerated once, in
 :func:`qkdsim.analysis.cell_probabilities`.
 
 The two protocols differ at this layer only in their :class:`Protocol`
 spec: sender alphabet, receiver filters and authentication filter.  Whole
 sessions are transmitted by :func:`transmit`, which draws each party's
-variates in cache-sized blocks, in stream order, and reads the outcomes off
-small index tables built from :func:`detection_probability`, through
-``intp`` indices.  Its draws are exactly those of a photon-by-photon loop
+variates in cache-sized blocks, in stream order, and gives the receiver's
+side as one reading index per tick: the photon that arrived, the filter
+and the side of 1/2 its measurement variate fell on, so that no table is
+read per tick.  Its draws are exactly those of a photon-by-photon loop
 that spends one variate per measurement (the reference loop in
 ``tests/reference.py``).  An interceptor's erasure branch is one index
 table per resend policy and alphabet, :func:`resend_table`, which the
@@ -211,6 +213,12 @@ PASS_HALVES = np.array(
 # its measurement variate u: u < p reads the same for every u on one side
 # of 1/2, since every pass chance p is 0, 1/2 or 1.
 DETECTS = (np.array([1.5, 0.5]) < PASS_HALVES[..., None]).ravel()
+# The receiver's reading index of a tick is that index of DETECTS,
+# (4 * arrival + filter) * 2 + (u < 1/2), where a photon arrives, and
+# 32 + filter at an empty tick.  Per reading index: whether his detector
+# fired, and his filter.
+READING_DETECTS = np.append(DETECTS, np.zeros(4, dtype=bool))
+READING_FILTER = np.append(np.arange(32) // 2 % 4, np.arange(4))
 # The keep rule of both protocols, per (photon index, filter index).
 DETERMINISTIC = np.array(
     [[has_deterministic_outcome(p, f) for f in POLARIZATIONS] for p in POLARIZATIONS]
@@ -292,11 +300,16 @@ def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.nd
 
 
 def _measure(pair: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """The receiver's detection at each flat pair index, one variate each."""
-    detected = np.empty(len(pair), dtype=bool)
-    for lo, u in _blocks(rng, len(pair)):
-        detected[lo : lo + len(u)] = detects(pair[lo : lo + len(u)], u)
-    return detected
+    """The receiver's reading index at each flat pair index, one variate each.
+
+    ``2 * pair + (u < 1/2)`` for the tick's measurement variate u, as
+    ``int8``: the index at which ``DETECTS`` holds whether the photon
+    passed.  No table is read here.
+    """
+    reading = pair * np.int8(2)
+    for lo, u in _blocks(rng, len(reading)):
+        reading[lo : lo + len(u)] += u < 0.5
+    return reading
 
 
 def transmit(
@@ -313,13 +326,13 @@ def transmit(
     then one per arriving photon on its measurement, in tick order.  Each
     party draws in blocks of ``_BLOCK`` variates, in stream order, so no
     per-photon float array is formed.  Every variate drawn is read: a
-    measurement only as far as which side of 1/2 it falls, since the
-    detection is read off the byte table ``DETECTS`` (:func:`detects`).
-    ``intercept`` (see :func:`qkdsim.eavesdrop.intercept_session`) maps the
-    sent index array to the attacker's :class:`Interception`, or ``None``
-    if she touches no photon; an empty tick spends no receiver variate.
-    Returns the sent and filter index arrays (``int8``), the receiver's
-    detections (bool per tick) and the interception.
+    measurement only as far as which side of 1/2 it falls, which is all
+    the byte table ``DETECTS`` needs.  ``intercept`` (see
+    :func:`qkdsim.eavesdrop.intercept_session`) maps the sent index array
+    to the attacker's :class:`Interception`, or ``None`` if she touches no
+    photon; an empty tick spends no receiver variate.  Returns the sent and
+    filter index arrays, the receiver's reading index per tick (see
+    ``READING_DETECTS``), all ``int8``, and the interception.
     """
     sent = _choose(protocol.alphabet, sender_rng, n)
     filters = _choose(protocol.filters, receiver_rng, n)
@@ -327,6 +340,6 @@ def transmit(
     if interception is None:
         return sent, filters, _measure(sent * 4 + filters, receiver_rng), None
     arrived = interception.arrival >= 0
-    detected_mask = np.zeros(n, dtype=bool)
-    detected_mask[arrived] = _measure((interception.arrival * 4 + filters)[arrived], receiver_rng)
-    return sent, filters, detected_mask, interception
+    reading = filters + np.int8(32)
+    reading[arrived] = _measure((interception.arrival * 4 + filters)[arrived], receiver_rng)
+    return sent, filters, reading, interception

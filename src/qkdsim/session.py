@@ -13,17 +13,23 @@ report, the BB84 parity rounds) lives in :mod:`qkdsim.three_state` and
 
 Every count a trial reports is a sum over cells.  A tick falls in cell
 ``(4 * sent + filter) * 2 + detected`` of 32, with ``sent`` and ``filter``
-indices into :data:`~qkdsim.photons.POLARIZATIONS` and ``detected`` the
-receiver's reading.  :attr:`Session.cells` is the session's histogram over
-them, one ``np.bincount``.  :func:`cell_table` marks each cell, once per
-protocol, from the exact tables (``DETERMINISTIC``, ``BITS``,
-``ORTHOGONAL``) and the spec's ``auth_filter``: kept, key, auth, auth
-failure, key error, and the bit each party holds there.  The confirmed,
-key and auth counts, the auth failures, the key errors and the outcome
-tallies are each a sum of the histogram over marked cells (the first five
-one product of the table's ``marks`` matrix with the histogram), and the
-histograms of two runs add cell by cell.  Positions and key bits are read
-through the same table, tick by tick, only when asked for.  A session
+indices into :data:`~qkdsim.photons.POLARIZATIONS` and ``detected``
+whether the receiver's detector fired.  A session holds the receiver's
+reading index instead (see :data:`~qkdsim.photons.READING_DETECTS`), which
+names the filter and, with the photon that arrived, the detection; a
+tick's cell is one read of a 144-entry table at its joint index
+``36 * sent + reading``.  :attr:`Session.cells`, the session's histogram
+over the cells, is a ``np.bincount`` of the joint index folded onto the
+32 cells, so no per-tick detection or cell is formed for the counts.
+:func:`cell_table` marks each cell, once per protocol, from the exact
+tables (``DETERMINISTIC``, ``BITS``, ``ORTHOGONAL``) and the spec's
+``auth_filter``: kept, key, auth, auth failure, key error, and the bit
+each party holds there.  The confirmed, key and auth counts, the auth
+failures, the key errors and the outcome tallies are each a sum of the
+histogram over marked cells (the first five one product of the table's
+``marks`` matrix with the histogram), and the histograms of two runs add
+cell by cell.  Positions and key bits are read through the same table,
+tick by tick, only when asked for.  A session
 holds index arrays only: no per-photon object is ever built.  The exact
 oracles sum :func:`qkdsim.analysis.cell_probabilities` over the same marks.
 :func:`outcome_rows` folds 32 cell values, a histogram or that exact law,
@@ -40,7 +46,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .eavesdrop import Attack, Interception, NoAttack, intercept_session
-from .photons import BITS, DEGREES, DETERMINISTIC, POLARIZATIONS, Protocol, inferred_index, transmit
+from .photons import (
+    BITS,
+    DEGREES,
+    DETERMINISTIC,
+    POLARIZATIONS,
+    READING_DETECTS,
+    READING_FILTER,
+    Protocol,
+    inferred_index,
+    transmit,
+)
 from .rng import RandomSource
 
 
@@ -49,6 +65,16 @@ from .rng import RandomSource
 CELL_SHAPE = (len(POLARIZATIONS), len(POLARIZATIONS), 2)
 CELLS = 32
 _CELL_SENT, _CELL_FILTER, _CELL_READING = np.unravel_index(np.arange(CELLS), CELL_SHAPE)
+
+# A tick's joint index is READINGS * sent + its reading index; the cell of
+# each joint index, and the joint indices in cell order with the start of
+# each cell's run, so that a joint histogram folds onto the cells in one
+# reduceat.
+READINGS = len(READING_DETECTS)
+_SENT = np.arange(len(POLARIZATIONS))[:, None]
+_JOINT_CELL = ((4 * _SENT + READING_FILTER) * 2 + READING_DETECTS).ravel().astype(np.int8)
+_BY_CELL = np.argsort(_JOINT_CELL, kind="stable")
+_CELL_STARTS = np.searchsorted(_JOINT_CELL[_BY_CELL], np.arange(CELLS))
 
 
 def outcome_rows(cells: Sequence) -> list[list]:
@@ -107,25 +133,40 @@ def cell_table(protocol: Protocol) -> CellTable:
 class Session:
     """Everything one session produced, as index arrays over its ticks.
 
-    Counts are read off :attr:`cells`, the session's cell histogram;
-    positions, bits and the transcript are derived on first read.
+    Per tick it keeps the sent state, the filter and the receiver's reading
+    index.  Counts are read off :attr:`cells`, the session's cell histogram,
+    which needs nothing more; the detections, cells, positions, bits and
+    the transcript are derived on first read.
     """
 
     protocol: Protocol
     sent_index: np.ndarray  # int8 indices into POLARIZATIONS
     filter_index: np.ndarray
-    detected: np.ndarray  # bool: the receiver's detector fired
+    reading: np.ndarray  # int8 reading index (photons.READING_DETECTS)
     interception: Optional[Interception] = None  # the attacker's side, if active
+
+    @cached_property
+    def detected(self) -> np.ndarray:
+        """Per tick, bool: the receiver's detector fired."""
+        return READING_DETECTS.take(self.reading)
+
+    @cached_property
+    def _joint(self) -> np.ndarray:
+        """Each tick's joint index, ``READINGS * sent + reading``, as ``uint8``."""
+        joint = self.sent_index.view(np.uint8) * np.uint8(READINGS)
+        joint += self.reading.view(np.uint8)
+        return joint
 
     @cached_property
     def cell_index(self) -> np.ndarray:
         """Each tick's cell, (4 * sent + filter) * 2 + detected, as ``int8``."""
-        return (self.sent_index * 4 + self.filter_index) * 2 + self.detected
+        return _JOINT_CELL.take(self._joint)
 
     @cached_property
     def cells(self) -> np.ndarray:
         """Photons per cell: the session's histogram over its 32 cells."""
-        return np.bincount(self.cell_index, minlength=CELLS)
+        joint_cells = np.bincount(self._joint, minlength=len(_JOINT_CELL))
+        return np.add.reduceat(joint_cells.take(_BY_CELL), _CELL_STARTS)
 
     @cached_property
     def table(self) -> CellTable:
@@ -242,5 +283,5 @@ def run_session(
         raise ValueError("need at least one photon")
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
     tap = partial(intercept_session, attack, protocol.filters, protocol.alphabet, eve_rng)
-    sent, filters, detected, interception = transmit(protocol, n, alice_rng, bob_rng, tap)
-    return Session(protocol, sent, filters, detected, interception)
+    sent, filters, reading, interception = transmit(protocol, n, alice_rng, bob_rng, tap)
+    return Session(protocol, sent, filters, reading, interception)

@@ -348,14 +348,20 @@ def test_scripted_empty_head_with_errors_left_reads_the_tail(sparse):
 
 
 class CountingSource(RandomSource):
-    """A :class:`RandomSource` that counts its bulk draws."""
+    """A :class:`RandomSource` that counts its bulk draws and logs every draw call."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.bulk_draws = 0
+        self.calls = []  # "bulk" or "scalar", in call order
+
+    def uniform(self):
+        self.calls.append("scalar")
+        return super().uniform()
 
     def uniform_array(self, k):
         self.bulk_draws += 1
+        self.calls.append("bulk")
         return super().uniform_array(k)
 
 
@@ -370,6 +376,27 @@ def test_dense_errors_on_a_short_key_draw_all_rounds_at_once():
     assert rng.bulk_draws == 1
     assert result.survivors.tolist() == survivors
     assert result.detection_round == detection_round
+    assert rng.uniform() == reference_rng.uniform()
+
+
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_rounds_after_a_recorded_mismatch_read_only_their_head(seed):
+    # 8 errors in 4000 bits: every round is sparse.  Until a mismatch is
+    # recorded a round reads one variate per error rank past its head; after
+    # it only the first chosen rank matters, so a round draws its head alone.
+    errors = np.arange(100, 4000, 500)
+    bob = np.zeros(4000, dtype=int)
+    bob[errors] = 1
+    rng, reference_rng = CountingSource(seed), RandomSource(seed)
+    survivors, detection_round, _ = reference_parity_rounds([0] * 4000, bob, 40, reference_rng)
+    result = parity_certify(SiftedKey(4000, errors), None, 40, rng)
+    assert detection_round is not None and detection_round < 40
+    assert rng.calls.count("bulk") == 40  # one head per round
+    heads = [i for i, call in enumerate(rng.calls) if call == "bulk"]
+    assert "scalar" not in rng.calls[heads[detection_round] :]
+    assert result.survivors.tolist() == survivors
+    assert result.detection_round == detection_round
+    assert result.differing == np.count_nonzero(bob[survivors])
     assert rng.uniform() == reference_rng.uniform()
 
 

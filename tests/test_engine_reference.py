@@ -9,7 +9,8 @@ The engine draws the same variates in whole arrays, so for any photon
 count, seed and attack both must agree exactly.  The engine keeps index
 arrays only, so the loops' polarizations and readings are mapped to
 indices and compared with ``sent_index``, ``filter_index``, ``detected``
-and the attacker's ``filters`` and ``detected``.  The keep rule, the
+(read off the receiver's reading index), ``cell_index`` and ``cells``, and
+the attacker's ``filters`` and ``detected``.  The keep rule, the
 key/auth split and the receiver's key bits are checked against a loop over
 the scalar rules (:func:`has_deterministic_outcome`,
 :func:`reference.infer_polarization`, :func:`bit_map`).
@@ -183,6 +184,71 @@ def test_session_across_small_draw_blocks_matches_reference_loop(monkeypatch, pr
     # many block edges inside one session, and the last block is short.
     monkeypatch.setattr(photons, "_BLOCK", 37)
     check_against_reference(protocol, 1000, 21, attack)
+
+
+# The attacks the reading index is checked under: every kind, and
+# intercept-resend with a uniform or fixed filter under every policy, at no,
+# half and full interception.
+reading_attacks = st.one_of(
+    st.just(NoAttack()),
+    st.just(PassiveClassical()),
+    st.builds(StuckFilter, st.sampled_from(list(Polarization))),
+    st.builds(
+        InterceptResend,
+        st.sampled_from(DEFAULT_FILTER_CHOICES),
+        st.sampled_from(list(ResendPolicy)),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    ),
+)
+
+
+def check_reading_index(protocol, n, seed, attack):
+    """A session's detections, cells and histogram against the reference loop.
+
+    The session keeps the receiver's reading index; its detections and
+    cells are read through tables, and its histogram is folded from the
+    joint (sent, reading) counts.
+    """
+    sent, filters, outcomes, _, _ = reference_transmission(protocol, n, RandomSource(seed), attack)
+    detected = [o.is_detected for o in outcomes]
+    cells = [(4 * s + f) * 2 + d for s, f, d in zip(indices(sent), indices(filters), detected)]
+    session = run_session(protocol, n, RandomSource(seed), attack)
+    assert session.cells.tolist() == np.bincount(cells, minlength=32).tolist()
+    own = (session.sent_index * 4 + session.filter_index) * 2 + session.detected
+    assert session.cells.tolist() == np.bincount(own, minlength=32).tolist()
+    assert session.detected.tolist() == detected
+    assert session.cell_index.tolist() == cells
+
+
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+@given(
+    block=st.sampled_from([1, 7, 37]),
+    n=st.one_of(st.just(1), st.integers(1, 300)),
+    seed=st.integers(0, 2**64 - 1),
+    attack=reading_attacks,
+)
+@settings(deadline=None)
+def test_reading_index_matches_reference_loop(protocol, block, n, seed, attack):
+    # Draw blocks of 1, 7 and 37 variates: most sessions span several
+    # blocks and end in a short one.
+    with mock.patch.object(photons, "_BLOCK", block):
+        check_reading_index(protocol, n, seed, attack)
+
+
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "attack",
+    [
+        NoAttack(),
+        StuckFilter(Polarization.D45),
+        InterceptResend(None, ResendPolicy.UNIFORM_RANDOM, 0.5),
+        InterceptResend(Polarization.Z0, ResendPolicy.SEND_NOTHING, 1.0),
+    ],
+    ids=["honest", "stuck", "uniform_random_half", "z0_nothing_full"],
+)
+def test_reading_index_past_a_draw_block_matches_reference_loop(protocol, attack):
+    # The engine's own block size, with a short last block.
+    check_reading_index(protocol, photons._BLOCK + 123, 4, attack)
 
 
 def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
