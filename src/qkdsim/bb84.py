@@ -16,7 +16,8 @@ only, the receiver's bits.  Each round takes one of two paths (see
 few errors for its survivors (often none) or after a recorded mismatch,
 or *block*, one draw of several rounds read one at a time.  Both draw the
 same variates, in the same order, as a round-by-round draw of one variate
-per survivor.
+per survivor.  A transcript's query and response entries are written by
+:func:`qkdsim.transcript.parity_round`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import photons
 from .rng import RandomSource
+from .transcript import parity_round
 
 
 class KeyTooShort(ValueError):
@@ -170,7 +172,8 @@ def parity_certify(
 
     ``transcript`` is the session's published list of entry dicts (see
     :attr:`qkdsim.session.Session.transcript`); each round appends its
-    query, with the subset's positions ascending, and the response.
+    query, with the subset's positions ascending, and the response
+    (:func:`qkdsim.transcript.parity_round`).
     """
     if m < 0:
         raise ValueError("round count must be non-negative")
@@ -210,12 +213,7 @@ def parity_certify(
                 if transcript is not None:
                     picked = survivors[subset]
                     parity = int(np.count_nonzero(bob.take(picked))) & 1
-                    query = {"round": done, "positions": picked.tolist()}
-                    response = {"round": done, "parity": parity}
-                    transcript += (
-                        {"sender": "alice", "kind": "parity_query", "payload": query},
-                        {"sender": "bob", "kind": "parity_response", "payload": response},
-                    )
+                    transcript += parity_round(done, picked, parity)
             if odd and detection_round is None:
                 detection_round = done
             if wrong.size:

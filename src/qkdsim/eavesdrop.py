@@ -35,7 +35,6 @@ from .photons import (
     Polarization,
     ResendPolicy,
     detects,
-    option_index,
     resend_table,
 )
 from .rng import RandomSource
@@ -66,8 +65,18 @@ class InterceptResend:
     fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
+        choice = self.filter_choice
+        if not (choice is None or isinstance(choice, Polarization)):
+            raise ValueError(f"filter_choice must be None or a Polarization, got {choice!r}")
+        if not isinstance(self.resend, ResendPolicy):
+            raise ValueError(f"resend must be a ResendPolicy, got {self.resend!r}")
+        # A report publishes the fraction as a JSON number: a bool is an int
+        # but would read true or false, and other real types do not encode.
+        fraction = self.fraction
+        if not isinstance(fraction, (int, float)) or isinstance(fraction, bool):
+            raise ValueError(f"fraction must be a real number (int or float), got {fraction!r}")
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,10 @@ class StuckFilter:
     """
 
     angle: Polarization = Polarization.Z0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.angle, Polarization):
+            raise ValueError(f"angle must be a Polarization, got {self.angle!r}")
 
     def as_intercept_resend(self) -> InterceptResend:
         return InterceptResend(
@@ -145,7 +158,7 @@ def _state_walk(key: bytes, measure_at: int, sent: np.ndarray, alphabet):
     ``DETECTS``; each state of ``alphabet`` translates it to a step table.
     """
     tables = [b""] * len(POLARIZATIONS)
-    for s in {POLARIZATIONS.index(p) for p in alphabet}:
+    for s in range(len(alphabet)):
         lut = np.append(np.ones(8, np.uint8), np.uint8(measure_at + 2) - DETECTS[8 * s : 8 * s + 8])
         tables[s] = key.translate(lut.tobytes().ljust(256, b"\0"))
     steps, pos = bytearray(), 0
@@ -160,7 +173,7 @@ def _state_walk(key: bytes, measure_at: int, sent: np.ndarray, alphabet):
 
 def _filter_at(filter_set: Sequence[Polarization], u: np.ndarray) -> np.ndarray:
     """Her uniform filter choice, as a polarization index, from each variate of ``u``."""
-    return option_index(filter_set, (u * len(filter_set)).astype(np.int8))
+    return (u * len(filter_set)).astype(np.int8)
 
 
 def intercept_session(

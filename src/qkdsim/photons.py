@@ -81,6 +81,9 @@ class Polarization(Enum):
         return self.value % 90
 
 
+# Array position of each polarization: index i is the angle 45*i degrees.
+POLARIZATIONS = tuple(Polarization)
+
 BB84_ALPHABET = (Polarization.Z0, Polarization.D45, Polarization.Z90, Polarization.D135)
 THREE_STATE_ALPHABET = (Polarization.Z0, Polarization.D45, Polarization.Z90)
 BB84_FILTERS = (Polarization.Z0, Polarization.D45)
@@ -97,12 +100,20 @@ class Protocol:
     positions read through ``auth_filter`` carry no secret and serve as
     tamper evidence; all other kept positions are key.  ``None`` means
     every kept position is key, certified afterwards by parity rounds.
+    ``alphabet`` and ``filters`` each lead ``POLARIZATIONS``, so a slot
+    drawn from either is its own polarization index.
     """
 
     name: str
     alphabet: tuple[Polarization, ...]
     filters: tuple[Polarization, ...]
     auth_filter: Optional[Polarization]
+
+    def __post_init__(self) -> None:
+        for name in ("alphabet", "filters"):
+            options = tuple(getattr(self, name))
+            if options != POLARIZATIONS[: len(options)]:
+                raise ValueError(f"{name}: expected a leading run of POLARIZATIONS, got {options}")
 
 
 THREE_STATE = Protocol("three_state", THREE_STATE_ALPHABET, THREE_STATE_FILTERS, Polarization.D45)
@@ -199,10 +210,6 @@ class ResendPolicy(Enum):
 # Whole-session transmission on index arrays
 # ---------------------------------------------------------------------------
 
-# Array position of each polarization: index i is the angle 45*i degrees.
-POLARIZATIONS = tuple(Polarization)
-_INDEX = {p: i for i, p in enumerate(POLARIZATIONS)}
-
 # Tables over (photon index, filter index), read off the exact law.  Pass
 # chances in halves (0, 1 or 2), so the exact oracles count in integers.
 PASS_HALVES = np.array(
@@ -224,7 +231,7 @@ DETERMINISTIC = np.array(
     [[has_deterministic_outcome(p, f) for f in POLARIZATIONS] for p in POLARIZATIONS]
 )
 BITS = np.array([bit_map(p) for p in POLARIZATIONS], dtype=np.int8)
-ORTHOGONAL = np.array([_INDEX[p.orthogonal] for p in POLARIZATIONS])
+ORTHOGONAL = np.array([POLARIZATIONS.index(p.orthogonal) for p in POLARIZATIONS])
 DEGREES = np.array([p.degrees for p in POLARIZATIONS])
 
 # Outcome class c: 0 is an erasure, 1 + i a detection at POLARIZATIONS[i].
@@ -244,7 +251,7 @@ def resend_table(policy: ResendPolicy, alphabet: Sequence[Polarization]) -> np.n
         return ORTHOGONAL[:, None]
     if policy is ResendPolicy.SEND_NOTHING:
         return np.full((len(POLARIZATIONS), 1), -1, dtype=np.int8)
-    return np.tile(np.array([_INDEX[p] for p in alphabet], dtype=np.int8), (len(POLARIZATIONS), 1))
+    return np.tile(np.arange(len(alphabet), dtype=np.int8), (len(POLARIZATIONS), 1))
 
 
 def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray:
@@ -253,18 +260,6 @@ def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray
     A detection reads as the filter angle, an erasure as its orthogonal.
     """
     return np.where(detected_mask, filters, ORTHOGONAL[filters])
-
-
-def option_index(options: Sequence[Polarization], slot: np.ndarray) -> np.ndarray:
-    """The polarization index of ``options[slot]`` at each position, as ``int8``.
-
-    Options that lead ``POLARIZATIONS``, as every alphabet and filter set
-    does, are their own indices and need no table.
-    """
-    if tuple(options) == POLARIZATIONS[: len(options)]:
-        return slot
-    table = np.array([_INDEX[p] for p in options], dtype=np.int8)
-    return table[slot.astype(np.intp)]
 
 
 def detects(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -296,7 +291,7 @@ def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.nd
     for lo, u in _blocks(rng, n):
         u *= len(options)
         slot[lo : lo + len(u)] = u  # truncates, as astype does
-    return option_index(options, slot)
+    return slot
 
 
 def _measure(pair: np.ndarray, rng: RandomSource) -> np.ndarray:

@@ -29,7 +29,8 @@ failures, the key errors and the outcome tallies are each a sum of the
 histogram over marked cells (the first five one product of the table's
 ``marks`` matrix with the histogram), and the histograms of two runs add
 cell by cell.  Positions and key bits are read through the same table,
-tick by tick, only when asked for.  A session
+tick by tick, only when asked for, and so is the public discussion,
+whose entries :func:`qkdsim.transcript.announcements` writes.  A session
 holds index arrays only: no per-photon object is ever built.  The exact
 oracles sum :func:`qkdsim.analysis.cell_probabilities` over the same marks.
 :func:`outcome_rows` folds 32 cell values, a histogram or that exact law,
@@ -48,7 +49,6 @@ import numpy as np
 from .eavesdrop import Attack, Interception, NoAttack, intercept_session
 from .photons import (
     BITS,
-    DEGREES,
     DETERMINISTIC,
     POLARIZATIONS,
     READING_DETECTS,
@@ -58,6 +58,7 @@ from .photons import (
     transmit,
 )
 from .rng import RandomSource
+from .transcript import announcements
 
 
 # A tick falls in one cell per (sent state, receiver filter, reading), laid
@@ -251,14 +252,10 @@ class Session:
         """The public discussion as the report publishes it: a list of entry dicts.
 
         The receiver announces his filter angles, then the sender the kept
-        positions, in ascending order; BB84's parity rounds append to it
-        (see :mod:`qkdsim.transcript` for the reader).
+        positions, in ascending order (:func:`qkdsim.transcript.announcements`);
+        BB84's parity rounds append to it.
         """
-        filters, kept = DEGREES[self.filter_index].tolist(), self.kept_index.tolist()
-        return [
-            {"sender": "bob", "kind": "filter_announcement", "payload": {"filters": filters}},
-            {"sender": "alice", "kind": "confirmation_announcement", "payload": {"kept": kept}},
-        ]
+        return announcements(self.filter_index, self.kept_index)
 
     @property
     def photons_intercepted(self) -> int:

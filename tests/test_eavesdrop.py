@@ -1,5 +1,7 @@
 """Attacker machinery: interception, passive transcript reading, stuck filters."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,25 @@ def test_stuck_filter_detects_half_and_pins_no_state():
     # Either reading behind a 0-degree filter leaves two three-state inputs open.
     for outcome in (detected(Z0), ERASURE):
         assert len(consistent_inputs(Z0, outcome, THREE_STATE_ALPHABET)) == 2
+
+
+# Each ill-typed attack field, and the field its error must name.
+BAD_ATTACK_FIELDS = {
+    "filter_choice_a_name": (lambda: InterceptResend(filter_choice="Z0"), "filter_choice"),
+    "resend_a_string": (lambda: InterceptResend(resend="nothing"), "resend"),
+    "fraction_a_bool": (lambda: InterceptResend(fraction=True), "fraction"),
+    "fraction_a_string": (lambda: InterceptResend(fraction="0.5"), "fraction"),
+    "fraction_a_fraction": (lambda: InterceptResend(fraction=Fraction(1, 2)), "fraction"),
+    "angle_a_name": (lambda: StuckFilter(angle="Z0"), "angle"),
+}
+
+
+@pytest.mark.parametrize("build, field", BAD_ATTACK_FIELDS.values(), ids=BAD_ATTACK_FIELDS)
+def test_attack_fields_are_checked_when_built(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_attack_accepts_an_int_or_float_fraction():
+    assert InterceptResend(fraction=np.float64(0.5)).fraction == 0.5
+    assert InterceptResend(fraction=1).fraction == 1

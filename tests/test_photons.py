@@ -21,6 +21,7 @@ from qkdsim.photons import (
     THREE_STATE_FILTERS,
     MeasurementOutcome,
     Polarization,
+    Protocol,
     ResendPolicy,
     bit_map,
     detected,
@@ -259,3 +260,18 @@ def test_consistent_inputs_contains_the_truth(photon, filt):
         assert photon in consistent_inputs(filt, detected(filt), ALL)
     if p < 1:
         assert photon in consistent_inputs(filt, ERASURE, ALL)
+
+
+@pytest.mark.parametrize(
+    "alphabet, filters, field",
+    [
+        ((Polarization.D45, Polarization.Z0), (Polarization.Z0, Polarization.D45), "alphabet"),
+        ((Polarization.Z0, Polarization.D45), (Polarization.D45,), "filters"),
+    ],
+    ids=["alphabet", "filters"],
+)
+def test_protocol_options_must_lead_polarizations(alphabet, filters, field):
+    # A sampled slot is read as its polarization index, which holds only
+    # for a leading run of POLARIZATIONS.
+    with pytest.raises(ValueError, match=field):
+        Protocol("x", alphabet, filters, None)

@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qkdsim.photons import THREE_STATE, Polarization
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
-from qkdsim.transcript import Transcript, TranscriptOrderError
+from qkdsim.transcript import Transcript, TranscriptOrderError, announcements, parity_round
 
 
 def filters(*degrees):
@@ -68,6 +69,8 @@ MALFORMED = {
     "parity_two": (response(1, 2), "parity"),
     "parity_a_bool": (response(1, False), "parity"),
     "parity_none": (response(1, None), "parity"),
+    "unknown_sender": ({**filters(0), "sender": "carol"}, "sender"),
+    "unknown_kind": ({**filters(0), "kind": "gossip"}, "kind"),
 }
 
 
@@ -127,3 +130,15 @@ def test_announced_filters_names_an_unknown_angle():
     transcript = Transcript.from_jsonable([filters(0, 30, 45)])
     with pytest.raises(ValueError, match=r"\b30 degrees"):
         transcript.announced_filters()
+
+
+def test_writers_round_trip_through_the_reader():
+    Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
+    entries = announcements(np.array([0, 1, 2, 1], dtype=np.int8), np.array([0, 2, 3]))
+    for round_number, positions, parity in [(1, [0, 3], 1), (2, [2], 0)]:
+        entries += parity_round(round_number, np.array(positions), parity)
+    t = Transcript.from_jsonable(json.loads(json.dumps(entries)))
+    t.check_wire_order()
+    assert t.announced_filters() == [Z0, D45, Z90, D45]
+    assert t.kept_positions() == [0, 2, 3]
+    assert t.parity_rounds() == [(1, [0, 3], 1), (2, [2], 0)]
