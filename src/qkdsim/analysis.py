@@ -81,9 +81,6 @@ class ExactBits:
             self.log3_coefficient - other.log3_coefficient,
         )
 
-    def __neg__(self) -> "ExactBits":
-        return ExactBits(-self.constant, -self.log3_coefficient)
-
     def scaled(self, factor: Union[int, Fraction]) -> "ExactBits":
         return ExactBits(self.constant * factor, self.log3_coefficient * factor)
 

@@ -30,7 +30,6 @@ from typing import Any, Callable, Optional, Sequence
 from .analysis import (
     LOG2_3,
     auth_fraction,
-    bb84_certification_probability,
     compare,
     entropy_report,
     equal_confidence_rounds,
@@ -38,7 +37,6 @@ from .analysis import (
     joint_distribution,
     kept_fraction,
     key_fraction,
-    three_state_certification_probability,
 )
 from .eavesdrop import (
     Attack,
@@ -312,8 +310,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "crossover_n": result.crossover_n,
         "equal_confidence_rounds": equal_confidence_rounds(n),
         "certification_models": {
-            "three_state": three_state_certification_probability(n),
-            "bb84": bb84_certification_probability(m),
+            "three_state": result.three_state_cert,
+            "bb84": result.bb84_cert,
         },
     }
     _write_output(to_json(document), args.output)

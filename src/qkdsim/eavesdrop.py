@@ -34,7 +34,6 @@ from .photons import (
     POLARIZATIONS,
     Polarization,
     ResendPolicy,
-    detects,
     resend_table,
 )
 from .rng import RandomSource
@@ -193,8 +192,10 @@ def intercept_session(
     Draw for draw the same as the photon-by-photon loop on ``rng``: each
     chunk of photons draws the most it could spend, finds each photon's
     first variate (by stride, :func:`_jump_walk` or :func:`_state_walk`),
-    reads only the intercepted photons, and carries the unused tail into
-    the next chunk.  ``rng`` is left past what was used: the last tail is unread.
+    reads only the intercepted photons, and gives the variates past the
+    last photon's back to ``rng`` (:meth:`~qkdsim.rng.RandomSource.unread`),
+    so each chunk starts where the last one stopped and ``rng`` is left
+    past what was used.
     """
     attack = normalize_attack(attack)
     if not isinstance(attack, InterceptResend):
@@ -215,11 +216,9 @@ def intercept_session(
 
     arrival, filters = sent_index.astype(np.int8), np.full(len(sent_index), -1, dtype=np.int8)
     detected = np.zeros(len(sent_index), dtype=bool)
-    u = np.empty(0)
     for lo in range(0, len(sent_index), _CHUNK):
         sent = sent_index[lo : lo + _CHUNK]
-        fresh = rng.uniform_array(max(0, len(sent) * most - len(u)))
-        u = np.concatenate((u, fresh)) if len(u) else fresh
+        u = rng.uniform_array(len(sent) * most)
         # Each position read as a gate; a photon starting at q reads its
         # filter choice at q + 1 if it has one, its measurement at q + measure_at.
         gate = u < attack.fraction
@@ -235,12 +234,12 @@ def intercept_session(
         photon = np.flatnonzero(gate.take(starts))
         at = starts.take(photon)
         eve_filter = _filter_at(filter_set, u.take(at + 1)) if choose else fixed
-        det = detects(sent.take(photon) * 4 + eve_filter, u.take(at + measure_at))
+        pair = sent.take(photon) * 4 + eve_filter
+        det = DETECTS.take(pair * 2 + (u.take(at + measure_at) < 0.5))
         # A detection spends no resend variate; its pick is read but unused.
         pick = (u.take(at + measure_at + 1) * width).astype(np.int8) if resends else 0
         photon += lo
         arrival[photon] = leaves.take((eve_filter * width + pick) * 2 + det)
         filters[photon], detected[photon] = eve_filter, det
-        u = u[end:]
-    rng.unread(len(u))
+        rng.unread(len(u) - end)
     return Interception(arrival, filters >= 0, filters, detected)

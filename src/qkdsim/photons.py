@@ -18,16 +18,16 @@ the channel law itself is enumerated once, in
 :func:`qkdsim.analysis.cell_probabilities`.
 
 The two protocols differ at this layer only in their :class:`Protocol`
-spec: sender alphabet, receiver filters and authentication filter.  Whole
-sessions are transmitted by :func:`transmit`, which draws each party's
-variates in cache-sized blocks, in stream order, and gives the receiver's
-side as one reading index per tick: the photon that arrived, the filter
-and the side of 1/2 its measurement variate fell on, so that no table is
-read per tick.  Its draws are exactly those of a photon-by-photon loop
-that spends one variate per measurement (the reference loop in
-``tests/reference.py``).  An interceptor's erasure branch is one index
-table per resend policy and alphabet, :func:`resend_table`, which the
-session engine and the exact oracles read alike.
+spec: sender alphabet, receiver filters and authentication filter.  A
+party's draws are :func:`choose` (one uniform slot per tick: the sender's
+states, the receiver's filters) and :func:`measure` (the receiver's
+reading index per arriving photon: the photon, the filter and the side
+of 1/2 its measurement variate fell on, so that no table is read per
+tick).  Each draws its variates in cache-sized blocks, in stream order;
+:func:`qkdsim.session.run_session` states the order in which a session
+calls them.  An interceptor's erasure branch is one index table per
+resend policy and alphabet, :func:`resend_table`, which the session
+engine and the exact oracles read alike.
 """
 
 from __future__ import annotations
@@ -35,14 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .rng import RandomSource
-
-if TYPE_CHECKING:
-    from .eavesdrop import Interception
 
 
 class Polarization(Enum):
@@ -207,7 +204,7 @@ class ResendPolicy(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Whole-session transmission on index arrays
+# Session tables and draws on index arrays
 # ---------------------------------------------------------------------------
 
 # Tables over (photon index, filter index), read off the exact law.  Pass
@@ -262,17 +259,6 @@ def inferred_index(filters: np.ndarray, detected_mask: np.ndarray) -> np.ndarray
     return np.where(detected_mask, filters, ORTHOGONAL[filters])
 
 
-def detects(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``2 * u < PASS_HALVES`` at each flat pair index ``4 * photon + filter``.
-
-    Read off the byte table ``DETECTS`` through an ``intp`` index, so no
-    per-photon pass chance is formed.
-    """
-    index = pair * 2
-    index += u < 0.5
-    return DETECTS[index.astype(np.intp)]
-
-
 # Variates per block of a party's draw.  A 64 kB block is reused from the
 # heap; a whole 60k-photon draw is a fresh 480 kB array whose pages fault
 # in on every session.
@@ -285,7 +271,7 @@ def _blocks(rng: RandomSource, n: int):
         yield lo, rng.uniform_array(min(_BLOCK, n - lo))
 
 
-def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.ndarray:
+def choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.ndarray:
     """n uniform draws from ``options``, one variate each, as ``int8`` polarization indices."""
     slot = np.empty(n, dtype=np.int8)
     for lo, u in _blocks(rng, n):
@@ -294,47 +280,15 @@ def _choose(options: Sequence[Polarization], rng: RandomSource, n: int) -> np.nd
     return slot
 
 
-def _measure(pair: np.ndarray, rng: RandomSource) -> np.ndarray:
-    """The receiver's reading index at each flat pair index, one variate each.
+def measure(pair: np.ndarray, rng: RandomSource) -> np.ndarray:
+    """The receiver's reading index at each flat pair index ``4 * photon + filter``.
 
-    ``2 * pair + (u < 1/2)`` for the tick's measurement variate u, as
-    ``int8``: the index at which ``DETECTS`` holds whether the photon
-    passed.  No table is read here.
+    One variate each, in order: ``2 * pair + (u < 1/2)`` for the tick's
+    measurement variate u, as ``int8``, the index at which ``DETECTS``
+    holds whether the photon passed.  Every variate drawn is read, only as
+    far as which side of 1/2 it falls, and no table is read here.
     """
     reading = pair * np.int8(2)
     for lo, u in _blocks(rng, len(reading)):
         reading[lo : lo + len(u)] += u < 0.5
     return reading
-
-
-def transmit(
-    protocol: Protocol,
-    n: int,
-    sender_rng: RandomSource,
-    receiver_rng: RandomSource,
-    intercept: Callable[[np.ndarray], Optional["Interception"]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional["Interception"]]:
-    """Send n photons from a uniform source to a uniformly filtering receiver.
-
-    Draw for draw the same as the per-photon loop: the sender spends one
-    variate per photon on its state; the receiver spends n on filters,
-    then one per arriving photon on its measurement, in tick order.  Each
-    party draws in blocks of ``_BLOCK`` variates, in stream order, so no
-    per-photon float array is formed.  Every variate drawn is read: a
-    measurement only as far as which side of 1/2 it falls, which is all
-    the byte table ``DETECTS`` needs.  ``intercept`` (see
-    :func:`qkdsim.eavesdrop.intercept_session`) maps the sent index array
-    to the attacker's :class:`Interception`, or ``None`` if she touches no
-    photon; an empty tick spends no receiver variate.  Returns the sent and
-    filter index arrays, the receiver's reading index per tick (see
-    ``READING_DETECTS``), all ``int8``, and the interception.
-    """
-    sent = _choose(protocol.alphabet, sender_rng, n)
-    filters = _choose(protocol.filters, receiver_rng, n)
-    interception = intercept(sent)
-    if interception is None:
-        return sent, filters, _measure(sent * 4 + filters, receiver_rng), None
-    arrived = interception.arrival >= 0
-    reading = filters + np.int8(32)
-    reading[arrived] = _measure((interception.arrival * 4 + filters)[arrived], receiver_rng)
-    return sent, filters, reading, interception

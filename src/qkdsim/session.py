@@ -1,14 +1,16 @@
 """One session engine for both protocols.
 
-:func:`run_session` transmits n photons under a :class:`~qkdsim.photons.Protocol`
-spec, and the receiver announces his filters.  The sender keeps every
-position whose (sent, filter) pair reads deterministically, the same rule
-for both protocols.  The kept positions split by filter.  Those read
-through the spec's ``auth_filter`` carry no secret, since the sent state
-is forced, but their reading is forced too, so an erasure there is tamper
-evidence.  All other kept positions are key, and the receiver's inference
-there is the sent state.  What follows the split (the three-state tamper
-report, the BB84 parity rounds) lives in :mod:`qkdsim.three_state` and
+:func:`run_session` sends n photons under a :class:`~qkdsim.photons.Protocol`
+spec, past the attacker if there is one, to the receiver, who reads each
+one through a filter; it states the session's draw order in one place.
+The receiver then announces his filters.  The sender keeps every position
+whose (sent, filter) pair reads deterministically, the same rule for both
+protocols.  The kept positions split by filter.  Those read through the
+spec's ``auth_filter`` carry no secret, since the sent state is forced,
+but their reading is forced too, so an erasure there is tamper evidence.
+All other kept positions are key, and the receiver's inference there is
+the sent state.  What follows the split (the three-state tamper report,
+the BB84 parity rounds) lives in :mod:`qkdsim.three_state` and
 :mod:`qkdsim.bb84`.
 
 Every count a trial reports is a sum over cells.  A tick falls in cell
@@ -41,7 +43,7 @@ joint law of :func:`qkdsim.analysis.joint_distribution` are both this fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,8 +56,9 @@ from .photons import (
     READING_DETECTS,
     READING_FILTER,
     Protocol,
+    choose,
     inferred_index,
-    transmit,
+    measure,
 )
 from .rng import RandomSource
 from .transcript import announcements
@@ -268,17 +271,31 @@ def run_session(
     rng: RandomSource,
     attack: Attack = NoAttack(),
 ) -> Session:
-    """Simulate one session: transmit, announce filters, keep, split.
+    """Simulate one session: send, intercept, read; the rest is derived.
 
     The session source ``rng`` is never drawn from directly.  The sender,
     receiver and attacker draw from its children 0, 1 and 2, so an attack
     cannot perturb the honest parties' choices and a session is
     reproducible from the seed alone.  Child 3 is left for the parity
-    rounds that follow a BB84 session.
+    rounds that follow a BB84 session.  Draw for draw the same as the
+    photon-by-photon loop in ``tests/reference.py``: the sender spends one
+    variate per photon on its state and the receiver n on his filters
+    (:func:`~qkdsim.photons.choose`); the attacker meets the photons in
+    order (:func:`~qkdsim.eavesdrop.intercept_session`); then the receiver
+    spends one variate per arriving photon on its measurement, in tick
+    order (:func:`~qkdsim.photons.measure`).  An empty tick spends none and
+    reads ``32 + filter``.
     """
     if n < 1:
         raise ValueError("need at least one photon")
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
-    tap = partial(intercept_session, attack, protocol.filters, protocol.alphabet, eve_rng)
-    sent, filters, reading, interception = transmit(protocol, n, alice_rng, bob_rng, tap)
+    sent = choose(protocol.alphabet, alice_rng, n)
+    filters = choose(protocol.filters, bob_rng, n)
+    interception = intercept_session(attack, protocol.filters, protocol.alphabet, eve_rng, sent)
+    if interception is None:
+        reading = measure(sent * 4 + filters, bob_rng)
+    else:
+        arrived = interception.arrival >= 0
+        reading = filters + np.int8(32)
+        reading[arrived] = measure((interception.arrival * 4 + filters)[arrived], bob_rng)
     return Session(protocol, sent, filters, reading, interception)

@@ -11,8 +11,9 @@ back into views, holding each entry's phase, sender and payload to one
 table per kind, and checks the two hygiene rules, which the tests run on
 every emitted transcript:
 
-* wire order -- filter announcement, then keep/discard announcement, then
-  parity traffic in alternating query/response pairs;
+* wire order -- exactly one filter announcement, then exactly one
+  keep/discard announcement, then parity traffic in alternating
+  query/response pairs;
 * no leakage -- measurement outcomes and key bits never appear, with the
   single exception of the parity bits exchanged during certification.
 """
@@ -130,12 +131,16 @@ class Transcript:
         return [(r, queries[r], responses.get(r)) for r in sorted(queries)]
 
     def check_wire_order(self) -> None:
-        """Raise :class:`TranscriptOrderError` unless phases are in order and
-        parity traffic alternates query/response with matching rounds."""
+        """Raise :class:`TranscriptOrderError` unless the discussion opens with
+        exactly one filter announcement and one keep/discard announcement,
+        and parity traffic then alternates query/response with matching rounds."""
         phases = [_SCHEMA[e["kind"]][0] for e in self.entries]
-        if phases != sorted(phases):
-            raise TranscriptOrderError("discussion phases out of order")
-        parity = [e for e in self.entries if _SCHEMA[e["kind"]][0] == 2]
+        if phases[:2] != [0, 1] or set(phases[2:]) - {2}:
+            raise TranscriptOrderError(
+                "discussion must open with one filter announcement, then one keep/discard "
+                "announcement, then only parity traffic"
+            )
+        parity = self.entries[2:]
         for i, entry in enumerate(parity):
             expected = "parity_query" if i % 2 == 0 else "parity_response"
             if entry["kind"] != expected:

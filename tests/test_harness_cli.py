@@ -499,6 +499,22 @@ def test_cli_analyze_document(capsys):
     assert doc["rates"]["key"] == "4/9"
 
 
+# The compare document's bytes, per (n, m).
+COMPARE_DIGEST = {
+    (54, 6): "e97848a39c6d23cf72de319f2250f192e871a62026aaf5e8fa18d78902889c10",
+    (108, 6): "37ebc91d668725e2e136dc2030b7ac259095110f291f3b24cfecee9fe4f1adc9",
+    (200, 6): "3af12baaf4af75701398cbf5b0885c9eb48eb27ddebad945ee392310bad1ee19",
+    (1, 0): "e3fbe8b3f7caef66e7e5c0ea0bf37132f882ef45bd63191656c29c4827cd7503",
+}
+
+
+@pytest.mark.parametrize("n, m", COMPARE_DIGEST)
+def test_cli_compare_document_bytes(capsys, n, m):
+    code, out, _ = run_cli(capsys, "compare", "--n", str(n), "--m", str(m))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPARE_DIGEST[(n, m)]
+
+
 def test_cli_compare_documents(capsys):
     code, out, _ = run_cli(capsys, "compare", "--n", "54", "--m", "6")
     assert code == 0

@@ -87,6 +87,22 @@ def test_check_wire_order_catches_unbalanced_parity():
         t.check_wire_order()
 
 
+# Transcripts whose opening announcements are missing or repeated.
+BAD_OPENINGS = {
+    "empty": [],
+    "confirmation_without_filters": [kept(0)],
+    "two_filter_announcements": [filters(0), filters(45), kept(0)],
+    "two_confirmations": [filters(0), kept(0), kept(0)],
+    "parity_alone": [query(1, 0), response(1, 1)],
+}
+
+
+@pytest.mark.parametrize("entries", BAD_OPENINGS.values(), ids=BAD_OPENINGS)
+def test_check_wire_order_requires_one_of_each_opening_announcement(entries):
+    with pytest.raises(TranscriptOrderError):
+        Transcript.from_jsonable(entries).check_wire_order()
+
+
 def test_check_wire_order_catches_bad_round_numbers():
     t = Transcript.from_jsonable(make_basic() + [query(2, 0), response(2, 0)])
     with pytest.raises(TranscriptOrderError):
