@@ -84,15 +84,6 @@ class ExactBits:
     def scaled(self, factor: Union[int, Fraction]) -> "ExactBits":
         return ExactBits(self.constant * factor, self.log3_coefficient * factor)
 
-    def __str__(self) -> str:
-        if self.log3_coefficient == 0:
-            return str(self.constant)
-        core = f"{self.log3_coefficient}*log2(3)"
-        if self.constant == 0:
-            return core
-        sign = "+" if self.constant > 0 else "-"
-        return f"{core} {sign} {abs(self.constant)}"
-
     def to_jsonable(self) -> dict:
         return {
             "constant": str(self.constant),
@@ -440,7 +431,7 @@ def _mass(protocol: Protocol, mark) -> Fraction:
     return Fraction(_total(law, mark), denominator)
 
 
-def _oracle_rates(
+def oracle_rates(
     attack: Attack, protocol: Protocol = THREE_STATE
 ) -> tuple[Optional[Fraction], Fraction]:
     """:func:`auth_failure_probability` and :func:`key_error_probability`
@@ -457,7 +448,7 @@ def auth_failure_probability(attack: Attack) -> Fraction:
     """Chance one three-state authentication position alarms (an erasure
     where a detection is forced), per the exact cell law.  Scales linearly
     with the attacked fraction, since untouched photons never alarm there."""
-    failure, _ = _oracle_rates(attack)
+    failure, _ = oracle_rates(attack)
     assert failure is not None  # the three-state spec has auth positions
     return failure
 
@@ -471,7 +462,7 @@ def key_error_probability(attack: Attack, protocol: Protocol = THREE_STATE) -> F
     position itself — which is exactly why the three-state diagonal
     positions carry the tamper check.
     """
-    return _oracle_rates(attack, protocol)[1]
+    return oracle_rates(attack, protocol)[1]
 
 
 def model_auth_failure_rate(fraction: Union[float, Fraction]) -> Fraction:

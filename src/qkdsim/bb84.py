@@ -12,12 +12,12 @@ with :data:`qkdsim.photons.BB84`); this module holds the parity rounds.
 The rounds read only what decides them: a :class:`SiftedKey`, that is the
 key length, the ranks at which the two keys differ and, for a transcript
 only, the receiver's bits.  Each round takes one of two paths (see
-:func:`parity_certify`): *sparse*, a round without a transcript and with
-few errors for its survivors (often none) or after a recorded mismatch,
-or *block*, one draw of several rounds read one at a time.  Both draw the
-same variates, in the same order, as a round-by-round draw of one variate
-per survivor.  A transcript's query and response entries are written by
-:func:`qkdsim.transcript.parity_round`.
+:func:`parity_certify`): *head*, a round without a transcript whose parity
+cannot matter (no error left, or a mismatch already recorded), which reads
+only its first chosen rank, or *block*, one draw of several rounds read one
+at a time.  Both draw the same variates, in the same order, as a
+round-by-round draw of one variate per survivor.  A transcript's query and
+response entries are written by :func:`qkdsim.transcript.parity_round`.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class CertificationResult:
 # chosen position matters: all of them are at least 1/2 with chance 2^-64.
 _HEAD = 64
 
-# A round with errors and no transcript draws sparsely while it has more
-# than this many survivors per error: one skip and one scalar draw per
-# error cost about as much as this many variates drawn in bulk.
-_SPARSE = 400
-
 
 @dataclass(frozen=True, eq=False)
 class SiftedKey:
@@ -76,32 +71,20 @@ class SiftedKey:
         return self.length
 
 
-def _sparse_round(rng: RandomSource, n: int, wrong: np.ndarray) -> Optional[tuple[int, int]]:
-    """A round over n survivors drawn sparsely: its first chosen rank, and 1
-    if it chose an odd number of the error ranks ``wrong``, else 0.
+def _head_round(rng: RandomSource, n: int) -> Optional[int]:
+    """A round over n survivors of which only the first chosen rank matters.
 
-    The first ``_HEAD`` flags are drawn; past them only the flags at the
-    error ranks, one variate each, and the rest of the round is skipped.
-    With no error left that is a head round, which reads nothing past its
-    head.  If no flag of the head is chosen, the head is given back and
-    ``None`` returned, for the round to be drawn in full.
+    The first ``_HEAD`` flags are drawn and the rest of the round skipped;
+    the first chosen rank among them is returned.  If none is chosen, the
+    head is given back and ``None`` returned, for the round to be drawn in
+    full.
     """
     head = rng.uniform_array(min(n, _HEAD)) < 0.5
     if not head.any():
         rng.unread(len(head))
         return None
-    first, odd, at = int(np.argmax(head)), 0, len(head)
-    if wrong.size:
-        near = int(np.searchsorted(wrong, at))
-        odd = int(np.count_nonzero(head.take(wrong[:near])))
-        for rank in wrong[near:].tolist():
-            if rank > at:
-                rng.skip(rank - at)
-            odd += rng.uniform() < 0.5
-            at = rank + 1
-    if n > at:
-        rng.skip(n - at)
-    return first, odd & 1
+    rng.skip(n - len(head))
+    return int(np.argmax(head))
 
 
 def _block_rounds(rng: RandomSource, n: int, rounds: int) -> Iterator[np.ndarray]:
@@ -154,21 +137,17 @@ def parity_certify(
     subsets and the receiver's parities are formed only for a transcript.
 
     A subset draw spends one variate per survivor, in position order; an
-    empty subset is redrawn the same way.  A round takes one of two paths,
-    chosen from its survivor count L_r and error count K_r:
+    empty subset is redrawn the same way.  A round takes one of two paths:
 
-    - *sparse*: no transcript, and K_r * ``_SPARSE`` < L_r or a mismatch
-      already recorded (:func:`_sparse_round`).  It reads a head of its
-      variates, then one variate at each error rank, and skips the rest:
-      O(1 + K_r) generator calls instead of L_r variates.  With no error
-      left, or once a mismatch is recorded, when only the first chosen
-      rank matters, only the head is read.  An empty head sends the round
-      to the block path.
+    - *head*: no transcript, and no error left or a mismatch already
+      recorded, so that only the round's first chosen rank matters
+      (:func:`_head_round`).  It reads the first ``_HEAD`` variates and
+      skips the rest; an empty head sends the round to the block path.
     - *block*: every other round (:func:`_block_rounds`).  One draw covers
       as many consecutive rounds as fit in :data:`qkdsim.photons._BLOCK`
       variates, and at least one; the rounds are then read one at a time.
 
-    Every path leaves ``rng`` where a round-by-round draw would leave it.
+    Both paths leave ``rng`` where a round-by-round draw would leave it.
 
     ``transcript`` is the session's published list of entry dicts (see
     :attr:`qkdsim.session.Session.transcript`); each round appends its
@@ -197,17 +176,14 @@ def parity_certify(
     done = 0
     while done < m:
         n = len(survivors)
-        sparse = None
-        if transcript is None and detection_round is not None:
-            sparse = _sparse_round(rng, n, wrong[:0])  # parities no longer matter
-        elif transcript is None and wrong.size * _SPARSE < n:
-            sparse = _sparse_round(rng, n, wrong)
-        # One sparse round, or the rounds of one block draw, one at a time.
-        for subset in (None,) if sparse else _block_rounds(rng, n, m - done):
+        head = None
+        if transcript is None and (detection_round is not None or not wrong.size):
+            head = _head_round(rng, n)  # the parities no longer matter
+        # One head round, or the rounds of one block draw, one at a time.
+        for subset in _block_rounds(rng, n, m - done) if head is None else (None,):
             done += 1
-            if subset is None:
-                first, odd = sparse
-            else:
+            first, odd = head, 0
+            if subset is not None:
                 first = int(np.argmax(subset))
                 odd = wrong.size and np.count_nonzero(subset.take(wrong)) & 1
                 if transcript is not None:

@@ -34,7 +34,7 @@ from typing import Any, Callable, Optional, Sequence, get_args
 
 import numpy as np
 
-from .analysis import _oracle_rates, model_auth_failure_rate
+from .analysis import model_auth_failure_rate, oracle_rates
 from .bb84 import CertificationResult, KeyTooShort, SiftedKey, parity_certify
 from .eavesdrop import (
     Attack,
@@ -516,7 +516,7 @@ def attack_sweep(
                 )
                 config = replace(base, attack=attack, abort_on_tamper=False)
                 agg = aggregate(run(config))
-                oracle_failure, oracle_key_error = _oracle_rates(attack)
+                oracle_failure, oracle_key_error = oracle_rates(attack)
                 rows.append(
                     SweepRow(
                         policy=f"{filter_choice_label(choice)}/{policy.value}",

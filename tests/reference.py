@@ -19,6 +19,7 @@ the golden session records, whose pinned text is their ``repr``; so does
 :func:`qkdsim.three_state.tamper_report` publishes.  The attacker's records
 (:class:`EveRecord`) and what a transcript-only attacker can claim
 (:func:`passive_infer`) live here too: no program path reads them.
+:class:`CountingSource` logs the draws a stream serves.
 """
 
 from __future__ import annotations
@@ -299,6 +300,24 @@ def reference_parity_rounds(alice, bob, m, rng):
             detection_round = round_number
         survivors.remove(subset[0])
     return survivors, detection_round, queries
+
+
+class CountingSource(RandomSource):
+    """A :class:`RandomSource` that logs the size of each bulk draw and
+    counts its scalar draws, for tests of how the engine spends a stream."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []  # variates per uniform_array call, in call order
+        self.scalars = 0  # uniform calls
+
+    def uniform(self):
+        self.scalars += 1
+        return super().uniform()
+
+    def uniform_array(self, k):
+        self.draws.append(k)
+        return super().uniform_array(k)
 
 
 def arrival_law(sent: Polarization, attack, protocol) -> dict[Optional[Polarization], Fraction]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim import bb84, photons
+from qkdsim import photons
 from qkdsim.analysis import compare
 from qkdsim.bb84 import _HEAD, KeyTooShort, SiftedKey, parity_certify
 from qkdsim.eavesdrop import InterceptResend
@@ -16,7 +16,7 @@ from qkdsim.photons import BB84, ResendPolicy, inferred_index
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
 from qkdsim.transcript import Transcript
-from reference import reference_parity_rounds, states
+from reference import CountingSource, reference_parity_rounds, states
 
 
 class ScriptedRng:
@@ -273,12 +273,12 @@ def test_scripted_last_error_discarded_before_a_carried_empty_subset():
         assert rng.flags == reference_rng.flags == []
 
 
-def assert_scripted_rounds_match_reference(alice, bob, m, script, sparse):
-    """parity_certify on ``script`` at the sparse ratio ``sparse`` against the
-    round-by-round loop on the same script; returns the result."""
+def assert_scripted_rounds_match_reference(alice, bob, m, script, block):
+    """parity_certify on ``script`` with blocks of ``block`` variates against
+    the round-by-round loop on the same script; returns the result."""
     rng, reference_rng = ScriptedRng(script), ScriptedRng(script)
     survivors, detection_round, _ = reference_parity_rounds(alice, bob, m, reference_rng)
-    with mock.patch.object(bb84, "_SPARSE", sparse):
+    with mock.patch.object(photons, "_BLOCK", block):
         result = parity_certify(alice, bob, m, rng)
     assert result.survivors.tolist() == survivors
     assert result.detection_round == detection_round
@@ -288,18 +288,18 @@ def assert_scripted_rounds_match_reference(alice, bob, m, script, sparse):
     return result
 
 
-# A ratio of 0 sends every round with errors down the sparse path; at the
-# engine's own ratio these 70-bit keys' rounds with errors take the block path,
-# which draws both rounds at once.
-SPARSE_RATIOS = pytest.mark.parametrize("sparse", [0, bb84._SPARSE], ids=["sparse", "block"])
+# At the engine's own block size one draw holds both rounds of these 70-bit
+# keys; at 64 variates a round with errors is drawn alone, in two pieces.
+BLOCK_SIZES = pytest.mark.parametrize("block", [photons._BLOCK, 64], ids=["block", "pieces"])
 
 
-@SPARSE_RATIOS
-def test_scripted_error_at_the_first_chosen_rank_is_discarded(sparse):
+@BLOCK_SIZES
+def test_scripted_error_at_the_first_chosen_rank_is_discarded(block):
     # Errors at positions 3 and 67 of a 70-bit key.  Round 1 chooses 3 first
     # and not 67, so its parities differ; position 3 goes.  Round 2 chooses
-    # 0 first and 67 too, so they differ again.  The sparse path reads
-    # position 67 alone past each head and skips the flags around it.
+    # 0 first and 67 too, so they differ again.  Round 1 is drawn whole;
+    # round 2 comes after a recorded mismatch, so it reads only its head
+    # unless the block that holds round 1 holds it too.
     n = _HEAD + 6
     alice = [0] * n
     bob = [int(i in (3, 67)) for i in range(n)]
@@ -308,14 +308,14 @@ def test_scripted_error_at_the_first_chosen_rank_is_discarded(sparse):
     script += [True] + [False] * 63  # round 2, head: position 0
     script += [False, False, True, False, True]  # 65-69: 67 chosen
     script += [False]  # the next draw after the rounds
-    result = assert_scripted_rounds_match_reference(alice, bob, 2, script, sparse)
+    result = assert_scripted_rounds_match_reference(alice, bob, 2, script, block)
     assert result.survivors.tolist() == [i for i in range(n) if i not in (0, 3)]
     assert result.detection_round == 1
     assert result.differing == 1
 
 
-@SPARSE_RATIOS
-def test_scripted_errors_only_below_the_first_chosen_rank(sparse):
+@BLOCK_SIZES
+def test_scripted_errors_only_below_the_first_chosen_rank(block):
     # Errors at positions 0 and 1; the round first chooses 5, so it holds no
     # error and both survive.
     n = _HEAD + 6
@@ -324,14 +324,14 @@ def test_scripted_errors_only_below_the_first_chosen_rank(sparse):
     script = [False] * 5 + [True] + [True, False] * 29  # head: position 5 first
     script += [True] * 6  # the flags past the head
     script += [True]  # the next draw after the rounds
-    result = assert_scripted_rounds_match_reference(alice, bob, 1, script, sparse)
+    result = assert_scripted_rounds_match_reference(alice, bob, 1, script, block)
     assert result.survivors.tolist() == [i for i in range(n) if i != 5]
     assert result.detection_round is None
     assert result.differing == 2
 
 
-@SPARSE_RATIOS
-def test_scripted_empty_head_with_errors_left_reads_the_tail(sparse):
+@BLOCK_SIZES
+def test_scripted_empty_head_with_errors_left_reads_the_tail(block):
     # An error at position 66.  No flag of the head is chosen, so the round
     # is drawn in full: it first chooses 66 and nothing after, so the parities
     # differ and the error goes.  Round 2 holds no error.
@@ -341,39 +341,21 @@ def test_scripted_empty_head_with_errors_left_reads_the_tail(sparse):
     script = [False] * _HEAD + [False, False, True, False, False, False]  # round 1
     script += [False, True] + [False] * 62 + [True] * 5  # round 2: position 1
     script += [True]  # the next draw after the rounds
-    result = assert_scripted_rounds_match_reference(alice, bob, 2, script, sparse)
+    result = assert_scripted_rounds_match_reference(alice, bob, 2, script, block)
     assert result.survivors.tolist() == [0] + [i for i in range(2, n) if i != 66]
     assert result.detection_round == 1
     assert result.differing == 0
 
 
-class CountingSource(RandomSource):
-    """A :class:`RandomSource` that counts its bulk draws and logs every draw call."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.bulk_draws = 0
-        self.calls = []  # "bulk" or "scalar", in call order
-
-    def uniform(self):
-        self.calls.append("scalar")
-        return super().uniform()
-
-    def uniform_array(self, k):
-        self.bulk_draws += 1
-        self.calls.append("bulk")
-        return super().uniform_array(k)
-
-
 def test_dense_errors_on_a_short_key_draw_all_rounds_at_once():
-    # A 360-bit key with an error at every fourth position: no round is
-    # sparse, and the 20 rounds (360 + 359 + ... + 341 flags) fit in one block.
+    # A 360-bit key with an error at every fourth position: the 20 rounds
+    # (360 + 359 + ... + 341 flags) fit in one block.
     alice = [0] * 360
     bob = [int(i % 4 == 0) for i in range(360)]
     rng, reference_rng = CountingSource(8), RandomSource(8)
     survivors, detection_round, _ = reference_parity_rounds(alice, bob, 20, reference_rng)
     result = parity_certify(SiftedKey(360, np.arange(0, 360, 4)), None, 20, rng)
-    assert rng.bulk_draws == 1
+    assert rng.draws == [sum(range(341, 361))]
     assert result.survivors.tolist() == survivors
     assert result.detection_round == detection_round
     assert rng.uniform() == reference_rng.uniform()
@@ -381,19 +363,22 @@ def test_dense_errors_on_a_short_key_draw_all_rounds_at_once():
 
 @pytest.mark.parametrize("seed", [0, 2, 5])
 def test_rounds_after_a_recorded_mismatch_read_only_their_head(seed):
-    # 8 errors in 4000 bits: every round is sparse.  Until a mismatch is
-    # recorded a round reads one variate per error rank past its head; after
-    # it only the first chosen rank matters, so a round draws its head alone.
+    # 8 errors in 4000 bits, and blocks of 8000 variates: until a mismatch is
+    # recorded the rounds are drawn whole, two to a draw (4001 - r flags in
+    # round r).  After the draw that holds the round recording it only the
+    # first chosen rank matters, so each later round draws its head alone.
     errors = np.arange(100, 4000, 500)
     bob = np.zeros(4000, dtype=int)
     bob[errors] = 1
     rng, reference_rng = CountingSource(seed), RandomSource(seed)
     survivors, detection_round, _ = reference_parity_rounds([0] * 4000, bob, 40, reference_rng)
-    result = parity_certify(SiftedKey(4000, errors), None, 40, rng)
+    with mock.patch.object(photons, "_BLOCK", 8000):
+        result = parity_certify(SiftedKey(4000, errors), None, 40, rng)
     assert detection_round is not None and detection_round < 40
-    assert rng.calls.count("bulk") == 40  # one head per round
-    heads = [i for i, call in enumerate(rng.calls) if call == "bulk"]
-    assert "scalar" not in rng.calls[heads[detection_round] :]
+    whole = (detection_round + 1) // 2  # draws of two whole rounds
+    heads = 40 - 2 * whole
+    assert rng.draws == [8003 - 4 * i for i in range(1, whole + 1)] + [_HEAD] * heads
+    assert rng.scalars == 0
     assert result.survivors.tolist() == survivors
     assert result.detection_round == detection_round
     assert result.differing == np.count_nonzero(bob[survivors])

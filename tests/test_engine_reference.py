@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdsim import bb84, eavesdrop, photons
+from qkdsim import eavesdrop, photons
 from qkdsim.bb84 import _HEAD, KeyTooShort, parity_certify
 from qkdsim.eavesdrop import (
     InterceptResend,
@@ -60,7 +60,7 @@ from qkdsim.photons import (
 )
 from qkdsim.rng import RandomSource
 from qkdsim.session import run_session
-from reference import choice, infer_polarization, intercept_resend, measure_arrival
+from reference import CountingSource, choice, infer_polarization, intercept_resend, measure_arrival
 from reference import readings, reference_parity_rounds, states
 
 attacks = st.one_of(
@@ -339,13 +339,6 @@ def test_jump_walk_matches_plain_loop(n, highest):
 # back the rest of its draw; and the engine's own size.
 BLOCKS = (1, 2, 7, 64, photons._BLOCK)
 
-# (block size, survivors per error below which a round stops drawing
-# sparsely) pairs.  The block size sets how many rounds one block-path draw
-# covers.  At the engine's own ratio these short keys' rounds with errors take
-# the block path, with or without a transcript; at 0, those without one are
-# sparse.
-PATHS = tuple((block, bb84._SPARSE) for block in BLOCKS) + ((photons._BLOCK, 0),)
-
 
 def parity_entries(queries):
     """The transcript entries of the reference loop's (round, subset, parity) triples."""
@@ -358,25 +351,24 @@ def parity_entries(queries):
     return entries
 
 
-def assert_parity_rounds_match_reference(alice, bob, m, seed, recorded, paths=PATHS):
-    """parity_certify at every (block, sparse ratio) pair of ``paths`` against
-    the round-by-round loop."""
+def assert_parity_rounds_match_reference(alice, bob, m, seed, recorded, blocks=BLOCKS):
+    """parity_certify at every block size of ``blocks`` against the
+    round-by-round loop; it must draw only in bulk."""
     reference_rng = RandomSource(seed)
     survivors, detection_round, queries = reference_parity_rounds(alice, bob, m, reference_rng)
     following = reference_rng.uniform()
-    for path in paths:
-        block, sparse = path
-        rng = RandomSource(seed)
+    for block in blocks:
+        rng = CountingSource(seed)
         transcript = [] if recorded else None
         with mock.patch.object(photons, "_BLOCK", block):
-            with mock.patch.object(bb84, "_SPARSE", sparse):
-                result = parity_certify(alice, bob, m, rng, transcript=transcript)
-        assert result.survivors.tolist() == survivors, path
-        assert result.detection_round == detection_round, path
-        assert result.differing == sum(alice[i] != bob[i] for i in survivors), path
+            result = parity_certify(alice, bob, m, rng, transcript=transcript)
+        assert rng.scalars == 0, block
+        assert result.survivors.tolist() == survivors, block
+        assert result.detection_round == detection_round, block
+        assert result.differing == sum(alice[i] != bob[i] for i in survivors), block
         if recorded:
-            assert transcript == parity_entries(queries), path
-        assert rng.uniform() == following, path
+            assert transcript == parity_entries(queries), block
+        assert rng.uniform() == following, block
 
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
@@ -415,10 +407,10 @@ def test_parity_certify_with_few_errors_matches_reference_loop(recorded, keys, s
 
 
 @st.composite
-def keys_longer_than_a_block(draw, dense):
-    """Keys of 65 to 400 bits with 1 to 5 errors, or about one in four
+def keys_longer_than_a_block(draw, dense, longest=400):
+    """Keys of 65 to ``longest`` bits with 1 to 5 errors, or about one in four
     (``dense``), and a round count of at most 24."""
-    length = draw(st.integers(_HEAD + 1, 400))
+    length = draw(st.integers(_HEAD + 1, longest))
     alice = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
     if dense:
         flips = draw(st.lists(st.sampled_from((1, 0, 0, 0)), min_size=length, max_size=length))
@@ -429,12 +421,10 @@ def keys_longer_than_a_block(draw, dense):
     return alice, bob, draw(st.integers(0, 24))
 
 
-# Blocks of 64 variates, shorter than the keys: rounds with errors are sparse
-# at a ratio of 0; at the engine's ratio they take the block path, one round
-# per draw in 64-variate pieces, or several rounds per draw at the engine's
-# own block size; at 40 they switch from the block path to sparse once enough
-# errors are discarded.
-LONG_KEY_PATHS = ((64, 0), (64, 40), (64, bb84._SPARSE), (photons._BLOCK, bb84._SPARSE))
+# Blocks of 64 variates, shorter than the keys, draw a round with errors in
+# pieces, one round per draw; the engine's own block size draws several
+# rounds at once.
+LONG_KEY_BLOCKS = (64, photons._BLOCK)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["few_errors", "dense_errors"])
@@ -442,7 +432,18 @@ LONG_KEY_PATHS = ((64, 0), (64, 40), (64, bb84._SPARSE), (photons._BLOCK, bb84._
 @settings(deadline=None)
 def test_parity_certify_on_keys_longer_than_a_block_matches_reference_loop(dense, data, seed):
     alice, bob, m = data.draw(keys_longer_than_a_block(dense))
-    assert_parity_rounds_match_reference(alice, bob, m, seed, False, LONG_KEY_PATHS)
+    assert_parity_rounds_match_reference(alice, bob, m, seed, False, LONG_KEY_BLOCKS)
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["no_transcript", "transcript"])
+@pytest.mark.parametrize("dense", [False, True], ids=["few_errors", "dense_errors"])
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+@settings(deadline=None)
+def test_parity_certify_makes_no_scalar_draw(recorded, dense, data, seed):
+    # Keys of up to 1200 bits with few errors give rounds with hundreds of
+    # survivors per error; each round still draws its variates in bulk.
+    alice, bob, m = data.draw(keys_longer_than_a_block(dense, longest=1200))
+    assert_parity_rounds_match_reference(alice, bob, m, seed, recorded, LONG_KEY_BLOCKS)
 
 
 @pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
