@@ -15,10 +15,13 @@ fixed, one measurement variate, and one resend variate if she reads an
 erasure and her row of :func:`~qkdsim.photons.resend_table` offers more
 than one state.  :func:`intercept_session` runs a whole session through
 that rule on arrays, draw for draw the same as the photon-by-photon
-reference loop in ``tests/reference.py``.  All attacker randomness comes
-from her own stream, so an ``InterceptResend`` with ``fraction=0`` leaves
-the honest parties' variate streams, and hence the whole session,
-bit-for-bit unchanged.
+reference loop in ``tests/reference.py``.  It reads her variates in the
+parties' draw blocks (``photons._BLOCK`` of them), each reduced at once to
+one-byte arrays with an entry per position, and finds each photon's first
+variate as an ``int32`` start, so no float array the size of a chunk is
+built.  All attacker randomness comes from her own stream, so an
+``InterceptResend`` with ``fraction=0`` leaves the honest parties' variate
+streams, and hence the whole session, bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .photons import (
     POLARIZATIONS,
     Polarization,
     ResendPolicy,
+    _blocks,
     resend_table,
 )
 from .rng import RandomSource
@@ -111,7 +115,8 @@ def normalize_attack(attack: Attack) -> Attack:
     return attack
 
 
-# Photons per chunk of intercept_session: bounds her variate buffer.
+# Photons per chunk of intercept_session: bounds her per-position byte
+# arrays, and keeps a chunk's positions (at most 4 per photon) in int32.
 _CHUNK = 32768
 
 
@@ -138,11 +143,12 @@ def _jump_walk(step: np.ndarray, n: int):
     loop over every 16th photon reads the last level, and the lower ones
     fill in the starts between.  Gaps are bytes, so steps stay below 16.
     """
-    levels, here = [np.append(step, np.zeros(255, dtype=np.uint8))], np.arange(len(step) + 255)
+    levels = [np.append(step, np.zeros(255, dtype=np.uint8))]
+    here = np.arange(len(step) + 255, dtype=np.int32)
     for _ in range(4):
         levels.append(levels[-1] + levels[-1].take(here + levels[-1]))
     jump = levels.pop().tobytes()  # 16 photons at a time, from every 16th start
-    at = np.fromiter(accumulate(range(-(-n // 16)), lambda p, _: p + jump[p], initial=0), np.intp)
+    at = np.fromiter(accumulate(range(-(-n // 16)), lambda p, _: p + jump[p], initial=0), np.int32)
     for gaps in reversed(levels):  # each level's gap interleaves a start between two
         at = np.append(np.column_stack((at[:-1], at[:-1] + gaps.take(at[:-1]))), at[-1])
     return at[:n], int(at[n])
@@ -167,12 +173,7 @@ def _state_walk(key: bytes, measure_at: int, sent: np.ndarray, alphabet):
         add(step)
         pos += step
     steps = np.frombuffer(steps, dtype=np.uint8)
-    return np.cumsum(steps, dtype=np.intp) - steps, pos
-
-
-def _filter_at(filter_set: Sequence[Polarization], u: np.ndarray) -> np.ndarray:
-    """Her uniform filter choice, as a polarization index, from each variate of ``u``."""
-    return (u * len(filter_set)).astype(np.int8)
+    return np.cumsum(steps, dtype=np.int32) - steps, pos
 
 
 def intercept_session(
@@ -190,18 +191,21 @@ def intercept_session(
     detection is resent at her filter angle, an erasure as an equally
     likely entry of her filter's :func:`~qkdsim.photons.resend_table` row.
     Draw for draw the same as the photon-by-photon loop on ``rng``: each
-    chunk of photons draws the most it could spend, finds each photon's
-    first variate (by stride, :func:`_jump_walk` or :func:`_state_walk`),
-    reads only the intercepted photons, and gives the variates past the
-    last photon's back to ``rng`` (:meth:`~qkdsim.rng.RandomSource.unread`),
-    so each chunk starts where the last one stopped and ``rng`` is left
-    past what was used.
+    chunk of photons draws the most it could spend, one block at a time,
+    and reduces each block at once to one-byte arrays, one entry per
+    position: the gate (``u < fraction``), the side of 1/2, and her filter
+    and resend picks where she draws them.  It finds each photon's first
+    variate as an ``int32`` start (by stride, :func:`_jump_walk` or
+    :func:`_state_walk`), reads those arrays at the intercepted photons
+    only, and gives the variates past the last photon's back to ``rng``
+    (:meth:`~qkdsim.rng.RandomSource.unread`), so each chunk starts where
+    the last one stopped and ``rng`` is left past what was used.
     """
     attack = normalize_attack(attack)
     if not isinstance(attack, InterceptResend):
         return None
     choose = attack.filter_choice is None
-    fixed = None if choose else np.int8(POLARIZATIONS.index(attack.filter_choice))
+    fixed = None if choose else np.uint8(POLARIZATIONS.index(attack.filter_choice))
     resend = resend_table(attack.resend, alphabet)
     width = resend.shape[1]
     resends = int(width > 1)  # variates an erasure spends to pick its resend
@@ -218,28 +222,41 @@ def intercept_session(
     detected = np.zeros(len(sent_index), dtype=bool)
     for lo in range(0, len(sent_index), _CHUNK):
         sent = sent_index[lo : lo + _CHUNK]
-        u = rng.uniform_array(len(sent) * most)
-        # Each position read as a gate; a photon starting at q reads its
-        # filter choice at q + 1 if it has one, its measurement at q + measure_at.
-        gate = u < attack.fraction
+        # Each position read as a gate, a side of 1/2, and her filter and
+        # resend picks where she has them: a photon starting at q reads its
+        # filter pick at q + 1, its measurement at q + measure_at and its
+        # resend pick after that.  One block of variates at a time.
+        size = len(sent) * most
+        gate, half = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        eve_pick = np.empty(size, dtype=np.uint8) if choose else fixed
+        resend_pick = np.empty(size, dtype=np.uint8) if resends else 0
+        for q, u in _blocks(rng, size):
+            block = slice(q, q + len(u))
+            np.less(u, attack.fraction, out=gate[block])
+            np.less(u, 0.5, out=half[block])
+            # A pick is u times the options, truncated as astype truncates.
+            if choose:
+                np.multiply(u, len(filter_set), out=eve_pick[block], casting="unsafe")
+            if resends:
+                np.multiply(u, width, out=resend_pick[block], casting="unsafe")
         if stride:
-            starts, end = np.arange(0, len(sent) * stride, stride), len(sent) * stride
+            starts, end = np.arange(0, size, stride, dtype=np.int32), size
         elif resends:
-            k = len(u) - measure_at
-            eve_key = _filter_at(filter_set, u[1 : 1 + k]) if choose else fixed
-            key = gate[:k] * np.int8(8) + eve_key * np.int8(2) + (u[measure_at:] < 0.5)
-            starts, end = _state_walk(key.astype(np.uint8).tobytes(), measure_at, sent, alphabet)
+            k = size - measure_at
+            eve_key = eve_pick[1 : 1 + k] if choose else fixed
+            key = gate[:k] * np.uint8(8) + eve_key * np.uint8(2) + half[measure_at:]
+            starts, end = _state_walk(key.tobytes(), measure_at, sent, alphabet)
         else:
             starts, end = _jump_walk(gate * np.uint8(measure_at) + np.uint8(1), len(sent))
         photon = np.flatnonzero(gate.take(starts))
         at = starts.take(photon)
-        eve_filter = _filter_at(filter_set, u.take(at + 1)) if choose else fixed
+        eve_filter = eve_pick.take(at + 1) if choose else fixed
         pair = sent.take(photon) * 4 + eve_filter
-        det = DETECTS.take(pair * 2 + (u.take(at + measure_at) < 0.5))
+        det = DETECTS.take(pair * 2 + half.take(at + measure_at))
         # A detection spends no resend variate; its pick is read but unused.
-        pick = (u.take(at + measure_at + 1) * width).astype(np.int8) if resends else 0
+        pick = resend_pick.take(at + measure_at + 1) if resends else 0
         photon += lo
         arrival[photon] = leaves.take((eve_filter * width + pick) * 2 + det)
         filters[photon], detected[photon] = eve_filter, det
-        rng.unread(len(u) - end)
+        rng.unread(size - end)
     return Interception(arrival, filters >= 0, filters, detected)

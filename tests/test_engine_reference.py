@@ -168,7 +168,8 @@ def test_honest_session_splits_kept_positions_and_agrees(protocol, n, seed):
     ],
 )
 def test_session_spanning_walker_chunks_matches_reference_loop(attack):
-    # Three chunks: the unused tail of each chunk's draw is carried twice.
+    # Three chunks: each chunk draws the most it could spend and gives the
+    # variates past its last photon back with RandomSource.unread.
     n = 2 * eavesdrop._CHUNK + 123
     check_against_reference(THREE_STATE, n, 8, attack)
 
@@ -251,29 +252,39 @@ def test_reading_index_past_a_draw_block_matches_reference_loop(protocol, attack
     check_reading_index(protocol, photons._BLOCK + 123, 4, attack)
 
 
+def check_intercept_session(attack, filter_set, alphabet, sent, rng, reference_rng):
+    """The attacker's arrays against the photon-by-photon loop, and each stream's next variate."""
+    expected = [
+        intercept_resend(p, attack, reference_rng, filter_set, alphabet, i)
+        for i, p in enumerate(sent)
+    ]
+    got = intercept_session(attack, filter_set, alphabet, rng, np.array(indices(sent)))
+    arrivals = [None if a < 0 else POLARIZATIONS[a] for a in got.arrival.tolist()]
+    assert arrivals == [photon for photon, _ in expected]
+    records = [record for _, record in expected]
+    assert (got.filters.tolist(), got.detected.tolist()) == attacker_arrays(records)
+    assert rng.uniform() == reference_rng.uniform()
+
+
 def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
+    # Chunks of 37 photons, read in the engine's blocks and in blocks of 7
+    # variates, whose edges fall inside a photon's draws and inside a chunk.
     monkeypatch.setattr(eavesdrop, "_CHUNK", 37)
     grid = itertools.product(
         [(THREE_STATE_ALPHABET, THREE_STATE_FILTERS), (BB84_ALPHABET, BB84_FILTERS)],
         [None, Polarization.Z0, Polarization.D45, Polarization.Z90],
         list(ResendPolicy),
         [0.0, 0.3, 0.5, 1.0],
+        [photons._BLOCK, 7],
     )
-    for (alphabet, filter_set), eve_filter, policy, fraction in grid:
+    for (alphabet, filter_set), eve_filter, policy, fraction, block in grid:
         attack = InterceptResend(eve_filter, policy, fraction)
         sender = RandomSource(5)
         sent = [choice(sender, alphabet) for _ in range(400)]
-        eve_rng = RandomSource(3)
-        expected = [
-            intercept_resend(p, attack, eve_rng, filter_set, alphabet, i)
-            for i, p in enumerate(sent)
-        ]
-        sent_index = np.array(indices(sent))
-        got = intercept_session(attack, filter_set, alphabet, RandomSource(3), sent_index)
-        arrivals = [None if a < 0 else POLARIZATIONS[a] for a in got.arrival.tolist()]
-        assert arrivals == [photon for photon, _ in expected]
-        records = [record for _, record in expected]
-        assert (got.filters.tolist(), got.detected.tolist()) == attacker_arrays(records)
+        with mock.patch.object(photons, "_BLOCK", block):
+            check_intercept_session(
+                attack, filter_set, alphabet, sent, RandomSource(3), RandomSource(3)
+            )
 
 
 @given(
@@ -283,32 +294,48 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
     fraction=st.one_of(st.just(0.5), st.floats(0, 1, exclude_min=True, exclude_max=True)),
     n=st.integers(1, 300),
     chunk=st.sampled_from([1, 2, 16, 17, 37]),
+    block=st.sampled_from([1, 7, 37]),
     seed=st.integers(0, 2**64 - 1),
 )
 @settings(deadline=None)
 def test_intercept_session_matches_reference_loop(
-    protocol, eve_filter, policy, fraction, n, chunk, seed
+    protocol, eve_filter, policy, fraction, n, chunk, block, seed
 ):
     # Fractions inside (0, 1) walk the starts: by squared jumps, or under the
     # random policy by a loop over per-state step tables.  Small chunks put
-    # chunk edges and carried tails all through the session.
+    # chunk edges and given-back tails all through the session, and small
+    # draw blocks put block edges inside a photon's draws and inside a chunk.
     attack = InterceptResend(eve_filter, policy, fraction)
     sender = RandomSource(seed).child(0)
     sent = [choice(sender, protocol.alphabet) for _ in range(n)]
-    reference_rng, rng = RandomSource(seed), RandomSource(seed)
-    expected = [
-        intercept_resend(p, attack, reference_rng, protocol.filters, protocol.alphabet, i)
-        for i, p in enumerate(sent)
-    ]
-    with mock.patch.object(eavesdrop, "_CHUNK", chunk):
-        got = intercept_session(
-            attack, protocol.filters, protocol.alphabet, rng, np.array(indices(sent))
+    filter_set, alphabet = protocol.filters, protocol.alphabet
+    with mock.patch.object(eavesdrop, "_CHUNK", chunk), mock.patch.object(photons, "_BLOCK", block):
+        check_intercept_session(
+            attack, filter_set, alphabet, sent, RandomSource(seed), RandomSource(seed)
         )
-    arrivals = [None if a < 0 else POLARIZATIONS[a] for a in got.arrival.tolist()]
-    assert arrivals == [photon for photon, _ in expected]
-    records = [record for _, record in expected]
-    assert (got.filters.tolist(), got.detected.tolist()) == attacker_arrays(records)
-    assert rng.uniform() == reference_rng.uniform()
+
+
+@pytest.mark.parametrize(
+    "attack",
+    [
+        InterceptResend(None, ResendPolicy.UNIFORM_RANDOM, 1.0),
+        InterceptResend(None, ResendPolicy.UNIFORM_RANDOM, 0.5),
+        InterceptResend(None, ResendPolicy.ORTHOGONAL_INFERENCE, 0.5),
+        InterceptResend(Polarization.Z0, ResendPolicy.SEND_NOTHING, 1.0),
+    ],
+    ids=["uniform_random_full", "uniform_random_half", "uniform_orthogonal_half", "z0_nothing"],
+)
+def test_intercept_session_draws_one_block_at_a_time(attack):
+    # A 9,000-photon chunk holds up to 36,000 of her variates; she draws
+    # them a block at a time, and still spends the stream as the loop does.
+    sender = RandomSource(17)
+    sent = [choice(sender, THREE_STATE_ALPHABET) for _ in range(9000)]
+    rng = CountingSource(23)
+    check_intercept_session(
+        attack, THREE_STATE_FILTERS, THREE_STATE_ALPHABET, sent, rng, RandomSource(23)
+    )
+    assert rng.draws and max(rng.draws) <= photons._BLOCK
+    assert rng.scalars == 1  # the check's own next variate
 
 
 def plain_walk(step, n):
