@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .eavesdrop import Attack, InterceptResend, NoAttack, normalize_attack
+from .eavesdrop import Attack, NoAttack, station
 from .photons import (
     ERASURE,
     OUTCOME_CLASSES,
@@ -280,14 +280,14 @@ def three_state_certification_probability(n: int) -> float:
     enumerated truth, never asserted against it.
     """
     if n < 0:
-        raise ValueError("photon count must be non-negative")
+        raise ValueError(f"n: photon count must be non-negative, got {n}")
     return 1.0 - 3.0 ** (-(n / 9))
 
 
 def bb84_certification_probability(m: int) -> float:
     """1 - 2^(-m): each parity round halves the chance of missing an error."""
     if m < 0:
-        raise ValueError("round count must be non-negative")
+        raise ValueError(f"m: round count must be non-negative, got {m}")
     return 1.0 - 2.0 ** (-m)
 
 
@@ -362,9 +362,9 @@ def _interception(attack: Attack, protocol: Protocol) -> tuple[Fraction, np.ndar
     angle, an erasure as an equally likely entry of her filter's row of
     :func:`~qkdsim.photons.resend_table`, whose -1 is the last column.
     """
-    attack = normalize_attack(attack)
+    attack = station(attack)
     counts = np.zeros((len(POLARIZATIONS), len(POLARIZATIONS) + 1), dtype=np.int64)
-    if not isinstance(attack, InterceptResend):
+    if attack is None:
         return Fraction(0), counts, 1
     options = protocol.filters if attack.filter_choice is None else (attack.filter_choice,)
     resend = resend_table(attack.resend, protocol.alphabet)

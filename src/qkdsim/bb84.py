@@ -155,7 +155,7 @@ def parity_certify(
     (:func:`qkdsim.transcript.parity_round`).
     """
     if m < 0:
-        raise ValueError("round count must be non-negative")
+        raise ValueError(f"m: round count must be non-negative, got {m}")
     if isinstance(alice_key, SiftedKey):
         if bob_key is not None:
             raise ValueError("a sifted key already holds both parties' keys")

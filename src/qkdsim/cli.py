@@ -226,7 +226,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trials=args.trials,
         abort_on_tamper=args.abort_on_tamper,
         include_transcripts=args.include_transcripts,
-    ).validate()
+    )
     reports = run(config)
     _write_output(to_json(report_document(config, reports)), args.output)
     return 2 if any(r["aborted"] for r in reports) else 0

@@ -88,7 +88,7 @@ class StuckFilter:
 
     The hardware-fault-turned-attack scenario: operationally identical to
     :class:`InterceptResend` with a fixed filter, orthogonal-inference
-    resend and fraction 1.
+    resend and fraction 1 (:func:`station`).
     """
 
     angle: Polarization = Polarization.Z0
@@ -97,22 +97,24 @@ class StuckFilter:
         if not isinstance(self.angle, Polarization):
             raise ValueError(f"angle must be a Polarization, got {self.angle!r}")
 
-    def as_intercept_resend(self) -> InterceptResend:
-        return InterceptResend(
-            filter_choice=self.angle,
-            resend=ResendPolicy.ORTHOGONAL_INFERENCE,
-            fraction=1.0,
-        )
-
 
 Attack = Union[NoAttack, PassiveClassical, InterceptResend, StuckFilter]
 
 
-def normalize_attack(attack: Attack) -> Attack:
-    """Collapse equivalent attack descriptions to a canonical form."""
+def station(attack: Attack) -> Optional[InterceptResend]:
+    """What ``attack`` does to the photons: ``None`` if it touches none.
+
+    A stuck filter is the fixed-filter, orthogonal-resend, fraction-1
+    interception; anything but the four attack types raises
+    :class:`TypeError`, so no object runs as an honest channel by mistake.
+    """
+    if isinstance(attack, InterceptResend):
+        return attack
     if isinstance(attack, StuckFilter):
-        return attack.as_intercept_resend()
-    return attack
+        return InterceptResend(attack.angle, ResendPolicy.ORTHOGONAL_INFERENCE, 1.0)
+    if isinstance(attack, (NoAttack, PassiveClassical)):
+        return None
+    raise TypeError(f"unknown attack type {type(attack).__name__}")
 
 
 # Photons per chunk of intercept_session: bounds her per-position byte
@@ -201,8 +203,8 @@ def intercept_session(
     (:meth:`~qkdsim.rng.RandomSource.unread`), so each chunk starts where
     the last one stopped and ``rng`` is left past what was used.
     """
-    attack = normalize_attack(attack)
-    if not isinstance(attack, InterceptResend):
+    attack = station(attack)
+    if attack is None:
         return None
     choose = attack.filter_choice is None
     fixed = None if choose else np.uint8(POLARIZATIONS.index(attack.filter_choice))

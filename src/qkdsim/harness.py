@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from operator import countOf, itemgetter
 from typing import Any, Callable, Optional, Sequence, get_args
 
@@ -67,7 +67,8 @@ class InvalidConfig(ValueError):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything needed to reproduce a batch of sessions."""
+    """Everything needed to reproduce a batch of sessions, checked when built
+    (and by ``dataclasses.replace``): :meth:`validate` names a bad field."""
 
     protocol: str
     n: int
@@ -77,6 +78,9 @@ class SessionConfig:
     trials: int = 1
     abort_on_tamper: bool = True
     include_transcripts: bool = False
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> "SessionConfig":
         if not isinstance(self.protocol, str) or self.protocol not in PROTOCOLS:
@@ -138,16 +142,9 @@ def attack_to_jsonable(attack: Attack) -> dict[str, Any]:
 
 
 def config_to_jsonable(config: SessionConfig) -> dict[str, Any]:
-    return {
-        "protocol": config.protocol,
-        "n": config.n,
-        "m": config.m,
-        "attack": attack_to_jsonable(config.attack),
-        "seed": config.seed,
-        "trials": config.trials,
-        "abort_on_tamper": config.abort_on_tamper,
-        "include_transcripts": config.include_transcripts,
-    }
+    """Every field of ``config``, the attack in its JSON form."""
+    block = {field.name: getattr(config, field.name) for field in fields(config)}
+    return {**block, "attack": attack_to_jsonable(config.attack)}
 
 
 _OUTCOME_LABELS = tuple(outcome_label(o) for o in OUTCOME_CLASSES)
@@ -211,7 +208,6 @@ def run_trial(config: SessionConfig, trial: int) -> dict[str, Any]:
         counts.update(key=session.key_count, auth=session.auth_count)
         agreement = (session.key_count, session.key_errors)
     else:
-        assert config.m is not None  # validate() guarantees it
         try:
             # The rounds read the key length and the error ranks, and the
             # receiver's bits only for a transcript.
@@ -253,7 +249,6 @@ def run_trial(config: SessionConfig, trial: int) -> dict[str, Any]:
 
 def run(config: SessionConfig) -> list[dict[str, Any]]:
     """Execute all configured trials sequentially and reproducibly."""
-    config.validate()
     return [run_trial(config, t) for t in range(config.trials)]
 
 
@@ -444,10 +439,6 @@ def _write_array(obj: Sequence, newline: str, out: Callable[[str], None]) -> Non
 # Attack sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_HEADER = (
-    "policy, fraction, empirical_failure, oracle_failure, paper_model, "
-    "detection_rate, key_error_rate"
-)
 DEFAULT_FILTER_CHOICES: tuple[Optional[Polarization], ...] = (
     None,
     Polarization.Z0,
@@ -472,8 +463,8 @@ class SweepRow:
     paper_model: float
     detection_rate: float
     key_error_rate: float
-    auth_positions: int = 0
-    oracle_key_error: float = 0.0
+    auth_positions: int
+    oracle_key_error: float
 
     def csv_fields(self) -> list[str]:
         return [
@@ -490,6 +481,10 @@ class SweepRow:
         return asdict(self)
 
 
+# The CSV columns: the fields csv_fields renders.
+SWEEP_HEADER = ", ".join(field.name for field in fields(SweepRow)[:7])
+
+
 def attack_sweep(
     base: SessionConfig,
     filter_choices: Sequence[Optional[Polarization]] = DEFAULT_FILTER_CHOICES,
@@ -504,32 +499,32 @@ def attack_sweep(
     run with aborts disabled, since the point is to measure what tampering
     does to the key material.
     """
-    base.validate()
     if base.protocol != THREE_STATE.name:
         raise InvalidConfig("protocol: attack sweeps target the three_state protocol")
+    # Every cell's attack is built, and so checked, before the first session runs.
+    grid = [
+        InterceptResend(filter_choice=choice, resend=policy, fraction=fraction)
+        for choice in filter_choices
+        for policy in policies
+        for fraction in fractions
+    ]
     rows = []
-    for choice in filter_choices:
-        for policy in policies:
-            for fraction in fractions:
-                attack = InterceptResend(
-                    filter_choice=choice, resend=policy, fraction=fraction
-                )
-                config = replace(base, attack=attack, abort_on_tamper=False)
-                agg = aggregate(run(config))
-                oracle_failure, oracle_key_error = oracle_rates(attack)
-                rows.append(
-                    SweepRow(
-                        policy=f"{filter_choice_label(choice)}/{policy.value}",
-                        fraction=fraction,
-                        empirical_failure=agg.get("auth_failure_rate", 0.0),
-                        oracle_failure=float(oracle_failure),
-                        paper_model=float(model_auth_failure_rate(fraction)),
-                        detection_rate=agg["detection_rate"],
-                        key_error_rate=agg["key_error_rate"],
-                        auth_positions=agg["totals"]["auth"],
-                        oracle_key_error=float(oracle_key_error),
-                    )
-                )
+    for attack in grid:
+        agg = aggregate(run(replace(base, attack=attack, abort_on_tamper=False)))
+        oracle_failure, oracle_key_error = oracle_rates(attack)
+        rows.append(
+            SweepRow(
+                policy=f"{filter_choice_label(attack.filter_choice)}/{attack.resend.value}",
+                fraction=attack.fraction,
+                empirical_failure=agg.get("auth_failure_rate", 0.0),
+                oracle_failure=float(oracle_failure),
+                paper_model=float(model_auth_failure_rate(attack.fraction)),
+                detection_rate=agg["detection_rate"],
+                key_error_rate=agg["key_error_rate"],
+                auth_positions=agg["totals"]["auth"],
+                oracle_key_error=float(oracle_key_error),
+            )
+        )
     return rows
 
 

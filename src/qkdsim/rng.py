@@ -40,7 +40,7 @@ def derive_child_seed(seed: int, index: int) -> int:
     child streams from a master seed and a child index.
     """
     if index < 0:
-        raise ValueError(f"child index must be >= 0, got {index}")
+        raise ValueError(f"index: child index must be >= 0, got {index}")
     return _splitmix64((seed & _MASK64) ^ _splitmix64((index + 1) & _MASK64))
 
 
@@ -79,7 +79,7 @@ class RandomSource:
         in several.
         """
         if k < 0:
-            raise ValueError(f"variate count must be >= 0, got {k}")
+            raise ValueError(f"k: variate count must be >= 0, got {k}")
         return self._generator().random(k)
 
     def skip(self, k: int) -> None:
@@ -89,13 +89,13 @@ class RandomSource:
         ``PCG64.advance(k)``, whose cost grows with the bit length of ``k``.
         """
         if k < 0:
-            raise ValueError(f"variate count must be >= 0, got {k}")
+            raise ValueError(f"k: variate count must be >= 0, got {k}")
         self._generator().bit_generator.advance(k)
 
     def unread(self, k: int) -> None:
         """Move back over the last ``k`` variates drawn, so that the next draws repeat them."""
         if k < 0:
-            raise ValueError(f"variate count must be >= 0, got {k}")
+            raise ValueError(f"k: variate count must be >= 0, got {k}")
         self._generator().bit_generator.advance(-k)  # taken modulo PCG64's period, 2**128
 
     def child(self, index: int) -> "RandomSource":

@@ -287,7 +287,7 @@ def run_session(
     reads ``32 + filter``.
     """
     if n < 1:
-        raise ValueError("need at least one photon")
+        raise ValueError(f"n: need at least one photon, got {n}")
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
     sent = choose(protocol.alphabet, alice_rng, n)
     filters = choose(protocol.filters, bob_rng, n)

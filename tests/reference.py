@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from qkdsim.eavesdrop import InterceptResend, normalize_attack
+from qkdsim.eavesdrop import InterceptResend, station
 from qkdsim.photons import (
     DETERMINISTIC,
     ERASURE,
@@ -322,8 +322,8 @@ class CountingSource(RandomSource):
 
 def arrival_law(sent: Polarization, attack, protocol) -> dict[Optional[Polarization], Fraction]:
     """What leaves the attacker's station, by exact branch enumeration."""
-    attack = normalize_attack(attack)
-    if not isinstance(attack, InterceptResend):
+    attack = station(attack)
+    if attack is None:
         return {sent: Fraction(1)}
     fraction = Fraction(attack.fraction)
     law = {sent: 1 - fraction}

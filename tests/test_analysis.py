@@ -32,6 +32,7 @@ from qkdsim.analysis import (
     key_error_probability,
     key_fraction,
     model_auth_failure_rate,
+    oracle_rates,
     standard_error,
     three_state_certification_probability,
 )
@@ -299,6 +300,14 @@ def test_failure_scales_linearly_with_fraction():
     assert auth_failure_probability(half) == Fraction(1, 6)
     assert key_error_probability(half) == Fraction(1, 12)
     assert auth_failure_probability(InterceptResend(fraction=0.0)) == 0
+
+
+@pytest.mark.parametrize("attack", ["intercept", None], ids=repr)
+def test_unknown_attack_raises_in_the_exact_oracles(attack):
+    with pytest.raises(TypeError, match="unknown attack type"):
+        oracle_rates(attack)
+    with pytest.raises(TypeError, match="unknown attack type"):
+        cell_probabilities(THREE_STATE, attack)
 
 
 def test_no_attack_oracles_are_zero():

@@ -51,7 +51,7 @@ class ScriptedRng:
 
     def unread(self, k):
         if k < 0:
-            raise ValueError(f"variate count must be >= 0, got {k}")
+            raise ValueError(f"k: variate count must be >= 0, got {k}")
         assert k <= len(self.spent), "unread past the script's start"
         cut = len(self.spent) - k
         self.flags = self.spent[cut:] + self.flags
@@ -125,6 +125,11 @@ def test_zero_rounds_is_a_no_op():
     result = parity_certify([1, 0], [1, 1], 0, RandomSource(0))
     assert not result.mismatch_detected
     assert result.final_key_length == 2
+
+
+def test_negative_round_count_names_m():
+    with pytest.raises(ValueError, match="m: round count must be non-negative, got -1"):
+        parity_certify([0, 1], [0, 1], -1, RandomSource(0))
 
 
 def test_mismatched_lengths_rejected():

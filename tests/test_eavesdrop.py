@@ -10,7 +10,8 @@ from qkdsim.eavesdrop import (
     NoAttack,
     PassiveClassical,
     StuckFilter,
-    normalize_attack,
+    intercept_session,
+    station,
 )
 from qkdsim.photons import BB84, POLARIZATIONS, THREE_STATE, THREE_STATE_ALPHABET, Polarization
 from qkdsim.photons import ERASURE, ResendPolicy, detected
@@ -30,11 +31,25 @@ def test_fraction_validation():
 
 
 def test_normalize_stuck_filter():
-    normalized = normalize_attack(StuckFilter(angle=Z90))
-    assert normalized == InterceptResend(
+    # station reduces each of the four attack types to what it does to the photons.
+    assert station(StuckFilter(angle=Z90)) == InterceptResend(
         filter_choice=Z90, resend=ResendPolicy.ORTHOGONAL_INFERENCE, fraction=1.0
     )
-    assert normalize_attack(NoAttack()) == NoAttack()
+    attack = InterceptResend(filter_choice=None, resend=ResendPolicy.UNIFORM_RANDOM, fraction=0.25)
+    assert station(attack) is attack
+    assert station(NoAttack()) is None
+    assert station(PassiveClassical()) is None
+
+
+@pytest.mark.parametrize("attack", ["intercept", None], ids=repr)
+def test_an_unknown_attack_raises_rather_than_running_honest(attack):
+    with pytest.raises(TypeError, match="unknown attack type"):
+        station(attack)
+    with pytest.raises(TypeError, match="unknown attack type"):
+        run_session(THREE_STATE, 100, RandomSource(0), attack)
+    sent = np.zeros(10, dtype=np.int8)
+    with pytest.raises(TypeError, match="unknown attack type"):
+        intercept_session(attack, THREE_STATE.filters, THREE_STATE.alphabet, RandomSource(0), sent)
 
 
 def test_zero_fraction_equals_no_attack_bit_for_bit():
@@ -56,7 +71,10 @@ def test_passive_attack_equals_no_attack_bit_for_bit():
 def test_stuck_filter_equals_normalized_intercept_bit_for_bit():
     stuck = StuckFilter(angle=Z0)
     a = run_session(THREE_STATE, 500, RandomSource(13), attack=stuck)
-    b = run_session(THREE_STATE, 500, RandomSource(13), attack=stuck.as_intercept_resend())
+    literal = InterceptResend(
+        filter_choice=Z0, resend=ResendPolicy.ORTHOGONAL_INFERENCE, fraction=1.0
+    )
+    b = run_session(THREE_STATE, 500, RandomSource(13), attack=literal)
     assert np.array_equal(a.cell_index, b.cell_index)
     assert a.photons_intercepted == b.photons_intercepted == 500
 

@@ -33,7 +33,7 @@ from qkdsim.eavesdrop import (
     PassiveClassical,
     StuckFilter,
     intercept_session,
-    normalize_attack,
+    station,
 )
 from qkdsim.harness import (
     DEFAULT_FILTER_CHOICES,
@@ -80,13 +80,13 @@ def reference_transmission(protocol, n, rng, attack):
     """Sent states, filters and readings, the attacker's log and her interception count."""
     alphabet, filter_set = protocol.alphabet, protocol.filters
     alice_rng, bob_rng, eve_rng = rng.child(0), rng.child(1), rng.child(2)
-    attack = normalize_attack(attack)
+    attack = station(attack)
     sent = [choice(alice_rng, alphabet) for _ in range(n)]
     filters = [choice(bob_rng, filter_set) for _ in range(n)]
     outcomes, records = [], []
     for i in range(n):
         photon = sent[i]
-        if isinstance(attack, InterceptResend):
+        if attack is not None:
             photon, record = intercept_resend(photon, attack, eve_rng, filter_set, alphabet, i)
             records.append(record)
         outcomes.append(measure_arrival(photon, filters[i], bob_rng))
@@ -491,7 +491,7 @@ def test_report_counts_match_session_index_arrays(protocol, n, seed, attack, m):
         attack=attack,
         seed=seed,
         abort_on_tamper=False,
-    ).validate()
+    )
     report = run_trial(config, 0)
     rng = RandomSource(report["seed"])
     session = run_session(protocol, n, rng, attack)

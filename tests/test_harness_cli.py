@@ -1,5 +1,6 @@
 """Session harness and command-line surface: validation, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 from unittest import mock
@@ -30,8 +31,8 @@ THREE_STATE = "three_state"
 
 
 def test_validate_accepts_minimal_configs():
-    SessionConfig(protocol=THREE_STATE, n=10).validate()
-    SessionConfig(protocol="bb84", n=10, m=2).validate()
+    for config in (SessionConfig(protocol=THREE_STATE, n=10), SessionConfig("bb84", 10, 2)):
+        assert config.validate() is config
 
 
 @pytest.mark.parametrize(
@@ -56,8 +57,11 @@ def test_validate_accepts_minimal_configs():
     ],
 )
 def test_validate_rejects_with_field_name(kwargs, needle):
+    # No unchecked config exists: building one checks it, and so does replace.
     with pytest.raises(InvalidConfig, match=needle):
-        SessionConfig(**kwargs).validate()
+        SessionConfig(**kwargs)
+    with pytest.raises(InvalidConfig, match=needle):
+        dataclasses.replace(SessionConfig(protocol=THREE_STATE, n=10), **kwargs)
 
 
 # -- session execution ----------------------------------------------------------
@@ -202,6 +206,13 @@ def test_short_bb84_key_is_a_trial_status_not_a_batch_failure():
 def test_sweep_rejects_bb84_base():
     with pytest.raises(InvalidConfig):
         attack_sweep(SessionConfig(protocol="bb84", n=100, m=2))
+
+
+def test_sweep_checks_its_whole_grid_before_the_first_session():
+    base = SessionConfig(protocol=THREE_STATE, n=90)
+    with mock.patch("qkdsim.harness.run", side_effect=AssertionError("a cell ran")):
+        with pytest.raises(ValueError, match="fraction"):
+            attack_sweep(base, fractions=(1.0, 1.5))
 
 
 def test_sweep_grid_shape_and_header():

@@ -76,7 +76,7 @@ def test_child_matches_derive_child_seed():
 
 
 def test_derive_child_seed_rejects_negative_index():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index: child index must be >= 0, got -1"):
         derive_child_seed(1, -1)
 
 
@@ -132,7 +132,7 @@ def test_bulk_draw_of_zero_consumes_nothing():
 
 
 def test_bulk_draw_rejects_negative_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k: variate count must be >= 0, got -1"):
         RandomSource(0).uniform_array(-1)
 
 

@@ -19,6 +19,11 @@ from reference import states, tamper_verdict
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
 
 
+def test_run_session_names_n():
+    with pytest.raises(ValueError, match="n: need at least one photon, got 0"):
+        run_session(THREE_STATE, 0, RandomSource(0))
+
+
 def test_confirm_truth_table():
     # All nine (sent, filter) cells; exactly five are kept, four of them key.
     cells = [(s, f) for s in THREE_STATE.alphabet for f in THREE_STATE.filters]
