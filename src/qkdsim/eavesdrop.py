@@ -16,12 +16,15 @@ erasure and her row of :func:`~qkdsim.photons.resend_table` offers more
 than one state.  :func:`intercept_session` runs a whole session through
 that rule on arrays, draw for draw the same as the photon-by-photon
 reference loop in ``tests/reference.py``.  It reads her variates in the
-parties' draw blocks (``photons._BLOCK`` of them), each reduced at once to
-one-byte arrays with an entry per position, and finds each photon's first
-variate as an ``int32`` start, so no float array the size of a chunk is
-built.  All attacker randomness comes from her own stream, so an
-``InterceptResend`` with ``fraction=0`` leaves the honest parties' variate
-streams, and hence the whole session, bit-for-bit unchanged.
+parties' draw blocks (``photons._BLOCK`` of them), so no float array the
+size of a chunk is built: as strided views where each photon's variates
+sit at a fixed stride, and otherwise as one-byte arrays with an entry per
+position, from which each photon's first variate is found in closed form
+(steps of two), by squared jumps (steps of up to three) or by a loop over
+the photons (a resend pick).  All attacker randomness comes from her own
+stream, so an ``InterceptResend`` with ``fraction=0`` leaves the honest
+parties' variate streams, and hence the whole session, bit-for-bit
+unchanged.
 """
 
 from __future__ import annotations
@@ -140,7 +143,8 @@ class Interception:
 def _jump_walk(step: np.ndarray, n: int):
     """The first n photons' starts in the chunk, and the end of the last one's draws.
 
-    For steps that ignore the photon.  The gaps ``step``, padded with zeros,
+    For steps that ignore the photon; the engine walks three-variate steps
+    (a uniform filter's pick) with it.  The gaps ``step``, padded with zeros,
     are squared 4 times (a gap plus the gap of the position it reaches); a
     loop over every 16th photon reads the last level, and the lower ones
     fill in the starts between.  Gaps are bytes, so steps stay below 16.
@@ -178,6 +182,33 @@ def _state_walk(key: bytes, measure_at: int, sent: np.ndarray, alphabet):
     return np.cumsum(steps, dtype=np.int32) - steps, pos
 
 
+def _pair_walk(gate: np.ndarray, n: int):
+    """The intercepted photons among the first n, their starts, and the end of their draws.
+
+    For two-variate steps: a gated photon at p spends p and p + 1, any other
+    photon p alone.  So an ungated position ends a photon's draws, and in a
+    run of gated positions from s the photons start at s, s + 2, ...: a
+    gated start is a gated p with p - s even.  Each gated start before p
+    spends one position more than its photon, so the j-th one belongs to
+    photon ``at[j] - j``.
+    """
+    here = np.arange(len(gate), dtype=np.int32)
+    opens = gate.copy()  # the first position of each run of gated positions
+    opens[1:] &= ~gate[:-1]
+    s = np.maximum.accumulate(here * opens)
+    at = np.flatnonzero(gate & ((here ^ s) & 1 == 0))
+    photon = at - np.arange(len(at))
+    k = int(np.searchsorted(photon, n))
+    return photon[:k], at[:k], n + k
+
+
+def _stride_view(u: np.ndarray, q: int, offset: int, stride: int):
+    """Photons whose variate ``offset`` of ``stride`` is in block u (at q), and those variates."""
+    k = (q - offset + stride - 1) // stride
+    v = u[k * stride + offset - q :: stride]
+    return slice(k, k + len(v)), v
+
+
 def intercept_session(
     attack: Attack,
     filter_set: Sequence[Polarization],
@@ -193,71 +224,90 @@ def intercept_session(
     detection is resent at her filter angle, an erasure as an equally
     likely entry of her filter's :func:`~qkdsim.photons.resend_table` row.
     Draw for draw the same as the photon-by-photon loop on ``rng``: each
-    chunk of photons draws the most it could spend, one block at a time,
-    and reduces each block at once to one-byte arrays, one entry per
-    position: the gate (``u < fraction``), the side of 1/2, and her filter
-    and resend picks where she draws them.  It finds each photon's first
-    variate as an ``int32`` start (by stride, :func:`_jump_walk` or
-    :func:`_state_walk`), reads those arrays at the intercepted photons
-    only, and gives the variates past the last photon's back to ``rng``
+    chunk of photons draws the most it could spend, one block at a time.
+    At fraction 1 with no resend pick, photon k's variates start at
+    ``k * stride``, so her filter pick and measurement are strided views
+    of each block and the chunk's outputs are written as slices; at
+    fraction 0 her gate variates are skipped unread.  Otherwise each block
+    is reduced at once to one-byte arrays, one entry per position: the
+    gate (``u < fraction``), the side of 1/2, and her filter and resend
+    picks where she draws them.  The intercepted photons and their first
+    variates come from the gates (:func:`_pair_walk`, :func:`_jump_walk`
+    or :func:`_state_walk`), those arrays are read at them only, and the
+    variates past the last photon's go back to ``rng``
     (:meth:`~qkdsim.rng.RandomSource.unread`), so each chunk starts where
     the last one stopped and ``rng`` is left past what was used.
     """
     attack = station(attack)
     if attack is None:
         return None
+    arrival, filters = sent_index.astype(np.int8), np.full(len(sent_index), -1, dtype=np.int8)
+    detected = np.zeros(len(sent_index), dtype=bool)
+    if attack.fraction == 0:  # one gate variate per photon, and none opens
+        rng.skip(len(sent_index))
+        return Interception(arrival, filters >= 0, filters, detected)
     choose = attack.filter_choice is None
     fixed = None if choose else np.uint8(POLARIZATIONS.index(attack.filter_choice))
     resend = resend_table(attack.resend, alphabet)
     width = resend.shape[1]
     resends = int(width > 1)  # variates an erasure spends to pick its resend
     measure_at = 1 + choose  # offset of the measurement variate; a resend one follows
-    # A fixed stride when none or all are intercepted and no erasure spends a resend variate.
-    stride = 1 if attack.fraction == 0 else 0
-    if attack.fraction == 1 and not resends:
-        stride = measure_at + 1
-    most = stride or measure_at + 1 + resends
+    most = measure_at + 1 + resends
+    # Every photon intercepted, none spending a resend variate: a fixed stride.
+    stride = most if attack.fraction == 1 and not resends else 0
     # What she resends per (filter, pick, detected): a detection at her filter.
     leaves = np.dstack(np.broadcast_arrays(resend, np.arange(len(POLARIZATIONS))[:, None])).ravel()
 
-    arrival, filters = sent_index.astype(np.int8), np.full(len(sent_index), -1, dtype=np.int8)
-    detected = np.zeros(len(sent_index), dtype=bool)
     for lo in range(0, len(sent_index), _CHUNK):
         sent = sent_index[lo : lo + _CHUNK]
-        # Each position read as a gate, a side of 1/2, and her filter and
-        # resend picks where she has them: a photon starting at q reads its
-        # filter pick at q + 1, its measurement at q + measure_at and its
-        # resend pick after that.  One block of variates at a time.
         size = len(sent) * most
-        gate, half = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        eve_pick = np.empty(size, dtype=np.uint8) if choose else fixed
-        resend_pick = np.empty(size, dtype=np.uint8) if resends else 0
-        for q, u in _blocks(rng, size):
-            block = slice(q, q + len(u))
-            np.less(u, attack.fraction, out=gate[block])
-            np.less(u, 0.5, out=half[block])
-            # A pick is u times the options, truncated as astype truncates.
-            if choose:
-                np.multiply(u, len(filter_set), out=eve_pick[block], casting="unsafe")
-            if resends:
-                np.multiply(u, width, out=resend_pick[block], casting="unsafe")
         if stride:
-            starts, end = np.arange(0, size, stride, dtype=np.int32), size
-        elif resends:
-            k = size - measure_at
-            eve_key = eve_pick[1 : 1 + k] if choose else fixed
-            key = gate[:k] * np.uint8(8) + eve_key * np.uint8(2) + half[measure_at:]
-            starts, end = _state_walk(key.tobytes(), measure_at, sent, alphabet)
+            # Photon k reads its filter pick at k * stride + 1 and its
+            # measurement at k * stride + measure_at: strided views of each block.
+            eve_filter = np.empty(len(sent), dtype=np.uint8) if choose else fixed
+            side = np.empty(len(sent), dtype=bool)
+            for q, u in _blocks(rng, size):
+                if choose:
+                    k, v = _stride_view(u, q, 1, stride)
+                    np.multiply(v, len(filter_set), out=eve_filter[k], casting="unsafe")
+                k, v = _stride_view(u, q, measure_at, stride)
+                np.less(v, 0.5, out=side[k])
+            photon, state, pick, end = slice(lo, lo + len(sent)), sent, 0, size
         else:
-            starts, end = _jump_walk(gate * np.uint8(measure_at) + np.uint8(1), len(sent))
-        photon = np.flatnonzero(gate.take(starts))
-        at = starts.take(photon)
-        eve_filter = eve_pick.take(at + 1) if choose else fixed
-        pair = sent.take(photon) * 4 + eve_filter
-        det = DETECTS.take(pair * 2 + half.take(at + measure_at))
-        # A detection spends no resend variate; its pick is read but unused.
-        pick = resend_pick.take(at + measure_at + 1) if resends else 0
-        photon += lo
+            # Each position read as a gate, a side of 1/2, and her filter and
+            # resend picks where she has them: a photon starting at q reads
+            # its filter pick at q + 1, its measurement at q + measure_at and
+            # its resend pick after that.  One block of variates at a time.
+            gate, half = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+            eve_pick = np.empty(size, dtype=np.uint8) if choose else fixed
+            resend_pick = np.empty(size, dtype=np.uint8) if resends else 0
+            for q, u in _blocks(rng, size):
+                block = slice(q, q + len(u))
+                np.less(u, attack.fraction, out=gate[block])
+                np.less(u, 0.5, out=half[block])
+                # A pick is u times the options, truncated as astype truncates.
+                if choose:
+                    np.multiply(u, len(filter_set), out=eve_pick[block], casting="unsafe")
+                if resends:
+                    np.multiply(u, width, out=resend_pick[block], casting="unsafe")
+            if most == 2:  # a gate, and a measurement where it opens
+                photon, at, end = _pair_walk(gate, len(sent))
+            else:
+                if resends:
+                    k = size - measure_at
+                    eve_key = eve_pick[1 : 1 + k] if choose else fixed
+                    key = gate[:k] * np.uint8(8) + eve_key * np.uint8(2) + half[measure_at:]
+                    starts, end = _state_walk(key.tobytes(), measure_at, sent, alphabet)
+                else:
+                    starts, end = _jump_walk(gate * np.uint8(measure_at) + np.uint8(1), len(sent))
+                photon = np.flatnonzero(gate.take(starts))
+                at = starts.take(photon)
+            state, side = sent.take(photon), half.take(at + measure_at)
+            eve_filter = eve_pick.take(at + 1) if choose else fixed
+            # A detection spends no resend variate; its pick is read but unused.
+            pick = resend_pick.take(at + measure_at + 1) if resends else 0
+            photon += lo
+        det = DETECTS.take((state * 4 + eve_filter) * 2 + side)
         arrival[photon] = leaves.take((eve_filter * width + pick) * 2 + det)
         filters[photon], detected[photon] = eve_filter, det
         rng.unread(size - end)

@@ -165,6 +165,8 @@ def test_honest_session_splits_kept_positions_and_agrees(protocol, n, seed):
     [
         InterceptResend(None, ResendPolicy.UNIFORM_RANDOM, 0.5),
         InterceptResend(Polarization.D45, ResendPolicy.ORTHOGONAL_INFERENCE, 0.5),
+        InterceptResend(Polarization.Z0, ResendPolicy.SEND_NOTHING, 0.5),
+        InterceptResend(None, ResendPolicy.ORTHOGONAL_INFERENCE, 1.0),
     ],
 )
 def test_session_spanning_walker_chunks_matches_reference_loop(attack):
@@ -291,7 +293,9 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
     protocol=st.sampled_from([THREE_STATE, BB84]),
     eve_filter=st.sampled_from([None, *Polarization]),
     policy=st.sampled_from(list(ResendPolicy)),
-    fraction=st.one_of(st.just(0.5), st.floats(0, 1, exclude_min=True, exclude_max=True)),
+    fraction=st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1, exclude_min=True, exclude_max=True)
+    ),
     n=st.integers(1, 300),
     chunk=st.sampled_from([1, 2, 16, 17, 37]),
     block=st.sampled_from([1, 7, 37]),
@@ -301,10 +305,13 @@ def test_intercept_session_matches_reference_across_small_chunks(monkeypatch):
 def test_intercept_session_matches_reference_loop(
     protocol, eve_filter, policy, fraction, n, chunk, block, seed
 ):
-    # Fractions inside (0, 1) walk the starts: by squared jumps, or under the
-    # random policy by a loop over per-state step tables.  Small chunks put
-    # chunk edges and given-back tails all through the session, and small
-    # draw blocks put block edges inside a photon's draws and inside a chunk.
+    # Fractions inside (0, 1) walk the starts: in closed form under a fixed
+    # filter, by squared jumps under a uniform one, or under the random
+    # policy by a loop over per-state step tables.  Fraction 1 without a
+    # resend pick reads strided views, and fraction 0 reads nothing.  Small
+    # chunks put chunk edges and given-back tails all through the session,
+    # and small draw blocks put block edges inside a photon's draws and
+    # inside a chunk.
     attack = InterceptResend(eve_filter, policy, fraction)
     sender = RandomSource(seed).child(0)
     sent = [choice(sender, protocol.alphabet) for _ in range(n)]
@@ -359,6 +366,25 @@ def test_jump_walk_matches_plain_loop(n, highest):
         for table in (step, step[:end]):
             got, got_end = eavesdrop._jump_walk(table, n)
             assert (got.tolist(), got_end) == (starts, end)
+
+
+@given(
+    fraction=st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]),
+    n=st.sampled_from([1, 2, 15, 16, 17, 33, 257]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(deadline=None)
+def test_pair_walk_matches_plain_loop(fraction, n, seed):
+    # A gate tape of two positions per photon, as a fixed filter draws it.
+    gate = np.random.default_rng(seed).random(2 * n) < fraction
+    starts, end = plain_walk(gate + 1, n)
+    photon = [i for i, start in enumerate(starts) if gate[start]]
+    # The whole tape, and the tape cut where the last photon's draws end.
+    for tape in (gate, gate[:end]):
+        got_photon, got_at, got_end = eavesdrop._pair_walk(tape, n)
+        assert got_photon.tolist() == photon
+        assert got_at.tolist() == [starts[i] for i in photon]
+        assert got_end == end
 
 
 # Block sizes in variates: rounds longer than a block, drawn one per draw in
