@@ -11,17 +11,16 @@ document per invocation, schema-versioned, keys sorted, no timestamps.
 ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, which formats
 one integer per call once ``indent`` is set.  ``to_json`` is a small
 recursive encoder that passes the text to one list in pieces and joins it
-once, so no level copies the text of the levels inside it.  It tests for
-the exact types of a report first.  A report repeats a few dict shapes
-many times, so a dict's sorted keys and its key lines (``{`` or ``,``,
-the indent and ``"key": ``) are built once per shape (its line break plus
+once, so no level copies the text of the levels inside it.  It renders the
+exact types of a report itself: a report repeats a few dict shapes many
+times, so a dict's sorted keys and its key lines (``{`` or ``,``, the
+indent and ``"key": ``) are built once per shape (its line break plus
 indent and its keys in insertion order) and read from a table that stops
-storing at ``_SHAPE_LIMIT`` shapes; its ``str`` and ``int`` values are
-rendered inline.  A list of exact ``int`` items (transcripts are mostly
-such lists, found by one pass over the item types) is rendered in one
-``join``: one ``operator.itemgetter`` call reads the decimal text of
-0-4095 off a dict, and a list with any other item takes ``int.__repr__``.
-Everything else is rendered as the standard library does.
+storing at ``_SHAPE_LIMIT`` shapes.  A list of exact ``int`` items
+(transcripts are mostly such lists, found by one pass over the item types)
+is rendered in one ``join``: one ``operator.itemgetter`` call reads the
+decimal text of 0-4095 off a dict, and a list with any other item takes
+``int.__repr__``.  Every other value goes to ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -308,11 +307,12 @@ def report_document(
 def to_json(document: dict[str, Any]) -> str:
     """Canonical serialization: sorted keys, two-space indent, one newline.
 
-    Takes a tree of ``str``-keyed dicts, lists, tuples, strings, ints,
-    floats, bools and ``None``; anything else, a non-``str`` key included,
-    raises :class:`TypeError`, and a dict with such a key leaves nothing in
-    the shape table.  The table holds at most ``_SHAPE_LIMIT`` shapes; a
-    shape past the bound renders the same, its key lines built again.
+    Equals ``json.dumps(document, indent=2, sort_keys=True) + "\\n"`` wherever
+    that renders, except that a plain dict with a non-``str`` key raises
+    :class:`TypeError` and leaves nothing in the shape table.  Values that
+    are not of a report's exact types are rendered, or refused, by
+    ``json.dumps`` itself.  The table holds at most ``_SHAPE_LIMIT`` shapes;
+    a shape past the bound renders the same, its key lines built again.
     """
     chunks: list[str] = []
     _write(document, "\n", chunks.append)
@@ -335,8 +335,9 @@ def _write(obj: Any, newline: str, out: Callable[[str], None]) -> None:
     """Pass ``obj`` as indented JSON to ``out``, in pieces; ``newline`` is a
     line break plus its indent.
 
-    The exact types of a report come first; subclasses and floats take the
-    ``isinstance`` chain below them.
+    The exact types of a report have their own branches; any other value
+    goes whole to ``json.dumps``, its line breaks (never inside a string,
+    which is escaped) re-indented to ``newline``.
     """
     kind = type(obj)
     if kind is dict:
@@ -349,25 +350,10 @@ def _write(obj: Any, newline: str, out: Callable[[str], None]) -> None:
         out(int.__repr__(obj))
     elif obj is None or obj is True or obj is False:
         out(_CONSTANTS[obj])
-    elif isinstance(obj, str):
-        out(_ESCAPE(obj))
-    elif isinstance(obj, int):
-        out(int.__repr__(obj))
-    elif isinstance(obj, float):
-        if obj != obj:
-            out("NaN")
-        elif obj == math.inf:
-            out("Infinity")
-        elif obj == -math.inf:
-            out("-Infinity")
-        else:
-            out(float.__repr__(obj))
-    elif isinstance(obj, dict):
-        _write_object(obj, newline, out)
-    elif isinstance(obj, (list, tuple)):
-        _write_array(obj, newline, out)
+    elif kind is float and math.isfinite(obj):
+        out(float.__repr__(obj))
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def _shape(newline: str, obj: dict) -> tuple:
@@ -384,7 +370,7 @@ def _shape(newline: str, obj: dict) -> tuple:
 
 
 def _write_object(obj: dict, newline: str, out: Callable[[str], None]) -> None:
-    """A dict's ``"key": value`` lines in key order; ``str`` and ``int`` values inline."""
+    """A dict's ``"key": value`` lines in key order, each value through :func:`_write`."""
     if not obj:
         out("{}")
         return
@@ -396,15 +382,8 @@ def _write_object(obj: dict, newline: str, out: Callable[[str], None]) -> None:
             _SHAPES[shape] = entry
     lines, inner, close = entry
     for k, line in lines:
-        value = obj[k]
-        kind = type(value)
-        if kind is str:
-            out(line + _ESCAPE(value))
-        elif kind is int:
-            out(line + int.__repr__(value))
-        else:
-            out(line)
-            _write(value, inner, out)
+        out(line)
+        _write(obj[k], inner, out)
     out(close)
 
 

@@ -20,7 +20,7 @@ every emitted transcript:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
@@ -95,12 +95,15 @@ class Transcript:
     ``entries`` holds checked copies of the entry dicts, in published order.
     """
 
-    def __init__(self, entries: Sequence[dict[str, Any]]) -> None:
+    def __init__(self, entries: list[dict[str, Any]]) -> None:
+        if not isinstance(entries, list):
+            raise ValueError(f"transcript has type {type(entries).__name__}; expected a list")
         self.entries = [_checked(e) for e in entries]
 
     @classmethod
-    def from_jsonable(cls, obj: Sequence[dict[str, Any]]) -> "Transcript":
-        """Read a published list of entry dicts; a malformed entry raises ``ValueError``."""
+    def from_jsonable(cls, obj: list[dict[str, Any]]) -> "Transcript":
+        """Read a published list of entry dicts; anything but a list, or a
+        malformed entry, raises ``ValueError``."""
         return cls(obj)
 
     def _first(self, kind: str, name: str) -> dict[str, Any]:

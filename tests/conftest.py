@@ -1,7 +1,8 @@
 """Shared test settings.
 
 ``--hypothesis-profile=deep`` runs every property test that leaves
-``max_examples`` unset at 2000 examples, for a slow, thorough run.
+``max_examples`` unset at 2000 examples, for a slow, thorough run; the
+encoder's property test takes the profile's count where it exceeds its own.
 """
 
 from hypothesis import settings

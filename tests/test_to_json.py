@@ -24,6 +24,14 @@ class Key(str):
     pass
 
 
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
 def stdlib(document) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
@@ -55,7 +63,8 @@ TREES = st.recursive(
 )
 
 
-@settings(max_examples=300)
+# 300 examples, or more under a profile that asks for more (--hypothesis-profile=deep).
+@settings(max_examples=max(300, settings.default.max_examples))
 @given(TREES)
 @example({"a": [[], {}, [[{}]], {"b": {"c": []}}]})
 @example([1, True])
@@ -88,8 +97,15 @@ TREES = st.recursive(
 @example({"x": 0, "y": {"x": 1, "y": {"x": 2, "y": None}}})
 # A str-subclass key renders as the equal plain key, before or after it.
 @example([{"k": 1, "j": 2}, {Key("k"): 3, "j": 4}, {Key("j"): 5}, {"j": 6}])
-# Dict values rendered inline, and those that are not.
+# Every kind of dict value.
 @example({"s": "é", "i": -7, "b": True, "f": 0.5, "n": None, "l": [1]})
+# Values json.dumps renders, two levels down, spliced in at their indent.
+@example({"a": {"nan": math.nan, "low": -math.inf, "x": 1}})
+@example({"a": [[0, Level.HIGH], ["b", [Level.HIGH]]]})
+@example({"a": {"p": np.float64(0.25), "q": 0.25}})
+@example({"a": [Items([[1, 2], [], [[3]]]), Table({"k": [[4], {"j": [5, "x"]}], "e": []})]})
+# A dict subclass with non-str keys renders as json.dumps renders it.
+@example({"a": [Table({2: [[1]], 1: "one"})]})
 def test_to_json_matches_stdlib(document):
     assert to_json(document) == stdlib(document)
 
@@ -126,6 +142,40 @@ def test_shape_table_holds_its_bound():
             assert to_json(document) == stdlib(document)
             assert len(harness._SHAPES) <= 5
         assert len(harness._SHAPES) == 5
+
+
+def _simulate(protocol, *flags, n="300"):
+    argv = ["simulate", "--protocol", protocol, "--n", n, "--trials", "2"]
+    return argv + ["--include-transcripts", *flags]
+
+
+BB84_ATTACKED = ("--m", "10", "--attack", "intercept")
+
+
+# Every kind of document the CLI writes, with transcripts, aborts and short keys.
+REPORTS = {
+    "three-state": _simulate("three-state"),
+    "three-state-attacked": _simulate("three-state", "--attack", "intercept", "--seed", "2"),
+    "bb84": _simulate("bb84", "--m", "10"),
+    "bb84-attacked": _simulate("bb84", *BB84_ATTACKED, "--fraction", "0.3"),
+    "no-abort-on-tamper": _simulate("bb84", *BB84_ATTACKED, "--no-abort-on-tamper"),
+    "key-too-short": _simulate("bb84", "--m", "100", n="5"),
+    "analyze": ["analyze"],
+    "compare": ["compare", "--n", "360", "--m", "20"],
+    "attack-sweep": ["attack-sweep", "--n", "90", "--fractions", "1.0,0.5", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", REPORTS.values(), ids=REPORTS)
+def test_reports_stay_on_the_fast_path(capsys, argv):
+    # A report value that only json.dumps can render would cost a call per value.
+    main(argv)
+    expected = capsys.readouterr().out
+    fallback = AssertionError("fell back to json.dumps")
+    with mock.patch.object(harness.json, "dumps", side_effect=fallback):
+        main(argv)
+        out = capsys.readouterr().out
+    assert out == expected == stdlib(json.loads(expected))
 
 
 @pytest.mark.parametrize(

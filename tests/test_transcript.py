@@ -81,6 +81,17 @@ def test_malformed_entries_rejected(entry, field):
         Transcript.from_jsonable(make_basic() + [entry])
 
 
+@pytest.mark.parametrize(
+    "obj, kind",
+    [(None, "NoneType"), (5, "int"), ({"sender": "bob"}, "dict")],
+    ids=["none", "int", "dict"],
+)
+def test_transcript_that_is_not_a_list_rejected(obj, kind):
+    # A dict would otherwise be read as its keys, and None or an int raise TypeError.
+    with pytest.raises(ValueError, match=rf"transcript has type {kind}\b"):
+        Transcript.from_jsonable(obj)
+
+
 def test_check_wire_order_catches_unbalanced_parity():
     t = Transcript.from_jsonable(make_basic() + [query(1, 0)])
     with pytest.raises(TranscriptOrderError):
