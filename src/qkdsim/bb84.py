@@ -15,9 +15,11 @@ only, the receiver's bits.  Each round takes one of two paths (see
 :func:`parity_certify`): *head*, a round without a transcript whose parity
 cannot matter (no error left, or a mismatch already recorded), which reads
 only its first chosen rank, or *block*, one draw of several rounds read one
-at a time.  Both draw the same variates, in the same order, as a
-round-by-round draw of one variate per survivor.  A transcript's query and
-response entries are written by :func:`qkdsim.transcript.parity_round`.
+at a time.  On both, one ``argmax`` of a round's flags gives its first
+chosen rank, and the flag there tells an empty subset.  Both draw the same
+variates, in the same order, as a round-by-round draw of one variate per
+survivor.  A transcript's query and response entries are written by
+:func:`qkdsim.transcript.parity_round`.
 """
 
 from __future__ import annotations
@@ -74,27 +76,30 @@ class SiftedKey:
 def _head_round(rng: RandomSource, n: int) -> Optional[int]:
     """A round over n survivors of which only the first chosen rank matters.
 
-    The first ``_HEAD`` flags are drawn and the rest of the round skipped;
-    the first chosen rank among them is returned.  If none is chosen, the
+    The first ``_HEAD`` flags are drawn; one ``argmax`` gives the first
+    chosen rank among them, and the flag there tells an empty head.  A
+    chosen rank is returned and the rest of the round skipped.  An empty
     head is given back and ``None`` returned, for the round to be drawn in
     full.
     """
     head = rng.uniform_array(min(n, _HEAD)) < 0.5
-    if not head.any():
+    first = int(head.argmax())
+    if not head[first]:
         rng.unread(len(head))
         return None
     rng.skip(n - len(head))
-    return int(np.argmax(head))
+    return first
 
 
-def _block_rounds(rng: RandomSource, n: int, rounds: int) -> Iterator[np.ndarray]:
-    """The subset flags of up to ``rounds`` consecutive rounds over n survivors.
+def _block_rounds(rng: RandomSource, n: int, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The first chosen rank and subset flags of up to ``rounds`` consecutive rounds.
 
     One draw covers as many rounds as fit in ``photons._BLOCK`` variates,
     and at least one (a longer round is drawn in block-sized pieces); round
-    i of it reads n - i flags, each True for a variate below 1/2.  An empty
-    subset ends the rounds: the flags drawn after it are given back, so that
-    the next draw starts with its redraw.
+    i of it reads n - i flags, each True for a variate below 1/2.  One
+    ``argmax`` gives a round's first chosen rank, and the flag there tells
+    an empty subset.  An empty subset ends the rounds: the flags drawn after
+    it are given back, so that the next draw starts with its redraw.
     """
     offsets = [0, n]  # round i reads flags offsets[i] to offsets[i + 1]
     for i in range(1, rounds):
@@ -106,10 +111,11 @@ def _block_rounds(rng: RandomSource, n: int, rounds: int) -> Iterator[np.ndarray
         np.less(u, 0.5, out=flags[lo : lo + len(u)])
     for lo, hi in zip(offsets, offsets[1:]):
         subset = flags[lo:hi]
-        if not subset.any():
+        first = int(subset.argmax())
+        if not subset[first]:
             rng.unread(offsets[-1] - hi)
             return
-        yield subset
+        yield first, subset
 
 
 def parity_certify(
@@ -147,7 +153,10 @@ def parity_certify(
       as many consecutive rounds as fit in :data:`qkdsim.photons._BLOCK`
       variates, and at least one; the rounds are then read one at a time.
 
-    Both paths leave ``rng`` where a round-by-round draw would leave it.
+    On both paths one ``argmax`` of the round's flags gives the first chosen
+    rank, and the flag there tells an empty subset, so the subset is
+    searched once.  Both paths leave ``rng`` where a round-by-round draw
+    would leave it.
 
     ``transcript`` is the session's published list of entry dicts (see
     :attr:`qkdsim.session.Session.transcript`); each round appends its
@@ -180,11 +189,10 @@ def parity_certify(
         if transcript is None and (detection_round is not None or not wrong.size):
             head = _head_round(rng, n)  # the parities no longer matter
         # One head round, or the rounds of one block draw, one at a time.
-        for subset in _block_rounds(rng, n, m - done) if head is None else (None,):
+        for first, subset in _block_rounds(rng, n, m - done) if head is None else ((head, None),):
             done += 1
-            first, odd = head, 0
+            odd = 0
             if subset is not None:
-                first = int(np.argmax(subset))
                 odd = wrong.size and np.count_nonzero(subset.take(wrong)) & 1
                 if transcript is not None:
                     picked = survivors[subset]

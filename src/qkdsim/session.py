@@ -205,7 +205,7 @@ class Session:
         return self._counts[4]
 
     def _positions(self, mark: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(mark.take(self.cell_index))
+        return mark.take(self.cell_index).nonzero()[0]
 
     @cached_property
     def kept(self) -> np.ndarray:
@@ -214,7 +214,7 @@ class Session:
 
     @cached_property
     def kept_index(self) -> np.ndarray:
-        return np.flatnonzero(self.kept)
+        return self.kept.nonzero()[0]
 
     @cached_property
     def key_index(self) -> np.ndarray:
@@ -248,7 +248,7 @@ class Session:
         """
         if not self.key_errors:
             return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(self.table.key_error.take(self._key_cells))
+        return self.table.key_error.take(self._key_cells).nonzero()[0]
 
     @cached_property
     def transcript(self) -> list[dict]:

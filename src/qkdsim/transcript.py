@@ -33,7 +33,7 @@ def announcements(filter_index: np.ndarray, kept_index: np.ndarray) -> list[dict
     The receiver announces his filter angles in degrees, one per tick; the
     sender answers with the kept positions, in the order given.
     """
-    filters, kept = DEGREES[filter_index].tolist(), kept_index.tolist()
+    filters, kept = DEGREES.take(filter_index).tolist(), kept_index.tolist()
     return [
         {"sender": "bob", "kind": "filter_announcement", "payload": {"filters": filters}},
         {"sender": "alice", "kind": "confirmation_announcement", "payload": {"kept": kept}},
