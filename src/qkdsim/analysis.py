@@ -10,8 +10,9 @@ else is read off that law:
 * the rates (:func:`kept_fraction`, :func:`key_fraction`,
   :func:`auth_fraction`) and the per-position attack statistics
   (:func:`auth_failure_probability`, :func:`key_error_probability`) are
-  sums of it over the cells that :func:`~qkdsim.session.cell_table` marks,
-  the same marks the trial reports count with;
+  read off one product of its integer counts with the ``marks`` matrix of
+  :func:`~qkdsim.session.cell_table`, the product the trial reports count
+  with;
 * the joint law of (sent state, receiver reading),
   :func:`joint_distribution`, is its honest form folded by
   :func:`~qkdsim.session.outcome_rows`, the fold the reports' outcome
@@ -89,6 +90,7 @@ class ExactBits:
             "constant": str(self.constant),
             "log3_coefficient": str(self.log3_coefficient),
             "bits": float(self),
+            "bits_4dp": round(float(self), 4),
         }
 
 
@@ -196,12 +198,10 @@ class EntropyReport:
         return self.h_ab - self.h_b
 
 
-def entropy_report(
-    joint: Optional[JointDistribution] = None,
-) -> EntropyReport:
-    """Entropies of sender, receiver and pair, plus their mutual information."""
-    if joint is None:
-        joint = joint_distribution()
+def entropy_report() -> EntropyReport:
+    """Entropies of sender, receiver and pair of the honest three-state
+    channel, plus their mutual information."""
+    joint = joint_distribution()
     h_a = entropy_bits(joint.sender_marginal().values())
     h_b = entropy_bits(joint.receiver_marginal().values())
     h_ab = entropy_bits(joint.cells.values())
@@ -215,17 +215,20 @@ def entropy_report(
 
 def kept_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Probability a uniform (sent, filter) position survives keep/discard."""
-    return _mass(protocol, cell_table(protocol).kept)
+    masses, whole = _marked(protocol)
+    return Fraction(masses[0], whole)
 
 
 def key_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Kept positions off the authentication filter: the secret-bit rate."""
-    return _mass(protocol, cell_table(protocol).key)
+    masses, whole = _marked(protocol)
+    return Fraction(masses[1], whole)
 
 
 def auth_fraction(protocol: Protocol = THREE_STATE) -> Fraction:
     """Kept positions under the authentication filter: the tamper-evidence rate."""
-    return _mass(protocol, cell_table(protocol).auth)
+    masses, whole = _marked(protocol)
+    return Fraction(masses[2], whole)
 
 
 @dataclass(frozen=True)
@@ -242,14 +245,6 @@ class InformationRateChain:
     per_photon_uncertainty: Fraction
     after_auth_exclusion: Fraction
     usable_key_rate: Fraction
-
-    @property
-    def stages(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (
-            self.per_photon_uncertainty,
-            self.after_auth_exclusion,
-            self.usable_key_rate,
-        )
 
 
 def information_rate_chain() -> InformationRateChain:
@@ -420,15 +415,13 @@ def cell_probabilities(protocol: Protocol, attack: Attack = NoAttack()) -> list[
     return [Fraction(count, denominator) for count in law]
 
 
-def _total(law: list[int], mark) -> int:
-    """Sum of the cell counts ``mark`` flags."""
-    return sum(count for count, marked in zip(law, mark.tolist()) if marked)
-
-
-def _mass(protocol: Protocol, mark) -> Fraction:
-    """Honest probability of the cells ``mark`` flags."""
-    law, denominator = _cell_counts(protocol)
-    return Fraction(_total(law, mark), denominator)
+def _marked(protocol: Protocol, attack: Attack = NoAttack()) -> tuple[list[int], int]:
+    """The law's kept, key, auth, auth failure and key error masses, as
+    integer numerators over its common denominator: one product with the
+    cell table's ``marks``, as a session counts its histogram, but over
+    Python ints, since a tiny fraction's denominator outgrows ``int64``."""
+    law, denominator = _cell_counts(protocol, attack)
+    return (cell_table(protocol).marks @ np.array(law, dtype=object)).tolist(), denominator
 
 
 def oracle_rates(
@@ -437,11 +430,10 @@ def oracle_rates(
     """:func:`auth_failure_probability` and :func:`key_error_probability`
     off one exact cell law; the first is ``None`` for a spec without
     authentication positions.  Both are ratios of cell masses, so the law's
-    integer counts are summed and the common denominator cancels."""
-    (law, _), table = _cell_counts(protocol, attack), cell_table(protocol)
-    auth = _total(law, table.auth)
-    failure = Fraction(_total(law, table.auth_failure), auth) if auth else None
-    return failure, Fraction(_total(law, table.key_error), _total(law, table.key))
+    integer masses are taken and the common denominator cancels."""
+    (_, key, auth, auth_failure, key_error), _ = _marked(protocol, attack)
+    failure = Fraction(auth_failure, auth) if auth else None
+    return failure, Fraction(key_error, key)
 
 
 def auth_failure_probability(attack: Attack) -> Fraction:

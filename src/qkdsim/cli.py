@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Any, Callable, Optional, Sequence
 
 from .analysis import (
@@ -234,13 +235,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _analyze_document() -> dict[str, Any]:
     joint = joint_distribution()
-    report = entropy_report(joint)
+    report = entropy_report()
     chain = information_rate_chain()
-
-    def entropy_field(bits) -> dict[str, Any]:
-        doc = bits.to_jsonable()
-        doc["bits_4dp"] = round(float(bits), 4)
-        return doc
 
     cells = {
         sender.name: {
@@ -260,11 +256,11 @@ def _analyze_document() -> dict[str, Any]:
         "receiver_marginal": marginal,
         "total_mass": str(joint.total()),
         "entropies": {
-            "h_a": entropy_field(report.h_a),
-            "h_b": entropy_field(report.h_b),
-            "h_ab": entropy_field(report.h_ab),
-            "mutual_info": entropy_field(report.mutual_info),
-            "equivocation": entropy_field(report.equivocation),
+            "h_a": report.h_a.to_jsonable(),
+            "h_b": report.h_b.to_jsonable(),
+            "h_ab": report.h_ab.to_jsonable(),
+            "mutual_info": report.mutual_info.to_jsonable(),
+            "equivocation": report.equivocation.to_jsonable(),
         },
         "information_rate_chain": {
             "per_photon_uncertainty": str(chain.per_photon_uncertainty),
@@ -352,7 +348,7 @@ def _cmd_attack_sweep(args: argparse.Namespace) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "kind": "attack_sweep",
-                "rows": [row.to_jsonable() for row in rows],
+                "rows": [asdict(row) for row in rows],
             }
         )
     _write_output(text, args.output)

@@ -21,10 +21,9 @@ size of a chunk is built: as strided views where each photon's variates
 sit at a fixed stride, and otherwise as one-byte arrays with an entry per
 position, from which each photon's first variate is found in closed form
 (steps of two), by squared jumps (steps of up to three) or by a loop over
-the photons (a resend pick).  All attacker randomness comes from her own
-stream, so an ``InterceptResend`` with ``fraction=0`` leaves the honest
-parties' variate streams, and hence the whole session, bit-for-bit
-unchanged.
+the photons (a resend pick), fraction 0 included.  All attacker randomness
+comes from her own stream, so ``InterceptResend(fraction=0)`` leaves the
+honest parties' streams, and hence the whole session, bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -227,25 +226,22 @@ def intercept_session(
     chunk of photons draws the most it could spend, one block at a time.
     At fraction 1 with no resend pick, photon k's variates start at
     ``k * stride``, so her filter pick and measurement are strided views
-    of each block and the chunk's outputs are written as slices; at
-    fraction 0 her gate variates are skipped unread.  Otherwise each block
-    is reduced at once to one-byte arrays, one entry per position: the
-    gate (``u < fraction``), the side of 1/2, and her filter and resend
-    picks where she draws them.  The intercepted photons and their first
-    variates come from the gates (:func:`_pair_walk`, :func:`_jump_walk`
-    or :func:`_state_walk`), those arrays are read at them only, and the
-    variates past the last photon's go back to ``rng``
-    (:meth:`~qkdsim.rng.RandomSource.unread`), so each chunk starts where
-    the last one stopped and ``rng`` is left past what was used.
+    of each block and the chunk's outputs are written as slices.  Otherwise
+    (fraction 0 too, where no gate opens) each block is reduced at once to
+    one-byte arrays, one entry per position: the gate (``u < fraction``),
+    the side of 1/2, and her filter and resend picks where she draws them.
+    The intercepted photons and their first variates come from the gates
+    (:func:`_pair_walk`, :func:`_jump_walk` or :func:`_state_walk`), those
+    arrays are read at them only, and the variates past the last photon's
+    go back to ``rng`` (:meth:`~qkdsim.rng.RandomSource.unread`), so each
+    chunk starts where the last one stopped and ``rng`` is left past what
+    was used.
     """
     attack = station(attack)
     if attack is None:
         return None
     arrival, filters = sent_index.astype(np.int8), np.full(len(sent_index), -1, dtype=np.int8)
     detected = np.zeros(len(sent_index), dtype=bool)
-    if attack.fraction == 0:  # one gate variate per photon, and none opens
-        rng.skip(len(sent_index))
-        return Interception(arrival, filters >= 0, filters, detected)
     choose = attack.filter_choice is None
     fixed = None if choose else np.uint8(POLARIZATIONS.index(attack.filter_choice))
     resend = resend_table(attack.resend, alphabet)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from operator import countOf, itemgetter
 from typing import Any, Callable, Optional, Sequence, get_args
 
@@ -455,9 +455,6 @@ class SweepRow:
             f"{self.detection_rate:.6f}",
             f"{self.key_error_rate:.6f}",
         ]
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 # The CSV columns: the fields csv_fields renders.

@@ -72,11 +72,6 @@ class Polarization(Enum):
         """The perpendicular polarization (an involution)."""
         return Polarization((self.value + 90) % 180)
 
-    @property
-    def basis(self) -> int:
-        """0 for the rectilinear pair {Z0, Z90}, 45 for the diagonal pair."""
-        return self.value % 90
-
 
 # Array position of each polarization: index i is the angle 45*i degrees.
 POLARIZATIONS = tuple(Polarization)

@@ -34,7 +34,8 @@ cell by cell.  Positions and key bits are read through the same table,
 tick by tick, only when asked for, and so is the public discussion,
 whose entries :func:`qkdsim.transcript.announcements` writes.  A session
 holds index arrays only: no per-photon object is ever built.  The exact
-oracles sum :func:`qkdsim.analysis.cell_probabilities` over the same marks.
+oracles take the same ``marks`` product with the integer counts of
+:func:`qkdsim.analysis.cell_probabilities`.
 :func:`outcome_rows` folds 32 cell values, a histogram or that exact law,
 to (sent state, reading) rows: the reports' outcome tallies and the exact
 joint law of :func:`qkdsim.analysis.joint_distribution` are both this fold.
@@ -99,19 +100,18 @@ class CellTable:
 
     ``kept``: the reading is deterministic, so the sender keeps the
     position.  ``auth``: kept, under the spec's ``auth_filter``.  ``key``:
-    kept, under any other filter.  ``auth_failure``: an auth cell with an
-    erasure.  ``key_error``: a key cell whose reading infers a bit other
-    than the sender's, which only an attacker's resent photon can reach.
-    ``sent_bit`` and ``read_bit`` are the sender's bit and the bit the
-    receiver infers from his reading, per cell.  ``marks`` stacks the kept,
-    key, auth, auth failure and key error marks as a 5 × 32 integer
-    matrix, so one product with a histogram gives all five counts.
+    kept, under any other filter.  ``key_error``: a key cell whose reading
+    infers a bit other than the sender's, which only an attacker's resent
+    photon can reach.  ``sent_bit`` and ``read_bit`` are the sender's bit
+    and the bit the receiver infers from his reading, per cell.  ``marks``
+    stacks the kept, key, auth, auth failure (an auth cell with an erasure)
+    and key error marks as a 5 × 32 integer matrix, so one product with a
+    histogram, or with the exact law's counts, gives all five sums.
     """
 
     kept: np.ndarray
     key: np.ndarray
     auth: np.ndarray
-    auth_failure: np.ndarray
     key_error: np.ndarray
     sent_bit: np.ndarray
     read_bit: np.ndarray
@@ -128,9 +128,9 @@ def cell_table(protocol: Protocol) -> CellTable:
         auth = kept & (filters == POLARIZATIONS.index(protocol.auth_filter))
     key = kept & ~auth
     sent_bit, read_bit = BITS[sent], BITS[inferred_index(filters, detected)]
-    auth_failure, key_error = auth & ~detected, key & (sent_bit != read_bit)
-    marks = np.array([kept, key, auth, auth_failure, key_error], dtype=np.int64)
-    return CellTable(kept, key, auth, auth_failure, key_error, sent_bit, read_bit, marks)
+    key_error = key & (sent_bit != read_bit)
+    marks = np.array([kept, key, auth, auth & ~detected, key_error], dtype=np.int64)
+    return CellTable(kept, key, auth, key_error, sent_bit, read_bit, marks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,10 +259,6 @@ class Session:
         BB84's parity rounds append to it.
         """
         return announcements(self.filter_index, self.kept_index)
-
-    @property
-    def photons_intercepted(self) -> int:
-        return 0 if self.interception is None else int(self.interception.intercepted.sum())
 
 
 def run_session(

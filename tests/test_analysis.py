@@ -181,7 +181,7 @@ def test_information_rate_chain_stages():
     assert chain.per_photon_uncertainty == Fraction(4, 3)
     assert chain.after_auth_exclusion == Fraction(8, 9)
     assert chain.usable_key_rate == Fraction(4, 9)
-    assert chain.stages == (Fraction(4, 3), Fraction(8, 9), Fraction(4, 9))
+    assert chain.usable_key_rate == key_fraction(THREE_STATE)
 
 
 def test_certification_probability_examples():
@@ -300,6 +300,19 @@ def test_failure_scales_linearly_with_fraction():
     assert auth_failure_probability(half) == Fraction(1, 6)
     assert key_error_probability(half) == Fraction(1, 12)
     assert auth_failure_probability(InterceptResend(fraction=0.0)) == 0
+
+
+@pytest.mark.parametrize("protocol", [THREE_STATE, BB84], ids=lambda p: p.name)
+def test_oracle_rates_are_linear_in_any_fraction(protocol):
+    # Non-dyadic and tiny fractions: their exact denominators reach 2**54
+    # and far beyond, past what an int64 sum of the law could hold.
+    for choice in (None, *Polarization):
+        for policy in ResendPolicy:
+            full = oracle_rates(InterceptResend(choice, policy, 1.0), protocol)
+            for fraction in (0.1, 0.3, 1e-300, 2.0**-60):
+                rates = oracle_rates(InterceptResend(choice, policy, fraction), protocol)
+                share = Fraction(fraction)
+                assert rates == tuple(None if r is None else share * r for r in full)
 
 
 @pytest.mark.parametrize("attack", ["intercept", None], ids=repr)

@@ -1,10 +1,12 @@
 """Attacker machinery: interception, passive transcript reading, stuck filters."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from qkdsim import eavesdrop
 from qkdsim.eavesdrop import (
     InterceptResend,
     NoAttack,
@@ -21,6 +23,7 @@ from reference import EveSource, choice, consistent_inputs, intercept_resend
 from reference import passive_infer, uniforms
 
 Z0, D45, Z90 = Polarization.Z0, Polarization.D45, Polarization.Z90
+FILTER_CHOICES = (None,) + POLARIZATIONS  # uniform, then each fixed angle
 
 
 def test_fraction_validation():
@@ -52,14 +55,25 @@ def test_an_unknown_attack_raises_rather_than_running_honest(attack):
         intercept_session(attack, THREE_STATE.filters, THREE_STATE.alphabet, RandomSource(0), sent)
 
 
-def test_zero_fraction_equals_no_attack_bit_for_bit():
-    for seed in (0, 5, 99):
-        idle = InterceptResend(fraction=0.0)
-        a = run_session(THREE_STATE, 300, RandomSource(seed), attack=idle)
-        b = run_session(THREE_STATE, 300, RandomSource(seed), attack=NoAttack())
-        assert np.array_equal(a.cell_index, b.cell_index)
-        assert a.bob_bits.tolist() == b.bob_bits.tolist()
-        assert a.photons_intercepted == 0
+def test_zero_fraction_equals_no_attack_bit_for_bit(monkeypatch):
+    # Fraction 0 runs the gate walks (pairs, jumps or the state loop) with
+    # no gate open: the readings are NoAttack's, her stream is left where
+    # skip(n) leaves it.  A chunk of 7 photons walks across chunk ends.
+    for chunk in (eavesdrop._CHUNK, 7):
+        monkeypatch.setattr(eavesdrop, "_CHUNK", chunk)
+        for protocol, choice, policy in product((THREE_STATE, BB84), FILTER_CHOICES, ResendPolicy):
+            idle = InterceptResend(filter_choice=choice, resend=policy, fraction=0.0)
+            for seed in (0, 5, 99):
+                a = run_session(protocol, 300, RandomSource(seed), attack=idle)
+                b = run_session(protocol, 300, RandomSource(seed), attack=NoAttack())
+                for name in ("sent_index", "filter_index", "reading"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name))
+                assert not a.interception.intercepted.any()
+                assert np.array_equal(a.interception.arrival, a.sent_index)
+                eve, skipped = RandomSource(seed), RandomSource(seed)
+                intercept_session(idle, protocol.filters, protocol.alphabet, eve, a.sent_index)
+                skipped.skip(300)
+                assert uniforms(eve, 5) == uniforms(skipped, 5)
 
 
 def test_passive_attack_equals_no_attack_bit_for_bit():
@@ -76,13 +90,12 @@ def test_stuck_filter_equals_normalized_intercept_bit_for_bit():
     )
     b = run_session(THREE_STATE, 500, RandomSource(13), attack=literal)
     assert np.array_equal(a.cell_index, b.cell_index)
-    assert a.photons_intercepted == b.photons_intercepted == 500
+    assert a.interception.intercepted.sum() == b.interception.intercepted.sum() == 500
 
 
 def test_no_attack_session_intercepts_nothing():
     for protocol in (THREE_STATE, BB84):
         session = run_session(protocol, 50, RandomSource(0))
-        assert session.photons_intercepted == 0
         assert session.interception is None
 
 

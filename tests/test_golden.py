@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,7 @@ def render_report(protocol, attack, n, transcripts, m=BB84_M, abort=True) -> str
 def render_sweep() -> str:
     base = SessionConfig(protocol="three_state", n=900, seed=11, trials=2)
     rows = attack_sweep(base, fractions=(1.0, 0.5, 0.0))
-    return sweep_to_csv(rows) + to_json({"rows": [row.to_jsonable() for row in rows]})
+    return sweep_to_csv(rows) + to_json({"rows": [asdict(row) for row in rows]})
 
 
 RECORD_ATTACKS = (
@@ -155,7 +156,7 @@ def render_session(protocol, attack, n, seed) -> str:
         )
     lines = [repr(f) for f in fields]
     lines.append(json.dumps(r.transcript, sort_keys=True))
-    lines.append(str(r.photons_intercepted))
+    lines.append(str(0 if r.interception is None else int(r.interception.intercepted.sum())))
     lines.extend(repr(record) for record in eve_log(r.interception, PROTOCOLS[protocol].alphabet))
     return "\n".join(lines) + "\n"
 

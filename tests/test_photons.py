@@ -84,9 +84,10 @@ def test_orthogonal_never_detects(p):
 
 
 def test_basis_groups_the_alphabet():
-    assert Polarization.Z0.basis == Polarization.Z90.basis
-    assert Polarization.D45.basis == Polarization.D135.basis
-    assert Polarization.Z0.basis != Polarization.D45.basis
+    # A basis is a polarization and its orthogonal: one angle modulo 90 degrees.
+    assert Polarization.Z0.orthogonal is Polarization.Z90
+    assert Polarization.D45.orthogonal is Polarization.D135
+    assert {p.degrees % 90 for p in Polarization} == {0, 45}
 
 
 def test_deterministic_outcome_cells():
@@ -109,7 +110,7 @@ def test_deterministic_outcome_cells():
 
 @given(st.sampled_from(BB84_ALPHABET), st.sampled_from(BB84_FILTERS))
 def test_deterministic_outcome_is_basis_match(photon, filt):
-    assert has_deterministic_outcome(photon, filt) == (photon.basis == filt.basis)
+    assert has_deterministic_outcome(photon, filt) == (photon.degrees % 90 == filt.degrees % 90)
 
 
 def test_bit_map_values():

@@ -78,7 +78,7 @@ def test_honest_run_agrees_and_stays_quiet():
     session = run_session(THREE_STATE, 5000, RandomSource(21))
     assert session.alice_bits.tolist() == session.bob_bits.tolist()
     assert session.auth_failures == 0
-    assert session.photons_intercepted == 0
+    assert session.interception is None
 
 
 def test_honest_fractions_near_exact_rates():
