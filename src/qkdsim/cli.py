@@ -190,16 +190,18 @@ def _read_config(path: str, command: argparse.ArgumentParser) -> dict[str, Any]:
 
 
 def _build_attack(args: argparse.Namespace) -> Attack:
+    # Every attack is built, so a bad value of an option that --attack does
+    # not use still fails instead of being ignored.
     return {
-        "none": NoAttack,
-        "passive": PassiveClassical,
-        "stuck": lambda: StuckFilter(angle=_FILTERS[args.stuck_angle]),
-        "intercept": lambda: InterceptResend(
+        "none": NoAttack(),
+        "passive": PassiveClassical(),
+        "stuck": StuckFilter(angle=_FILTERS[args.stuck_angle]),
+        "intercept": InterceptResend(
             filter_choice=_FILTERS[args.eve_filter],
             resend=ResendPolicy(args.resend_policy),
             fraction=args.fraction,
         ),
-    }[args.attack]()
+    }[args.attack]
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:

@@ -17,19 +17,19 @@ than one state.  :func:`intercept_session` runs a whole session through
 that rule on arrays, draw for draw the same as the photon-by-photon
 reference loop in ``tests/reference.py``.  It reads her variates in the
 parties' draw blocks (``photons._BLOCK`` of them), so no float array the
-size of a chunk is built: as strided views where each photon's variates
-sit at a fixed stride, and otherwise as one-byte arrays with an entry per
-position, from which each photon's first variate is found in closed form
-(steps of two), by squared jumps (steps of up to three) or by a loop over
-the photons (a resend pick), fraction 0 included.  All attacker randomness
-comes from her own stream, so ``InterceptResend(fraction=0)`` leaves the
-honest parties' streams, and hence the whole session, bit-for-bit unchanged.
+size of a chunk is built, and finds each photon's first variate in one of
+three ways: as strided views where each photon's variates sit at a fixed
+stride, and otherwise on one-byte arrays with an entry per position, in
+closed form (steps of two) or by a loop over the photons with a step table
+per sent state (longer steps), fraction 0 included.  All attacker
+randomness comes from her own stream, so ``InterceptResend(fraction=0)``
+leaves the honest parties' streams, and hence the whole session,
+bit-for-bit unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -139,38 +139,13 @@ class Interception:
     detected: np.ndarray
 
 
-def _jump_walk(step: np.ndarray, n: int):
-    """The first n photons' starts in the chunk, and the end of the last one's draws.
-
-    For steps that ignore the photon; the engine walks three-variate steps
-    (a uniform filter's pick) with it.  The gaps ``step``, padded with zeros,
-    are squared 4 times (a gap plus the gap of the position it reaches); a
-    loop over every 16th photon reads the last level, and the lower ones
-    fill in the starts between.  Gaps are bytes, so steps stay below 16.
-    """
-    levels = [np.append(step, np.zeros(255, dtype=np.uint8))]
-    here = np.arange(len(step) + 255, dtype=np.int32)
-    for _ in range(4):
-        levels.append(levels[-1] + levels[-1].take(here + levels[-1]))
-    jump = levels.pop().tobytes()  # 16 photons at a time, from every 16th start
-    at = np.fromiter(accumulate(range(-(-n // 16)), lambda p, _: p + jump[p], initial=0), np.int32)
-    for gaps in reversed(levels):  # each level's gap interleaves a start between two
-        at = np.append(np.column_stack((at[:-1], at[:-1] + gaps.take(at[:-1]))), at[-1])
-    return at[:n], int(at[n])
-
-
-def _state_walk(key: bytes, measure_at: int, sent: np.ndarray, alphabet):
+def _walk(tables: Sequence[bytes], sent: np.ndarray):
     """Each photon's start in the chunk, and the end of the last one's draws.
 
-    For steps that depend on the sent state, as an erasure spends a resend
-    variate.  ``key`` holds ``gate * 8 + filter * 2 + (u < 1/2)`` at each
-    position a photon can start at, its low bits a state's row of
-    ``DETECTS``; each state of ``alphabet`` translates it to a step table.
+    A photon of state s starting at position p spends ``tables[s][p]``
+    variates, so the next one starts there; one loop over the photons
+    follows the tables from position 0.
     """
-    tables = [b""] * len(POLARIZATIONS)
-    for s in range(len(alphabet)):
-        lut = np.append(np.ones(8, np.uint8), np.uint8(measure_at + 2) - DETECTS[8 * s : 8 * s + 8])
-        tables[s] = key.translate(lut.tobytes().ljust(256, b"\0"))
     steps, pos = bytearray(), 0
     add = steps.append
     for s in sent.tolist():
@@ -231,7 +206,7 @@ def intercept_session(
     one-byte arrays, one entry per position: the gate (``u < fraction``),
     the side of 1/2, and her filter and resend picks where she draws them.
     The intercepted photons and their first variates come from the gates
-    (:func:`_pair_walk`, :func:`_jump_walk` or :func:`_state_walk`), those
+    (:func:`_pair_walk` for two-variate steps, else :func:`_walk`), those
     arrays are read at them only, and the variates past the last photon's
     go back to ``rng`` (:meth:`~qkdsim.rng.RandomSource.unread`), so each
     chunk starts where the last one stopped and ``rng`` is left past what
@@ -289,13 +264,19 @@ def intercept_session(
             if most == 2:  # a gate, and a measurement where it opens
                 photon, at, end = _pair_walk(gate, len(sent))
             else:
-                if resends:
-                    k = size - measure_at
-                    eve_key = eve_pick[1 : 1 + k] if choose else fixed
-                    key = gate[:k] * np.uint8(8) + eve_key * np.uint8(2) + half[measure_at:]
-                    starts, end = _state_walk(key.tobytes(), measure_at, sent, alphabet)
-                else:
-                    starts, end = _jump_walk(gate * np.uint8(measure_at) + np.uint8(1), len(sent))
+                # At each position a photon can start at: gate * 8 + filter * 2
+                # + (u < 1/2), its low bits a state's row of DETECTS.  Each
+                # state reads it as its step: 1 past a closed gate, else most,
+                # less the resend variate a detection does not spend.
+                k = size - measure_at
+                eve_key = eve_pick[1 : 1 + k] if choose else fixed
+                key = (gate[:k] * np.uint8(8) + eve_key * np.uint8(2) + half[measure_at:]).tobytes()
+                tables = [b""] * len(POLARIZATIONS)
+                for s in range(len(alphabet)):
+                    gated = np.uint8(most) - DETECTS[8 * s : 8 * s + 8] * np.uint8(resends)
+                    lut = np.append(np.ones(8, np.uint8), gated).tobytes().ljust(256, b"\0")
+                    tables[s] = key.translate(lut)
+                starts, end = _walk(tables, sent)
                 photon = np.flatnonzero(gate.take(starts))
                 at = starts.take(photon)
             state, side = sent.take(photon), half.take(at + measure_at)

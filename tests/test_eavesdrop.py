@@ -1,5 +1,6 @@
 """Attacker machinery: interception, passive transcript reading, stuck filters."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -56,7 +57,7 @@ def test_an_unknown_attack_raises_rather_than_running_honest(attack):
 
 
 def test_zero_fraction_equals_no_attack_bit_for_bit(monkeypatch):
-    # Fraction 0 runs the gate walks (pairs, jumps or the state loop) with
+    # Fraction 0 runs the gate walks (pairs or the state loop) with
     # no gate open: the readings are NoAttack's, her stream is left where
     # skip(n) leaves it.  A chunk of 7 photons walks across chunk ends.
     for chunk in (eavesdrop._CHUNK, 7):
@@ -74,6 +75,28 @@ def test_zero_fraction_equals_no_attack_bit_for_bit(monkeypatch):
                 intercept_session(idle, protocol.filters, protocol.alphabet, eve, a.sent_index)
                 skipped.skip(300)
                 assert uniforms(eve, 5) == uniforms(skipped, 5)
+
+
+def test_uniform_filter_session_peaks_near_a_fixed_filters():
+    # A uniform filter at fraction 0.5 walks its starts with the per-photon
+    # loop over one-byte step tables, as the random policy does: no int copy
+    # per position is made, so its allocation peak stays near that of a
+    # fixed filter's pair walk on the same 9,000 photons (int8 indices, as a
+    # session holds them).
+    sent = np.random.default_rng(7).integers(0, len(THREE_STATE_ALPHABET), 9000, dtype=np.int8)
+
+    def peak(filter_choice):
+        attack = InterceptResend(filter_choice, ResendPolicy.ORTHOGONAL_INFERENCE, 0.5)
+        args = (attack, THREE_STATE.filters, THREE_STATE.alphabet)
+        intercept_session(*args, RandomSource(1), sent)  # caches filled outside the trace
+        tracemalloc.start()
+        try:
+            intercept_session(*args, RandomSource(1), sent)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(None) <= 1.25 * peak(Z0)
 
 
 def test_passive_attack_equals_no_attack_bit_for_bit():

@@ -306,8 +306,8 @@ def test_intercept_session_matches_reference_loop(
     protocol, eve_filter, policy, fraction, n, chunk, block, seed
 ):
     # Fractions inside (0, 1) walk the starts: in closed form under a fixed
-    # filter, by squared jumps under a uniform one, or under the random
-    # policy by a loop over per-state step tables.  Fraction 1 without a
+    # filter without a resend pick, else by a loop over per-state step
+    # tables (a uniform filter, or the random policy).  Fraction 1 without a
     # resend pick reads strided views, and fraction 0 reads nothing.  Small
     # chunks put chunk edges and given-back tails all through the session,
     # and small draw blocks put block edges inside a photon's draws and
@@ -354,17 +354,19 @@ def plain_walk(step, n):
     return starts, pos
 
 
-# n = 1, n + 1 a multiple of 16 (15, 31, 47) and not.
 @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 47, 100, 257])
 @pytest.mark.parametrize("highest", [3, 15])
 def test_jump_walk_matches_plain_loop(n, highest):
+    # Steps that ignore the photon's state, as a uniform filter's without a
+    # resend pick: every state gets the same table, of steps 1 to highest.
     rng = np.random.default_rng([n, highest])
     for _ in range(20):
         step = rng.integers(1, highest + 1, size=highest * n).astype(np.uint8)
+        sent = rng.integers(0, 4, size=n).astype(np.int8)
         starts, end = plain_walk(step, n)
         # The whole table, and the table cut where the last photon's draws end.
         for table in (step, step[:end]):
-            got, got_end = eavesdrop._jump_walk(table, n)
+            got, got_end = eavesdrop._walk([table.tobytes()] * 4, sent)
             assert (got.tolist(), got_end) == (starts, end)
 
 

@@ -476,6 +476,26 @@ def test_cli_config_file_rejects_mistyped_values(tmp_path, capsys, field, value,
     assert err == f"error: {needle}\n"
 
 
+@pytest.mark.parametrize("attack", ["none", "passive", "intercept", "stuck"])
+def test_cli_checks_interception_options_whatever_the_attack(tmp_path, capsys, attack):
+    # --fraction, --eve-filter and --resend-policy are checked even where
+    # the chosen attack does not read them, from a flag or a config file.
+    argv = ("simulate", "--protocol", "three-state", "--n", "90", "--attack", attack)
+    code, out, err = run_cli(capsys, *argv, "--fraction", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: fraction must lie in [0, 1], got 2.0\n"
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"fraction": 2}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(config_path))
+    assert (code, out) == (1, "")
+    assert err == "error: fraction must lie in [0, 1], got 2.0\n"
+    # A valid value the attack does not use is accepted.
+    config_path.write_text(json.dumps({"fraction": 0.3, "eve_filter": "z90"}))
+    code, out, _ = run_cli(capsys, *argv, "--config", str(config_path), "--no-abort-on-tamper")
+    assert code == 0
+    assert json.loads(out)["config"]["n"] == 90
+
+
 def test_cli_config_file_json_false_disables_abort(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(
